@@ -9,9 +9,9 @@ extremum.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
@@ -19,6 +19,7 @@ from scipy.sparse.linalg import eigsh
 
 from . import correlations
 from .core import (
+    DEGENERACY_GAP,
     DensityOperator,
     SIGMA_X,
     SIGMA_Z,
@@ -27,9 +28,8 @@ from .core import (
     reduced_from_vector,
 )
 
-DENSE_MAX_SITES = 6      # 4^6 = 4096 is the dense eigensolver budget
-SPARSE_MAX_SITES = 8     # iterative solver budget (N = 16 spins)
-DEGENERACY_GAP = 1e-9
+DENSE_MAX_SITES = 6      # 4^6 = 4096: limit of the dense reference views
+SPARSE_MAX_SITES = 8     # ground-state solver budget (N = 16 spins)
 
 GROUP_SITES = {"quartet": 2, "sextet": 3, "octet": 4}
 PAIR_KINDS = ("same-site", "neighbor-sigma")
@@ -48,6 +48,9 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.sites < 2:
             raise ValueError(f"need at least 2 sites, got {self.sites}")
+        for name in ("beta", "delta", "coupling"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def n_spins(self) -> int:
@@ -145,11 +148,11 @@ def build_hamiltonian_sparse(spec: ChainSpec) -> sparse.csr_matrix:
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Dense Hamiltonian matrix of dimension 4^sites; sites <= 6."""
+    """Dense view of the Hamiltonian (dimension 4^sites, sites <= 6), the reference for tests."""
     if spec.sites > DENSE_MAX_SITES:
         raise ValueError(
             f"dense build supports at most {DENSE_MAX_SITES} sites, got {spec.sites}; "
-            "use the sparse builder and an iterative solver"
+            "use build_hamiltonian_sparse"
         )
     return build_hamiltonian_sparse(spec).toarray()
 
@@ -170,7 +173,7 @@ def parity_operators(sites: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ground_state(h: np.ndarray) -> GroundState:
-    """Lowest eigenpair of a dense Hermitian matrix, with a degeneracy flag."""
+    """Lowest eigenpair of a dense Hermitian matrix, with a degeneracy flag (test reference)."""
     spec = eig_hermitian(h)
     e = spec.eigenvalues
     gap = float(e[1] - e[0]) if len(e) > 1 else np.inf
@@ -190,30 +193,27 @@ def _project_q0(block: np.ndarray, p1, p2) -> np.ndarray:
         vals, vecs = np.linalg.eigh(a)
         sel = vals > 1.0 - 1e-6
         if not sel.any():
-            return block[:, 0]
+            raise ValueError("degenerate ground manifold has no (+1, +1) parity vector")
         w = w @ vecs[:, sel]
     v = w[:, 0]
     return v / np.linalg.norm(v)
 
 
-def _ground_vector(spec: ChainSpec, iterative: bool) -> tuple[np.ndarray, bool]:
-    """Ground state vector with the degenerate case resolved into the Q=0 sector."""
-    if iterative:
-        h = build_hamiltonian_sparse(spec)
-        k = min(6, spec.dim - 1)
-        v0 = np.full(spec.dim, 1.0 / np.sqrt(spec.dim))
-        vals, vecs = eigsh(h, k=k, which="SA", v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    else:
-        h = build_hamiltonian(spec)
-        s = eig_hermitian(h)
-        vals, vecs = s.eigenvalues, s.eigenvectors
-    gap = float(vals[1] - vals[0])
-    degenerate = gap < DEGENERACY_GAP
-    if not degenerate:
+def _ground_vector(spec: ChainSpec) -> tuple[np.ndarray, bool]:
+    """Lanczos ground state vector with the degenerate case resolved into the Q=0 sector."""
+    h = build_hamiltonian_sparse(spec)
+    v0 = np.full(spec.dim, 1.0 / np.sqrt(spec.dim))
+    vals, vecs = eigsh(h, k=6, which="SA", v0=v0)
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    if vals[1] - vals[0] >= DEGENERACY_GAP:
         return vecs[:, 0], False
     sel = vals - vals[0] < DEGENERACY_GAP
+    if sel.all():
+        raise ValueError(
+            f"all {len(vals)} resolved eigenvalues are degenerate with the ground energy; "
+            "the ground manifold may be larger than the solver resolves"
+        )
     p1, p2 = _parity_sparse(spec.sites)
     return _project_q0(vecs[:, sel], p1, p2), True
 
@@ -271,11 +271,34 @@ def default_delta_grid(
     return np.unique(np.round(np.concatenate([coarse, fine]), 10))
 
 
-def _map_ordered(worker, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, items))
-    return [worker(item) for item in items]
+def _scan(
+    template: ChainSpec,
+    deltas: Sequence[float],
+    measure: Callable[[np.ndarray, ChainSpec], float],
+    basis: str,
+    group: "SpinGroup | str",
+) -> ScanResult:
+    """Ground state and ``measure(vector, spec)`` at every coupling of the grid."""
+    deltas = np.asarray(list(deltas), dtype=float)
+    if deltas.size == 0:
+        raise ValueError("empty coupling grid")
+    values, flags = [], []
+    for delta in deltas:
+        spec = replace(template, delta=float(delta))
+        vector, degenerate = _ground_vector(spec)
+        values.append(measure(vector, spec))
+        flags.append(degenerate)
+        del vector  # free the eigsh basis it views before the next solve
+    values = np.array(values)
+    return ScanResult(
+        deltas=deltas,
+        gqd=values,
+        derivative=central_difference(deltas, values),
+        basis=basis,
+        chain=template,
+        group=group,
+        degenerate=np.array(flags, dtype=bool),
+    )
 
 
 def gqd_scan(
@@ -283,36 +306,16 @@ def gqd_scan(
     deltas: Sequence[float],
     group: SpinGroup,
     strategy: str,
-    iterative: bool = False,
-    threads: int = 1,
 ) -> ScanResult:
     """Global discord of a spin group across the coupling grid, at a fixed basis strategy."""
     if strategy not in SCAN_STRATEGIES:
         raise ValueError(f"scan strategy must be one of {SCAN_STRATEGIES}, got {strategy!r}")
-    deltas = np.asarray(list(deltas), dtype=float)
-    if deltas.size == 0:
-        raise ValueError("empty coupling grid")
     group.qubit_indices(template.sites)  # validate group against chain size now
 
-    def worker(delta: float) -> tuple[float, bool]:
-        spec = replace(template, delta=float(delta))
-        vector, degenerate = _ground_vector(spec, iterative)
-        rho = reduce_to_group(vector, spec, group)
-        value = correlations.gqd(rho, strategy=strategy).value
-        return value, degenerate
+    def measure(vector: np.ndarray, spec: ChainSpec) -> float:
+        return correlations.gqd(reduce_to_group(vector, spec, group), strategy=strategy).value
 
-    rows = _map_ordered(worker, deltas, threads)
-    values = np.array([r[0] for r in rows])
-    flags = np.array([r[1] for r in rows], dtype=bool)
-    return ScanResult(
-        deltas=deltas,
-        gqd=values,
-        derivative=central_difference(deltas, values),
-        basis=strategy,
-        chain=template,
-        group=group,
-        degenerate=flags,
-    )
+    return _scan(template, deltas, measure, strategy, group)
 
 
 def pair_qubits(kind: str) -> list[int]:
@@ -328,30 +331,12 @@ def pairwise_discord_scan(
     deltas: Sequence[float],
     pair_kind: str,
     config: "correlations.OptimizerConfig | None" = None,
-    iterative: bool = False,
-    threads: int = 1,
 ) -> ScanResult:
     """Asymmetric discord of a spin pair across the coupling grid."""
     keep = pair_qubits(pair_kind)
-    deltas = np.asarray(list(deltas), dtype=float)
-    if deltas.size == 0:
-        raise ValueError("empty coupling grid")
 
-    def worker(delta: float) -> tuple[float, bool]:
-        spec = replace(template, delta=float(delta))
-        vector, degenerate = _ground_vector(spec, iterative)
+    def measure(vector: np.ndarray, spec: ChainSpec) -> float:
         rho = reduced_from_vector(vector, SubsystemDims.qubits(spec.n_spins), keep)
-        return correlations.discord_asymmetric(rho, config), degenerate
+        return correlations.discord_asymmetric(rho, config)
 
-    rows = _map_ordered(worker, deltas, threads)
-    values = np.array([r[0] for r in rows])
-    flags = np.array([r[1] for r in rows], dtype=bool)
-    return ScanResult(
-        deltas=deltas,
-        gqd=values,
-        derivative=central_difference(deltas, values),
-        basis="minimize",
-        chain=template,
-        group=pair_kind,
-        degenerate=flags,
-    )
+    return _scan(template, deltas, measure, "minimize", pair_kind)

@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import Any, Sequence
 
@@ -90,12 +89,6 @@ def _optimizer_config(args) -> correlations.OptimizerConfig:
     return correlations.OptimizerConfig(**kwargs)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return max(1, int(os.environ.get("GQD_THREADS", "1")))
-
-
 def _cmd_ghz_surface(args) -> int:
     if args.resolution < 2:
         raise UsageError("resolution must be at least 2")
@@ -135,11 +128,9 @@ def _cmd_werner_ghz(args) -> int:
     }
     if args.mode in ("numeric", "both"):
         config = _optimizer_config(args)
-
-        def worker(mu: float) -> float:
-            return correlations.gqd(states.werner_ghz(mu), "minimize", config).value
-
-        numeric = at._map_ordered(worker, [float(m) for m in mus], _threads(args))
+        numeric = [
+            correlations.gqd(states.werner_ghz(float(m)), "minimize", config).value for m in mus
+        ]
         diffs = [abs(a - b) for a, b in zip(analytic, numeric)]
         header = header + ("gqd_numeric", "abs_difference")
         columns += [numeric, diffs]
@@ -167,23 +158,11 @@ def _cmd_at_scan(args) -> int:
         raise BudgetError(
             f"chains beyond {at.SPARSE_MAX_SITES} sites are out of budget"
         )
-    if args.sites > at.DENSE_MAX_SITES and not args.iterative:
-        raise BudgetError(
-            f"dense diagonalization supports at most {at.DENSE_MAX_SITES} sites; "
-            "pass --iterative to enable the sparse lowest-eigenpair solver"
-        )
-    deltas = _delta_grid(args)
-    template = at.ChainSpec(sites=args.sites, beta=args.beta, delta=float(deltas[0]))
-    group = at.SpinGroup(kind=args.group, anchor=args.anchor)
     try:
-        result = at.gqd_scan(
-            template,
-            deltas,
-            group,
-            strategy=args.strategy,
-            iterative=args.iterative,
-            threads=_threads(args),
-        )
+        deltas = _delta_grid(args)
+        template = at.ChainSpec(sites=args.sites, beta=args.beta, delta=float(deltas[0]))
+        group = at.SpinGroup(kind=args.group, anchor=args.anchor)
+        result = at.gqd_scan(template, deltas, group, strategy=args.strategy)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -207,7 +186,6 @@ def _cmd_at_scan(args) -> int:
         "group": args.group,
         "anchor": args.anchor,
         "strategy": args.strategy,
-        "iterative": bool(args.iterative),
         "seed": args.seed,
         "summary": summary,
     }
@@ -237,7 +215,7 @@ def _parse_state(spec: str):
             sites, delta, kind = int(fields[0]), float(fields[1]), fields[2].strip()
             keep = at.pair_qubits(kind)
             chain = at.ChainSpec(sites=sites, beta=1.0, delta=delta)
-            vector, _ = at._ground_vector(chain, iterative=False)
+            vector, _ = at._ground_vector(chain)
             rho = reduced_from_vector(vector, SubsystemDims.qubits(chain.n_spins), keep)
             return spec, rho
     except (ValueError, TypeError) as exc:
@@ -287,8 +265,6 @@ def build_parser() -> _Parser:
     common.add_argument("--out", default=None, help="output file (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: GQD_THREADS or 1)")
     common.add_argument("--grid-step", type=float, default=None,
                         help="sweep-grid step for commands that scan a parameter")
     common.add_argument("--multistarts", type=int, default=None,
@@ -319,8 +295,6 @@ def build_parser() -> _Parser:
     p.add_argument("--delta-max", type=float, default=1.8)
     p.add_argument("--fine-step", type=float, default=0.01,
                    help="finer step inside the critical window (0 disables)")
-    p.add_argument("--iterative", action="store_true",
-                   help="use the sparse lowest-eigenpair solver")
     p.set_defaults(func=_cmd_at_scan)
 
     p = sub.add_parser("discord", parents=[common],

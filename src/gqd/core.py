@@ -19,6 +19,7 @@ EIG_FLOOR = -1e-10        # eigenvalues in (EIG_FLOOR, 0) are clamped to 0; belo
 KERNEL_EIG_TOL = 1e-12    # sigma eigenvalues below this belong to the kernel
 KERNEL_MASS_TOL = 1e-9    # rho mass on sigma's kernel above this => infinite relative entropy
 SPECTRUM_RECON_TOL = 1e-9
+DEGENERACY_GAP = 1e-9     # adjacent eigenvalues closer than this are treated as degenerate
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEGENERACY_GAP,
     DensityOperator,
     HERMITIAN_TOL,
     SubsystemDims,
@@ -14,8 +15,6 @@ from .core import (
     kron_all,
     partial_trace,
 )
-
-DEGENERACY_GAP = 1e-9
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,7 @@ def test_optional_iterative_substitute():
     ok = True
     details = []
     for kind in ("quartet", "sextet"):
-        scan = gqd_scan(template, grid, SpinGroup(kind), "fixed-x", iterative=True)
+        scan = gqd_scan(template, grid, SpinGroup(kind), "fixed-x")
         roots = zero_crossings(scan.deltas[1:-1], scan.derivative, lo=0.85, hi=1.15)
         ok &= len(roots) == 1
         details.append(f"{kind}: {roots}")

@@ -6,6 +6,7 @@ from gqd.ashkin_teller import (
     ScanResult,
     SpinGroup,
     _ground_vector,
+    _project_q0,
     build_hamiltonian,
     build_hamiltonian_sparse,
     central_difference,
@@ -75,6 +76,13 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             ChainSpec(sites=1, beta=1.0, delta=1.0)
 
+    @pytest.mark.parametrize("field", ["beta", "delta", "coupling"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_couplings_rejected(self, field, value):
+        couplings = {"beta": 1.0, "delta": 1.0, "coupling": 1.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            ChainSpec(sites=2, **couplings)
+
 
 class TestParityOperators:
     def test_involution_traceless_hermitian(self):
@@ -126,13 +134,28 @@ class TestGroundState:
             assert energy <= previous + 1e-12
             previous = energy
 
-    def test_iterative_matches_dense(self):
-        spec = ChainSpec(sites=2, beta=1.0, delta=0.9)
-        dense_vec, dense_flag = _ground_vector(spec, iterative=False)
-        sparse_vec, sparse_flag = _ground_vector(spec, iterative=True)
-        assert dense_flag == sparse_flag == False  # noqa: E712
-        overlap = abs(np.vdot(dense_vec, sparse_vec))
-        assert abs(overlap - 1.0) <= 1e-8
+    def test_ground_vector_matches_dense(self):
+        for sites in (2, 3, 4):
+            for delta in (0.3, 0.9, 1.0, 1.7):
+                spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
+                dense = ground_state(build_hamiltonian(spec))
+                vector, degenerate = _ground_vector(spec)
+                assert degenerate == dense.degenerate
+                assert abs(abs(np.vdot(dense.vector, vector)) - 1.0) <= 1e-8
+
+    def test_unresolved_degenerate_manifold_raises(self):
+        # beta = 0, delta = -1: three degenerate states per site, 9 in all at
+        # two sites, more than the solver's six eigenpairs can resolve
+        with pytest.raises(ValueError, match="degenerate"):
+            _ground_vector(ChainSpec(sites=2, beta=0.0, delta=-1.0))
+
+    def test_project_q0_rejects_block_without_even_parity(self):
+        p1, p2 = parity_operators(2)
+        rng = np.random.default_rng(0)
+        odd = (np.eye(16) - p1) / 2.0          # projector onto sigma parity -1
+        block, _ = np.linalg.qr(odd @ rng.normal(size=(16, 2)))
+        with pytest.raises(ValueError, match="parity"):
+            _project_q0(block, p1, p2)
 
 
 class TestSpinGroup:
@@ -161,13 +184,13 @@ class TestSpinGroup:
 
 class TestReduceToGroup:
     def test_valid_density_operator(self):
-        vec, _ = _ground_vector(CRITICAL, iterative=False)
+        vec, _ = _ground_vector(CRITICAL)
         rho = reduce_to_group(vec, CRITICAL, SpinGroup("quartet"))
         assert rho.dims.dims == (2, 2, 2, 2)
         assert abs(rho.matrix.trace() - 1.0) <= 1e-12
 
     def test_translation_invariance(self):
-        vec, _ = _ground_vector(CRITICAL, iterative=False)
+        vec, _ = _ground_vector(CRITICAL)
         spectra = []
         for anchor in range(3):
             rho = reduce_to_group(vec, CRITICAL, SpinGroup("quartet", anchor=anchor))
@@ -179,14 +202,14 @@ class TestReduceToGroup:
         # at beta = 1 the sigma_j/tau_j pair is classical in the sigma-x product basis
         for delta in (0.4, 1.0, 1.6):
             spec = ChainSpec(sites=3, beta=1.0, delta=delta)
-            vec, _ = _ground_vector(spec, iterative=False)
+            vec, _ = _ground_vector(spec)
             rho = reduced_from_vector(vec, SubsystemDims.qubits(6), pair_qubits("same-site"))
             dephased = dephase(rho, all_x(2))
             assert np.abs(dephased.matrix - rho.matrix).max() <= 1e-9
 
     def test_single_spin_reduced_states_x_diagonal(self):
         spec = ChainSpec(sites=3, beta=1.0, delta=0.7)
-        vec, _ = _ground_vector(spec, iterative=False)
+        vec, _ = _ground_vector(spec)
         x_vectors = all_x(1).locals[0].vectors
         for q in range(6):
             rho = reduced_from_vector(vec, SubsystemDims.qubits(6), [q])
@@ -238,12 +261,6 @@ class TestScans:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             gqd_scan(CRITICAL, [], SpinGroup("quartet"), "fixed-x")
-
-    def test_threads_match_serial(self):
-        deltas = [0.9, 1.0, 1.1]
-        serial = gqd_scan(CRITICAL, deltas, SpinGroup("quartet"), "fixed-x", threads=1)
-        threaded = gqd_scan(CRITICAL, deltas, SpinGroup("quartet"), "fixed-x", threads=3)
-        assert np.array_equal(serial.gqd, threaded.gqd)
 
 
 class TestPairwiseScans:

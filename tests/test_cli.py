@@ -138,14 +138,32 @@ class TestAtScan:
         assert code == 1
         assert "range" in err
 
-    def test_over_budget_without_iterative(self, capsys):
-        code, _, err = run_cli(["at-scan", "--sites", "7"], capsys)
-        assert code == 3
-        assert "--iterative" in err
+    def test_seven_sites_runs_without_flags(self, capsys):
+        code, out, _ = run_cli(
+            ["at-scan", "--sites", "7", "--delta-min", "1.0", "--delta-max", "1.0"], capsys
+        )
+        assert code == 0
+        body, _, _ = out.rpartition("\n{")
+        _, rows = parse_csv(body + "\n")
+        assert len(rows) == 1 and float(rows[0][1]) > 0
 
     def test_over_sparse_budget(self, capsys):
-        code, _, err = run_cli(["at-scan", "--sites", "9", "--iterative"], capsys)
+        code, _, err = run_cli(["at-scan", "--sites", "9"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--sites", "1"],
+            ["--sites", "2", "--delta-min", "inf", "--delta-max", "inf"],
+            ["--sites", "2", "--beta", "nan"],
+        ],
+    )
+    def test_bad_input_usage_error(self, flags, capsys):
+        code, out, err = run_cli(["at-scan", *flags], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("gqd: error: ") and err.count("\n") == 1
 
     def test_missing_sites_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
