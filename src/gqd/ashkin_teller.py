@@ -30,6 +30,7 @@ from .core import (
 
 DENSE_MAX_SITES = 6      # 4^6 = 4096: limit of the dense reference views
 SPARSE_MAX_SITES = 8     # ground-state solver budget (N = 16 spins)
+CRITICAL_WINDOW = (0.85, 1.15)  # coupling window refined around the delta = 1 critical point
 
 GROUP_SITES = {"quartet": 2, "sextet": 3, "octet": 4}
 PAIR_KINDS = ("same-site", "neighbor-sigma")
@@ -51,6 +52,8 @@ class ChainSpec:
         for name in ("beta", "delta", "coupling"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.coupling == 0.0:
+            raise ValueError("coupling must be nonzero")
 
     @property
     def n_spins(self) -> int:
@@ -257,8 +260,8 @@ def default_delta_grid(
     stop: float = 1.8,
     step: float = 0.05,
     fine_step: float = 0.01,
-    fine_lo: float = 0.85,
-    fine_hi: float = 1.15,
+    fine_lo: float = CRITICAL_WINDOW[0],
+    fine_hi: float = CRITICAL_WINDOW[1],
 ) -> np.ndarray:
     """Coupling grid: coarse over [start, stop], refined around the critical point."""
     if step <= 0 or stop < start:

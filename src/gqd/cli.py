@@ -128,13 +128,14 @@ def _cmd_werner_ghz(args) -> int:
     }
     if args.mode in ("numeric", "both"):
         config = _optimizer_config(args)
-        numeric = [
-            correlations.gqd(states.werner_ghz(float(m)), "minimize", config).value for m in mus
-        ]
+        results = [correlations.gqd(states.werner_ghz(float(m)), "minimize", config) for m in mus]
+        numeric = [r.value for r in results]
         diffs = [abs(a - b) for a, b in zip(analytic, numeric)]
         header = header + ("gqd_numeric", "abs_difference")
         columns += [numeric, diffs]
         meta["max_abs_difference"] = max(diffs)
+        meta["all_converged"] = all(r.converged for r in results)
+        meta["evaluations"] = sum(r.evaluations for r in results)
 
     rows = list(zip(*columns))
     _emit(args, meta, header, rows)
@@ -153,6 +154,13 @@ def _delta_grid(args) -> np.ndarray:
     )
 
 
+def _extremum(x: np.ndarray, d: np.ndarray, root: float) -> str:
+    """Kind of extremum at a zero of the derivative d: "max" where d falls through it."""
+    before, after = d[x < root], d[x > root]
+    falls = (after[0] if after.size else 0.0) < (before[-1] if before.size else 0.0)
+    return "max" if falls else "min"
+
+
 def _cmd_at_scan(args) -> int:
     if args.sites > at.SPARSE_MAX_SITES:
         raise BudgetError(
@@ -168,6 +176,7 @@ def _cmd_at_scan(args) -> int:
 
     interior = result.deltas[1:-1]
     crossings = at.zero_crossings(interior, result.derivative)
+    lo, hi = at.CRITICAL_WINDOW
     derivative_column: list[Any] = [None] + list(result.derivative) + [None]
     if len(result.deltas) < 3:
         derivative_column = [None] * len(result.deltas)
@@ -177,6 +186,8 @@ def _cmd_at_scan(args) -> int:
     ]
     summary = {
         "zero_crossings": [round(c, 12) for c in crossings],
+        "window_crossings": [round(c, 12) for c in crossings if lo < c < hi],
+        "extremum": [_extremum(interior, result.derivative, c) for c in crossings],
         "degenerate_points": int(result.degenerate.sum()),
     }
     meta = {
@@ -243,7 +254,8 @@ def _cmd_discord(args) -> int:
     result = correlations.gqd(rho, strategy=args.strategy, config=config)
     rows.append((f"gqd_{args.strategy}", result.value))
 
-    meta = {"command": "discord", "state": label, "strategy": args.strategy, "seed": args.seed}
+    meta = {"command": "discord", "state": label, "strategy": args.strategy, "seed": args.seed,
+            "gqd_converged": result.converged, "gqd_evaluations": result.evaluations}
     _emit(args, meta, ("measure", "value"), rows)
     return EXIT_OK
 

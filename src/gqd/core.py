@@ -221,13 +221,14 @@ def _as_hermitian_matrix(rho: "DensityOperator | np.ndarray") -> np.ndarray:
     return m
 
 
-def shannon_entropy(p: np.ndarray) -> float:
-    """-sum p log2 p over nonnegative weights, with 0 log 0 := 0."""
+def shannon_entropy(p: np.ndarray) -> "float | np.ndarray":
+    """-sum p log2 p over the last axis, with weights <= 0 contributing 0 (0 log 0 := 0).
+
+    One weight vector gives a float; a (..., k) stack gives one entropy per row.
+    """
     p = np.asarray(p, dtype=float)
-    p = p[p > 0.0]
-    if p.size == 0:
-        return 0.0
-    return float(-(p * np.log2(p)).sum())
+    h = 0.0 - (p * np.log2(np.where(p > 0.0, p, 1.0))).sum(-1)
+    return float(h) if h.ndim == 0 else h
 
 
 def von_neumann_entropy(rho: "DensityOperator | np.ndarray") -> float:

@@ -12,7 +12,7 @@ difference S(Phi(.)) - S(.), which is how values are computed here.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,11 +27,11 @@ from .core import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from .measurement import LocalBasis, ProductBasis, QubitBasisAngles, qubit_basis, qubit_unitary
+from .measurement import LocalBasis, ProductBasis, QubitBasisAngles, qubit_basis
 
 STRATEGIES = ("fixed-z", "fixed-x", "reduced-eigenbasis", "minimize")
 
-_P_FLOOR = 1e-14  # measurement outcomes below this probability contribute nothing
+_CHUNK_ROWS = 64  # coarse-grid candidates scored per vectorized objective call
 
 
 @dataclass(frozen=True)
@@ -76,25 +76,43 @@ class GqdResult:
             raise ValueError(f"global discord must be non-negative, got {self.value}")
 
 
-def _diag_in_basis(m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Diagonal of u^dagger m u, clipped to nonnegative reals."""
-    return np.clip(np.real(((u.conj().T @ m) * u.T).sum(axis=1)), 0.0, None)
+def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of stacks a[B, ra, ca] and b[B, rb, cb]."""
+    rows, ra, ca = a.shape
+    _, rb, cb = b.shape
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(rows, ra * rb, ca * cb)
 
 
-def _kron_fast(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ra, ca = a.shape
-    rb, cb = b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+def _qubit_unitaries(x: np.ndarray) -> np.ndarray:
+    """Angle rows x[B, 2n] -> per-qubit unitaries u[B, n, 2, 2], as in ``qubit_unitary``."""
+    x = np.asarray(x, dtype=float)
+    c, s = np.cos(0.5 * x[:, 0::2]), np.sin(0.5 * x[:, 0::2])
+    e = np.exp(1j * x[:, 1::2]) * s
+    u = np.empty(c.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = u[..., 1, 1] = c
+    u[..., 0, 1] = -e.conj()
+    u[..., 1, 0] = e
+    return u
 
 
-def _entropy_hermitian(m: np.ndarray) -> float:
-    if m.shape == (2, 2):
-        half = 0.5 * float(np.real(m[0, 0] + m[1, 1]))
-        radius = math.sqrt(
-            0.25 * float(np.real(m[0, 0] - m[1, 1])) ** 2 + abs(m[0, 1]) ** 2
-        )
-        return shannon_entropy(np.clip([half - radius, half + radius], 0.0, None))
-    return shannon_entropy(np.clip(np.linalg.eigvalsh(m), 0.0, None))
+def _basis_probabilities(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """diag(U^dagger m U) for each U in a (B, D, D) stack, clipped to nonnegative reals."""
+    return np.maximum(np.real((u.conj() * (m @ u)).sum(-2)), 0.0)
+
+
+def _entropy_hermitian(m: np.ndarray) -> "float | np.ndarray":
+    """Von Neumann entropy in bits of a Hermitian matrix, or of each one in a (..., d, d) stack."""
+    return shannon_entropy(np.linalg.eigvalsh(m))
+
+
+@functools.lru_cache(maxsize=32)
+def _marginal_map(dims: tuple[int, ...]) -> np.ndarray:
+    """0/1 matrix from a distribution over product outcomes to its local marginals."""
+    local = np.indices(dims).reshape(len(dims), -1)  # local outcome of each global one
+    out = np.zeros((local.shape[1], sum(dims)))
+    out[np.arange(local.shape[1]), local + np.cumsum((0,) + dims[:-1])[:, None]] = 1.0
+    out.flags.writeable = False
+    return out
 
 
 class _GqdContext:
@@ -102,30 +120,26 @@ class _GqdContext:
 
     def __init__(self, rho: DensityOperator):
         self.matrix = rho.matrix
-        self.dims = rho.dims
-        self.entropy = von_neumann_entropy(rho)
-        n = len(rho.dims)
-        self.reduced = [partial_trace_matrix(self.matrix, rho.dims.dims, [j]) for j in range(n)]
-        self.reduced_entropy = [_entropy_hermitian(r) for r in self.reduced]
+        dims = rho.dims.dims
+        reduced = [partial_trace_matrix(self.matrix, dims, [j]) for j in range(len(dims))]
+        # sum_j S(rho_j) - S(rho): the part of the integrand no basis changes
+        self.offset = sum(_entropy_hermitian(r) for r in reduced) - von_neumann_entropy(rho)
+        self.marginals = _marginal_map(dims)
 
-    def value_unitaries(self, unitaries: Sequence[np.ndarray]) -> float:
-        u_full = unitaries[0]
-        for u in unitaries[1:]:
-            u_full = _kron_fast(u_full, u)
-        value = shannon_entropy(_diag_in_basis(self.matrix, u_full)) - self.entropy
-        for u, r, s in zip(unitaries, self.reduced, self.reduced_entropy):
-            value -= shannon_entropy(_diag_in_basis(r, u)) - s
-        return value
+    def values(self, unitaries: Sequence[np.ndarray]) -> np.ndarray:
+        """Integrand at B product bases; ``unitaries[j]`` is a (B, d_j, d_j) stack.
 
-    def value_angles(self, x: np.ndarray) -> float:
-        us = [qubit_unitary(x[2 * j], x[2 * j + 1]) for j in range(len(x) // 2)]
-        return self.value_unitaries(us)
+        The local outcome distributions are the marginals of the global one,
+        so sum_j H(p_j) is one entropy of the marginals laid side by side.
+        """
+        p = _basis_probabilities(self.matrix, functools.reduce(_kron_rows, unitaries))
+        return shannon_entropy(p) - shannon_entropy(p @ self.marginals) + self.offset
 
 
 def gqd_at_basis(rho: DensityOperator, basis: ProductBasis) -> float:
     """Global discord integrand at one fixed product basis, in bits."""
     basis.check_dims(rho.dims)
-    return _GqdContext(rho).value_unitaries([b.vectors for b in basis.locals])
+    return float(_GqdContext(rho).values([b.vectors[None] for b in basis.locals])[0])
 
 
 def mutual_information(rho: DensityOperator, cut: Sequence[int]) -> float:
@@ -137,20 +151,20 @@ def mutual_information(rho: DensityOperator, cut: Sequence[int]) -> float:
     b = [k for k in range(n) if k not in a]
     s_a = _entropy_hermitian(partial_trace_matrix(rho.matrix, rho.dims.dims, a))
     s_b = _entropy_hermitian(partial_trace_matrix(rho.matrix, rho.dims.dims, b))
-    return s_a + s_b - von_neumann_entropy(rho)
+    return float(s_a + s_b - von_neumann_entropy(rho))
 
 
-def _conditional_entropy_tensor(t: np.ndarray, vectors: np.ndarray) -> float:
-    """sum_j p_j S(rho_{A|j}) given rho reshaped to (dA, dB, dA, dB)."""
-    total = 0.0
-    for k in range(vectors.shape[1]):
-        v = vectors[:, k]
-        block = np.einsum("abcd,b,d->ac", t, v.conj(), v)
-        p = float(np.real(np.trace(block)))
-        if p < _P_FLOOR:
-            continue
-        total += p * _entropy_hermitian(block / p)
-    return total
+def _conditional_entropy_tensor(t: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """sum_j p_j S(rho_{A|j}) given rho reshaped to (dA, dB, dA, dB).
+
+    ``vectors`` is one basis (columns) or a (..., dB, dB) stack of them.  The
+    blocks p_j rho_{A|j} are left unnormalized: the sum is H(their joint
+    spectrum) - H(p), so outcomes of zero probability need no special case.
+    """
+    blocks = np.einsum("abcd,...bk,...dk->...kac", t, vectors.conj(), vectors)
+    spectrum = np.linalg.eigvalsh(blocks)
+    joint = spectrum.reshape(spectrum.shape[:-2] + (-1,))
+    return shannon_entropy(joint) - shannon_entropy(np.einsum("...aa->...", blocks).real)
 
 
 def measured_conditional_entropy(rho_ab: DensityOperator, basis_b: LocalBasis) -> float:
@@ -163,7 +177,7 @@ def measured_conditional_entropy(rho_ab: DensityOperator, basis_b: LocalBasis) -
         raise ValueError(f"basis dim {basis_b.dim} does not match measured subsystem dim {d_b}")
     d_a = rho_ab.total_dim // d_b
     t = rho_ab.matrix.reshape(d_a, d_b, d_a, d_b)
-    return _conditional_entropy_tensor(t, basis_b.vectors)
+    return float(_conditional_entropy_tensor(t, basis_b.vectors))
 
 
 def _canonical_angles(x: np.ndarray) -> list[tuple[float, float]]:
@@ -186,67 +200,55 @@ def _canonical_angles(x: np.ndarray) -> list[tuple[float, float]]:
 
 
 def _minimize_over_angles(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     n_pairs: int,
     config: OptimizerConfig,
     seeds: Sequence[np.ndarray] = (),
 ) -> tuple[float, np.ndarray, int, bool]:
     """Coarse grid + multistart Nelder-Mead over n_pairs (theta, phi) pairs.
 
-    Returns (best value, best angles, evaluations, converged).  Deterministic
-    for a fixed config: enumeration order is fixed and the sampled fallback
-    uses the config seed.
+    ``objective`` maps angle rows x[B, 2 * n_pairs] to B values; the seeds
+    and grid are scored in chunks of ``_CHUNK_ROWS`` rows.  Returns (best
+    value, best angles, evaluations, converged).  Deterministic for a fixed
+    config: enumeration order is fixed and the sampled grid uses its seed.
     """
-    evaluations = 0
-    exhausted = False
-    best_value = math.inf
-    best_x: np.ndarray | None = None
+    thetas = np.linspace(0.0, math.pi, config.grid_points, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * math.pi, config.grid_points, endpoint=False)
+    pairs = np.array([(t, p) for t in thetas for p in phis])
+    n_combo = len(pairs)
+    if n_combo**n_pairs <= config.coarse_budget:
+        idx = np.indices((n_combo,) * n_pairs).reshape(n_pairs, -1).T
+    else:
+        rng = np.random.default_rng(config.seed)
+        idx = rng.integers(0, n_combo, size=(config.coarse_budget, n_pairs))
+    grid = pairs[idx].reshape(len(idx), -1)
+    candidates = np.concatenate([np.reshape(seeds, (-1, 2 * n_pairs)), grid])
+    exhausted = len(candidates) > config.max_evaluations
+    candidates = candidates[: config.max_evaluations]
+    scores = np.concatenate(
+        [objective(candidates[k:k + _CHUNK_ROWS]) for k in range(0, len(candidates), _CHUNK_ROWS)]
+    )
+    evaluations = len(scores)
+    best = int(np.argmin(scores))
+    best_value, best_x = float(scores[best]), candidates[best].copy()
 
     def tracked(x: np.ndarray) -> float:
         nonlocal evaluations, best_value, best_x
         evaluations += 1
-        v = objective(x)
+        v = float(objective(x[None])[0])
         if v < best_value:
             best_value = v
             best_x = np.array(x, dtype=float)
         return v
 
-    thetas = np.linspace(0.0, math.pi, config.grid_points, endpoint=False)
-    phis = np.linspace(0.0, 2.0 * math.pi, config.grid_points, endpoint=False)
-    pairs = [(t, p) for t in thetas for p in phis]
-    n_combo = len(pairs)
-
-    candidates: list[np.ndarray] = [np.asarray(s, dtype=float) for s in seeds]
-    if n_combo**n_pairs <= config.coarse_budget:
-        for combo in itertools.product(range(n_combo), repeat=n_pairs):
-            candidates.append(np.array([c for k in combo for c in pairs[k]]))
-    else:
-        rng = np.random.default_rng(config.seed)
-        idx = rng.integers(0, n_combo, size=(config.coarse_budget, n_pairs))
-        for row in idx:
-            candidates.append(np.array([c for k in row for c in pairs[k]]))
-
-    scored: list[tuple[float, int, np.ndarray]] = []
-    for order, x in enumerate(candidates):
-        if evaluations >= config.max_evaluations:
-            exhausted = True
-            break
-        scored.append((tracked(x), order, x))
-
-    scored.sort(key=lambda item: (item[0], item[1]))
-    starts: list[np.ndarray] = []
-    seen: set[tuple[float, ...]] = set()
-    for _, _, x in scored:
-        key = tuple(np.round(x, 12))
-        if key in seen:
-            continue
-        seen.add(key)
-        starts.append(x)
+    starts: dict[tuple[float, ...], np.ndarray] = {}  # distinct points, best (value, order) first
+    for k in np.argsort(scores, kind="stable"):
+        starts.setdefault(tuple(np.round(candidates[k], 12)), candidates[k])
         if len(starts) == config.multistarts:
             break
 
     refined_ok = True
-    for x0 in starts:
+    for x0 in starts.values():
         budget = config.max_evaluations - evaluations
         if budget <= 0:
             exhausted = True
@@ -268,8 +270,6 @@ def _minimize_over_angles(
                 exhausted = True
                 break
 
-    if best_x is None:
-        raise RuntimeError("optimizer evaluated no candidate (budget too small)")
     return best_value, best_x, evaluations, (not exhausted) and refined_ok
 
 
@@ -346,7 +346,8 @@ def gqd(
     config = config or OptimizerConfig()
     ctx = _GqdContext(rho)
     value, x, evaluations, converged = _minimize_over_angles(
-        ctx.value_angles, rho.n_subsystems, config, seeds=_structured_seeds(rho)
+        lambda rows: ctx.values(_qubit_unitaries(rows).swapaxes(0, 1)),
+        rho.n_subsystems, config, seeds=_structured_seeds(rho),
     )
     basis = ProductBasis(
         tuple(qubit_basis(QubitBasisAngles(t, p)) for t, p in _canonical_angles(x))
@@ -371,9 +372,8 @@ def discord_asymmetric(rho_ab: DensityOperator, config: OptimizerConfig | None =
     info = mutual_information(rho_ab, cut=range(len(dims) - 1))
     s_a = _entropy_hermitian(np.einsum("abcb->ac", t))
 
-    def objective(x: np.ndarray) -> float:
-        u = qubit_unitary(x[0], x[1])
-        return info - s_a + _conditional_entropy_tensor(t, u)
+    def objective(x: np.ndarray) -> np.ndarray:
+        return info - s_a + _conditional_entropy_tensor(t, _qubit_unitaries(x)[:, 0])
 
     half_pi = 0.5 * math.pi
     seeds = [np.array([0.0, 0.0]), np.array([half_pi, 0.0]), np.array([half_pi, half_pi])]
@@ -396,20 +396,20 @@ def symmetric_discord(rho_ab: DensityOperator, config: OptimizerConfig | None = 
     ctx = _GqdContext(rho_ab)
     info = mutual_information(rho_ab, cut=[0])
 
-    def objective(x: np.ndarray) -> float:
-        u1 = qubit_unitary(x[0], x[1])
-        u2 = qubit_unitary(x[2], x[3])
-        relative_form = ctx.value_unitaries([u1, u2])
-        u = _kron_fast(u1, u2)
-        p = _diag_in_basis(m, u)
-        dephased = ((u * p) @ u.conj().T).reshape(2, 2, 2, 2)
-        s_a = _entropy_hermitian(np.einsum("abcb->ac", dephased))
-        s_b = _entropy_hermitian(np.einsum("abad->bd", dephased))
+    def objective(x: np.ndarray) -> np.ndarray:
+        us = _qubit_unitaries(x).swapaxes(0, 1)
+        relative_form = ctx.values(us)
+        u = _kron_rows(us[0], us[1])
+        p = _basis_probabilities(m, u)
+        dephased = ((u * p[:, None, :]) @ u.conj().swapaxes(-1, -2)).reshape(-1, 2, 2, 2, 2)
+        s_a = _entropy_hermitian(np.einsum("...abcb->...ac", dephased))
+        s_b = _entropy_hermitian(np.einsum("...abad->...bd", dephased))
         loss_form = info - (s_a + s_b - shannon_entropy(p))
-        if abs(loss_form - relative_form) > 1e-9:
+        k = int(np.argmax(np.abs(loss_form - relative_form)))
+        if abs(loss_form[k] - relative_form[k]) > 1e-9:
             raise RuntimeError(
                 "correlation-loss and relative-entropy forms disagree "
-                f"({loss_form} vs {relative_form})"
+                f"({loss_form[k]} vs {relative_form[k]})"
             )
         return loss_form
 

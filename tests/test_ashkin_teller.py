@@ -83,6 +83,10 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match=field):
             ChainSpec(sites=2, **couplings)
 
+    def test_zero_coupling_rejected(self):
+        with pytest.raises(ValueError, match="coupling must be nonzero"):
+            ChainSpec(sites=2, beta=1.0, delta=1.0, coupling=0.0)
+
 
 class TestParityOperators:
     def test_involution_traceless_hermitian(self):

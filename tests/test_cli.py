@@ -85,8 +85,21 @@ class TestWernerGhz:
         payload = json.loads(out)
         assert payload["meta"]["monotone_analytic"] is True
         assert payload["meta"]["max_abs_difference"] <= 1e-3
+        assert payload["meta"]["all_converged"] is True
+        assert payload["meta"]["evaluations"] >= 5 * 6561
         for row in payload["rows"]:
             assert abs(row["gqd_analytic"] - row["gqd_numeric"]) <= 1e-3
+
+    def test_numeric_summary_reports_convergence(self, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["werner-ghz", "--points", "2", "--mode", "numeric",
+             "--out", str(tmp_path / "w.csv")],
+            capsys,
+        )
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["all_converged"] is True
+        assert summary["evaluations"] >= 2 * 6561
 
     def test_grid_step_flag(self, capsys):
         code, out, _ = run_cli(["werner-ghz", "--grid-step", "0.25"], capsys)
@@ -108,12 +121,31 @@ class TestAtScan:
         assert code == 0
         body, _, summary_line = out.rpartition("\n{")
         summary = json.loads("{" + summary_line)
-        assert "zero_crossings" in summary["summary"]
+        assert summary["summary"]["zero_crossings"] == []
+        assert summary["summary"]["window_crossings"] == []
+        assert summary["summary"]["extremum"] == []
         header, rows = parse_csv(body + "\n")
         assert header == ["delta", "gqd", "dgqd_ddelta", "degenerate"]
         assert len(rows) == 3
         assert float(rows[1][1]) > 0  # positive z-basis global discord
         assert rows[0][2] == "" and rows[-1][2] == ""  # derivative only interior
+
+    def test_summary_marks_window_crossings_and_extrema(self, capsys):
+        code, out, _ = run_cli(
+            ["at-scan", "--sites", "2", "--grid-step", "0.1", "--fine-step", "0"], capsys
+        )
+        assert code == 0
+        summary = json.loads("{" + out.rpartition("\n{")[2])["summary"]
+        (crossing,) = summary["zero_crossings"]
+        assert summary["window_crossings"] == [crossing]
+        assert abs(crossing - 1.0) <= 0.01
+        assert summary["extremum"] == ["max"]
+
+    def test_extremum_follows_derivative_sign(self):
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        assert cli._extremum(x, np.array([1.0, -1.0, -2.0, 1.0]), 0.5) == "max"
+        assert cli._extremum(x, np.array([1.0, -1.0, -2.0, 1.0]), 2.5) == "min"
+        assert cli._extremum(x, np.array([-1.0, 0.0, 1.0, 2.0]), 1.0) == "min"
 
     def test_json_contains_meta_summary(self, tmp_path, capsys):
         out_file = tmp_path / "scan.json"
@@ -181,6 +213,17 @@ class TestDiscordCommand:
         assert abs(values["discord_asymmetric"] - 1.0) <= 1e-8
         assert abs(values["discord_symmetric"] - 1.0) <= 1e-8
         assert abs(values["gqd_minimize"] - 1.0) <= 1e-6
+
+    def test_json_meta_reports_convergence(self, capsys):
+        code, out, _ = run_cli(["discord", "bell", "--format", "json"], capsys)
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        assert meta["gqd_converged"] is True
+        assert meta["gqd_evaluations"] > 6561
+        code, out, _ = run_cli(
+            ["discord", "werner-ghz:0", "--strategy", "fixed-z", "--format", "json"], capsys
+        )
+        assert json.loads(out)["meta"]["gqd_evaluations"] == 1
 
     def test_fully_mixed_werner_ghz(self, capsys):
         code, out, _ = run_cli(["discord", "werner-ghz:0", "--strategy", "fixed-z"], capsys)

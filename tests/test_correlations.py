@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gqd import correlations
 from gqd.core import (
     DensityOperator,
     SubsystemDims,
@@ -268,6 +271,21 @@ class TestGqdMinimize:
             rotated = DensityOperator(u @ rho.matrix @ u.conj().T, rho.dims)
             assert abs(gqd(rho, "minimize").value - gqd(rotated, "minimize").value) <= 1e-6
 
+    def test_budget_below_structured_seeds(self):
+        config = OptimizerConfig(max_evaluations=3)  # fewer than the four structured seeds
+        result = gqd(random_density((2, 2, 2), seed=3), "minimize", config)
+        assert result.evaluations == 3
+        assert not result.converged
+        assert result.value >= -1e-9
+
+    def test_repeated_minimization_is_identical(self):
+        rho = random_density((2,) * 3, seed=5)
+        first, second = gqd(rho, "minimize"), gqd(rho, "minimize")
+        assert first.value == second.value
+        assert first.evaluations == second.evaluations
+        for a, b in zip(first.basis.locals, second.basis.locals):
+            assert np.array_equal(a.vectors, b.vectors)
+
     def test_budget_exhaustion_returns_best_so_far(self):
         config = OptimizerConfig(max_evaluations=50)
         result = gqd(ghz(3), "minimize", config)
@@ -322,6 +340,44 @@ class TestSymmetricDiscord:
     def test_requires_two_qubits(self):
         with pytest.raises(ValueError):
             symmetric_discord(random_density((2, 2, 2), seed=0))
+
+    def test_disagreeing_forms_raise(self, monkeypatch):
+        values = correlations._GqdContext.values
+
+        def skewed(self, unitaries):
+            out = values(self, unitaries)
+            out[-1] += 1e-6  # one basis of the batch only
+            return out
+
+        monkeypatch.setattr(correlations._GqdContext, "values", skewed)
+        with pytest.raises(RuntimeError, match="disagree"):
+            symmetric_discord(werner(0.5))
+
+
+class TestBatchedObjective:
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 10_000), rows=st.integers(1, 80))
+    def test_rows_match_fixed_basis_and_chunking(self, n, seed, rows):
+        rho = random_density((2,) * n, seed=seed, rank=1 + seed % (2**n))
+        rng = np.random.default_rng(seed)
+        x = np.empty((rows, 2 * n))
+        x[:, 0::2] = rng.uniform(0, math.pi, (rows, n))
+        x[:, 1::2] = rng.uniform(0, 2 * math.pi, (rows, n))
+        ctx = correlations._GqdContext(rho)
+
+        def objective(batch):
+            return ctx.values(correlations._qubit_unitaries(batch).swapaxes(0, 1))
+
+        batched = objective(x)
+        assert batched.shape == (rows,)
+        for row, value in zip(x, batched):
+            basis = ProductBasis(
+                tuple(qubit_basis(QubitBasisAngles(t, p)) for t, p in row.reshape(-1, 2))
+            )
+            assert abs(value - gqd_at_basis(rho, basis)) <= 1e-12
+        for chunk in (1, 7, 64):
+            chunked = np.concatenate([objective(x[k:k + chunk]) for k in range(0, rows, chunk)])
+            assert np.abs(chunked - batched).max() <= 1e-13
 
 
 class TestOptimizerConfig:
