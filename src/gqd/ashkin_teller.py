@@ -9,6 +9,7 @@ extremum.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -21,8 +22,6 @@ from . import correlations
 from .core import (
     DEGENERACY_GAP,
     DensityOperator,
-    SIGMA_X,
-    SIGMA_Z,
     SubsystemDims,
     eig_hermitian,
     reduced_from_vector,
@@ -30,6 +29,7 @@ from .core import (
 
 DENSE_MAX_SITES = 6      # 4^6 = 4096: limit of the dense reference views
 SPARSE_MAX_SITES = 8     # ground-state solver budget (N = 16 spins)
+RESIDUAL_TOL = 1e-8      # bound on ||Hv - Ev|| / max(1, |E|) of every returned ground state
 CRITICAL_WINDOW = (0.85, 1.15)  # coupling window refined around the delta = 1 critical point
 
 GROUP_SITES = {"quartet": 2, "sextet": 3, "octet": 4}
@@ -119,35 +119,56 @@ class ScanResult:
             raise ValueError("derivative is defined on interior points only")
 
 
-def _sparse_term(factors: dict[int, np.ndarray], n_spins: int) -> sparse.csr_matrix:
-    out = sparse.identity(1, dtype=complex, format="csr")
-    for k in range(n_spins):
-        f = factors.get(k)
-        local = sparse.csr_matrix(f) if f is not None else sparse.identity(2, dtype=complex, format="csr")
-        out = sparse.kron(out, local, format="csr")
-    return out
+def _with_flips(diagonal: np.ndarray, masks: Sequence[int], weight: float) -> sparse.csr_matrix:
+    """diag(diagonal) + weight * sum over masks of the bit flip i -> i ^ mask."""
+    dim = len(diagonal)
+    index = np.arange(dim)
+    cols = np.column_stack([index] + [index ^ m for m in masks])
+    data = np.column_stack([diagonal] + [np.full(dim, weight)] * len(masks))
+    m = sparse.csr_matrix(
+        (data.ravel(), cols.ravel(), np.arange(0, cols.size + 1, cols.shape[1])), shape=(dim, dim)
+    )
+    m.eliminate_zeros()  # zero diagonal entries (beta = 0, the parities) are not stored
+    m.sort_indices()
+    return m
+
+
+@functools.lru_cache(maxsize=1)
+def _hamiltonian_parts(
+    sites: int, beta: float, coupling: float
+) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """Real parts (A, B) of H(delta) = A + delta * B, built from bit masks.
+
+    Qubit q (kron order: site-major, sigma before tau) is bit 2*sites - 1 - q of
+    the basis index, so sigma^z_q is the diagonal 1 - 2*bit_q(i) and sigma^x_q
+    maps i to i ^ (1 << (2*sites - 1 - q)).  The cache holds one chain, so a
+    scan over delta builds it once; callers only see sums formed from it.
+    """
+    n = 2 * sites
+    index = np.arange(4**sites)
+    bit = [1 << (n - 1 - q) for q in range(n)]
+    z = [1 - 2 * ((index >> (n - 1 - q)) & 1) for q in range(n)]
+    pairs = np.zeros(index.size)
+    quads = np.zeros(index.size)
+    for site in range(sites):
+        s, t = 2 * site, 2 * site + 1
+        s_next = 2 * ((site + 1) % sites)
+        zz_s, zz_t = z[s] * z[s_next], z[t] * z[s_next + 1]
+        pairs += zz_s + zz_t
+        quads += zz_s * zz_t
+    a = _with_flips(-coupling * beta * pairs, bit, -coupling)
+    b = _with_flips(
+        -coupling * beta * quads, [bit[2 * s] | bit[2 * s + 1] for s in range(sites)], -coupling
+    )
+    return a, b
 
 
 def build_hamiltonian_sparse(spec: ChainSpec) -> sparse.csr_matrix:
-    """Sparse Ashkin-Teller Hamiltonian for up to 8 sites (16 spins)."""
+    """Real sparse Ashkin-Teller Hamiltonian for up to 8 sites (16 spins)."""
     if spec.sites > SPARSE_MAX_SITES:
         raise ValueError(f"chains beyond {SPARSE_MAX_SITES} sites are out of budget")
-    n = spec.n_spins
-    j, beta, delta = spec.coupling, spec.beta, spec.delta
-    h = sparse.csr_matrix((spec.dim, spec.dim), dtype=complex)
-    for site in range(spec.sites):
-        s, t = 2 * site, 2 * site + 1
-        s_next = 2 * ((site + 1) % spec.sites)
-        t_next = s_next + 1
-        h = h - j * _sparse_term({s: SIGMA_X}, n)
-        h = h - j * _sparse_term({t: SIGMA_X}, n)
-        h = h - j * delta * _sparse_term({s: SIGMA_X, t: SIGMA_X}, n)
-        h = h - j * beta * _sparse_term({s: SIGMA_Z, s_next: SIGMA_Z}, n)
-        h = h - j * beta * _sparse_term({t: SIGMA_Z, t_next: SIGMA_Z}, n)
-        h = h - j * beta * delta * _sparse_term(
-            {s: SIGMA_Z, s_next: SIGMA_Z, t: SIGMA_Z, t_next: SIGMA_Z}, n
-        )
-    return h.tocsr()
+    a, b = _hamiltonian_parts(spec.sites, spec.beta, spec.coupling)
+    return (a + spec.delta * b).tocsr()
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
@@ -161,10 +182,10 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
 
 
 def _parity_sparse(sites: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    n = 2 * sites
-    p1 = _sparse_term({2 * s: SIGMA_X for s in range(sites)}, n)
-    p2 = _sparse_term({2 * s + 1: SIGMA_X for s in range(sites)}, n)
-    return p1, p2
+    """Permutations i -> i ^ M for M the mask of every sigma spin, then of every tau spin."""
+    sigma = sum(1 << (2 * sites - 1 - 2 * s) for s in range(sites))
+    zero = np.zeros(4**sites)
+    return _with_flips(zero, [sigma], 1.0), _with_flips(zero, [sigma >> 1], 1.0)
 
 
 def parity_operators(sites: int) -> tuple[np.ndarray, np.ndarray]:
@@ -203,22 +224,35 @@ def _project_q0(block: np.ndarray, p1, p2) -> np.ndarray:
 
 
 def _ground_vector(spec: ChainSpec) -> tuple[np.ndarray, bool]:
-    """Lanczos ground state vector with the degenerate case resolved into the Q=0 sector."""
+    """Lanczos ground state vector with the degenerate case resolved into the Q=0 sector.
+
+    Raises RuntimeError when the returned vector is not an eigenvector of H to
+    within RESIDUAL_TOL * max(1, |E|), E its Rayleigh quotient.
+    """
     h = build_hamiltonian_sparse(spec)
     v0 = np.full(spec.dim, 1.0 / np.sqrt(spec.dim))
     vals, vecs = eigsh(h, k=6, which="SA", v0=v0)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
-    if vals[1] - vals[0] >= DEGENERACY_GAP:
-        return vecs[:, 0], False
-    sel = vals - vals[0] < DEGENERACY_GAP
-    if sel.all():
-        raise ValueError(
-            f"all {len(vals)} resolved eigenvalues are degenerate with the ground energy; "
-            "the ground manifold may be larger than the solver resolves"
+    degenerate = bool(vals[1] - vals[0] < DEGENERACY_GAP)
+    vector = vecs[:, 0]
+    if degenerate:
+        sel = vals - vals[0] < DEGENERACY_GAP
+        if sel.all():
+            raise ValueError(
+                f"all {len(vals)} resolved eigenvalues are degenerate with the ground energy; "
+                "the ground manifold may be larger than the solver resolves"
+            )
+        vector = _project_q0(vecs[:, sel], *_parity_sparse(spec.sites))
+    hv = h @ vector
+    energy = float(vector @ hv)
+    residual = float(np.linalg.norm(hv - energy * vector))
+    if residual > RESIDUAL_TOL * max(1.0, abs(energy)):
+        raise RuntimeError(
+            f"ground state residual {residual:.3e} at delta={spec.delta} exceeds the bound "
+            f"{RESIDUAL_TOL:.0e} * max(1, |E|), E = {energy:.12g}"
         )
-    p1, p2 = _parity_sparse(spec.sites)
-    return _project_q0(vecs[:, sel], p1, p2), True
+    return vector, degenerate
 
 
 def reduce_to_group(gs_vector: np.ndarray, spec: ChainSpec, group: SpinGroup) -> DensityOperator:

@@ -82,6 +82,12 @@ def _emit(args, meta: dict, header: Sequence[str], rows: Sequence[Sequence[Any]]
             fh.write(text)
 
 
+def _emit_summary(args, summary: dict) -> None:
+    """One JSON summary line on stdout, wherever the JSON ``meta`` is not printed there."""
+    if args.format == "csv" or args.out is not None:
+        sys.stdout.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+
+
 def _optimizer_config(args) -> correlations.OptimizerConfig:
     kwargs: dict[str, Any] = {"seed": args.seed}
     if args.multistarts is not None:
@@ -139,8 +145,7 @@ def _cmd_werner_ghz(args) -> int:
 
     rows = list(zip(*columns))
     _emit(args, meta, header, rows)
-    if args.out is not None:
-        sys.stdout.write(json.dumps({"summary": meta}, sort_keys=True) + "\n")
+    _emit_summary(args, meta)
     return EXIT_OK
 
 
@@ -201,8 +206,7 @@ def _cmd_at_scan(args) -> int:
         "summary": summary,
     }
     _emit(args, meta, ("delta", "gqd", "dgqd_ddelta", "degenerate"), rows)
-    if args.format == "csv" or args.out is not None:
-        sys.stdout.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+    _emit_summary(args, summary)
     return EXIT_OK
 
 
@@ -254,9 +258,11 @@ def _cmd_discord(args) -> int:
     result = correlations.gqd(rho, strategy=args.strategy, config=config)
     rows.append((f"gqd_{args.strategy}", result.value))
 
+    summary = {"gqd_converged": result.converged, "gqd_evaluations": result.evaluations}
     meta = {"command": "discord", "state": label, "strategy": args.strategy, "seed": args.seed,
-            "gqd_converged": result.converged, "gqd_evaluations": result.evaluations}
+            **summary}
     _emit(args, meta, ("measure", "value"), rows)
+    _emit_summary(args, summary)
     return EXIT_OK
 
 

@@ -242,6 +242,21 @@ def test_optional_iterative_substitute():
     report("optional", "iterative-solver N=12 quartet/sextet extremum", ok, "; ".join(details))
 
 
+def test_paper_size_sextet_octet():
+    # The paper's own system size: N=16 spins (8 sites), sextet and octet
+    # discord in the sigma-x basis, one derivative extremum near delta = 1.
+    grid = np.round(np.arange(0.85, 1.1501, 0.02), 10)
+    template = ChainSpec(sites=8, beta=1.0, delta=1.0)
+    ok = True
+    details = []
+    for kind in ("sextet", "octet"):
+        scan = gqd_scan(template, grid, SpinGroup(kind), "fixed-x")
+        roots = zero_crossings(scan.deltas[1:-1], scan.derivative, lo=0.85, hi=1.15)
+        ok &= len(roots) == 1
+        details.append(f"{kind}: {roots}")
+    report("optional", "paper-size N=16 sextet/octet extremum", ok, "; ".join(details))
+
+
 def test_criterion_9_determinism(tmp_path, capsys):
     commands = {
         "surface": ["ghz-surface", "--resolution", "16"],

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
+from gqd import ashkin_teller
 from gqd.ashkin_teller import (
     ChainSpec,
     ScanResult,
@@ -19,7 +21,15 @@ from gqd.ashkin_teller import (
     reduce_to_group,
     zero_crossings,
 )
-from gqd.core import SubsystemDims, eig_hermitian, kron, reduced_from_vector
+from gqd.core import (
+    SIGMA_X,
+    SIGMA_Z,
+    SubsystemDims,
+    eig_hermitian,
+    kron,
+    kron_all,
+    reduced_from_vector,
+)
 from gqd.measurement import all_x, dephase
 from gqd.states import random_density
 
@@ -37,7 +47,44 @@ def swap_sigma_tau(h, sites):
     return t.reshape(2**n, 2**n)
 
 
+def pauli_string(factors, n_spins):
+    """Kronecker product over n_spins qubits with the given Paulis, identity elsewhere."""
+    return kron_all([factors.get(k, np.eye(2)) for k in range(n_spins)])
+
+
+def pauli_hamiltonian(spec):
+    """The Ashkin-Teller Hamiltonian summed term by term from Pauli strings."""
+    n = spec.n_spins
+    j, beta, delta = spec.coupling, spec.beta, spec.delta
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for site in range(spec.sites):
+        s, t = 2 * site, 2 * site + 1
+        s_next = 2 * ((site + 1) % spec.sites)
+        t_next = s_next + 1
+        h -= j * pauli_string({s: SIGMA_X}, n)
+        h -= j * pauli_string({t: SIGMA_X}, n)
+        h -= j * delta * pauli_string({s: SIGMA_X, t: SIGMA_X}, n)
+        h -= j * beta * pauli_string({s: SIGMA_Z, s_next: SIGMA_Z}, n)
+        h -= j * beta * pauli_string({t: SIGMA_Z, t_next: SIGMA_Z}, n)
+        h -= j * beta * delta * pauli_string(
+            {s: SIGMA_Z, s_next: SIGMA_Z, t: SIGMA_Z, t_next: SIGMA_Z}, n
+        )
+    return h
+
+
 class TestHamiltonian:
+    @pytest.mark.parametrize("sites", [2, 3])
+    @pytest.mark.parametrize(
+        "beta, delta, coupling",
+        [(1.0, 1.0, 1.0), (0.8, 1.3, 1.0), (0.0, 0.0, 1.0), (1.5, -0.7, 1.0),
+         (0.6, -1.4, 2.5), (1.0, 0.9, -0.8)],
+    )
+    def test_matches_pauli_string_oracle(self, sites, beta, delta, coupling):
+        spec = ChainSpec(sites=sites, beta=beta, delta=delta, coupling=coupling)
+        h = build_hamiltonian(spec)
+        assert h.dtype == np.float64
+        assert np.abs(h - pauli_hamiltonian(spec)).max() <= 1e-12
+
     def test_decoupled_transverse_fields(self):
         # beta = delta = 0: four independent spins, ground energy -4J
         h = build_hamiltonian(ChainSpec(sites=2, beta=0.0, delta=0.0))
@@ -89,6 +136,15 @@ class TestHamiltonian:
 
 
 class TestParityOperators:
+    @pytest.mark.parametrize("sites", [2, 3])
+    def test_match_pauli_string_oracle(self, sites):
+        p1, p2 = parity_operators(sites)
+        n = 2 * sites
+        sigma = pauli_string({2 * s: SIGMA_X for s in range(sites)}, n)
+        tau = pauli_string({2 * s + 1: SIGMA_X for s in range(sites)}, n)
+        assert np.abs(p1 - sigma).max() <= 1e-12
+        assert np.abs(p2 - tau).max() <= 1e-12
+
     def test_involution_traceless_hermitian(self):
         p1, p2 = parity_operators(2)
         for p in (p1, p2):
@@ -146,6 +202,29 @@ class TestGroundState:
                 vector, degenerate = _ground_vector(spec)
                 assert degenerate == dense.degenerate
                 assert abs(abs(np.vdot(dense.vector, vector)) - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6])
+    def test_ground_vector_residual(self, sites):
+        for delta in (0.4, 1.0, 1.6):
+            spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
+            vector, _ = _ground_vector(spec)
+            h = build_hamiltonian_sparse(spec)
+            hv = h @ vector
+            energy = vector @ hv
+            assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
+            assert np.linalg.norm(hv - energy * vector) <= 1e-9 * max(1.0, abs(energy))
+
+    def test_inaccurate_eigenvector_raises(self, monkeypatch):
+        rng = np.random.default_rng(1)
+
+        def perturbed_eigsh(h, **kwargs):
+            vals, vecs = eigsh(h, **kwargs)
+            vecs = vecs + 1e-4 * rng.normal(size=vecs.shape)
+            return vals, vecs / np.linalg.norm(vecs, axis=0)
+
+        monkeypatch.setattr(ashkin_teller, "eigsh", perturbed_eigsh)
+        with pytest.raises(RuntimeError, match="residual"):
+            _ground_vector(ChainSpec(sites=3, beta=1.0, delta=0.9))
 
     def test_unresolved_degenerate_manifold_raises(self):
         # beta = 0, delta = -1: three degenerate states per site, 9 in all at

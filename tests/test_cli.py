@@ -21,6 +21,12 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
+def split_summary(text):
+    """CSV body and the trailing ``{"summary": ...}`` line of a CSV command on stdout."""
+    body, _, line = text.rpartition("\n{")
+    return body + "\n", json.loads("{" + line)["summary"]
+
+
 class TestGhzSurface:
     def test_resolution_64(self, capsys):
         code, out, _ = run_cli(["ghz-surface", "--resolution", "64"], capsys)
@@ -69,7 +75,9 @@ class TestWernerGhz:
     def test_analytic_grid(self, capsys):
         code, out, _ = run_cli(["werner-ghz", "--points", "101"], capsys)
         assert code == 0
-        header, rows = parse_csv(out)
+        body, summary = split_summary(out)
+        assert summary["monotone_analytic"] is True
+        header, rows = parse_csv(body)
         assert header == ["mu", "gqd_analytic"]
         assert len(rows) == 101
         assert abs(float(rows[0][1])) <= 1e-12
@@ -101,10 +109,20 @@ class TestWernerGhz:
         assert summary["all_converged"] is True
         assert summary["evaluations"] >= 2 * 6561
 
+    def test_numeric_csv_on_stdout_reports_convergence(self, capsys):
+        code, out, _ = run_cli(["werner-ghz", "--points", "2", "--mode", "numeric"], capsys)
+        assert code == 0
+        body, summary = split_summary(out)
+        assert summary["all_converged"] is True
+        assert summary["evaluations"] >= 2 * 6561
+        header, rows = parse_csv(body)
+        assert header == ["mu", "gqd_analytic", "gqd_numeric", "abs_difference"]
+        assert len(rows) == 2
+
     def test_grid_step_flag(self, capsys):
         code, out, _ = run_cli(["werner-ghz", "--grid-step", "0.25"], capsys)
         assert code == 0
-        _, rows = parse_csv(out)
+        _, rows = parse_csv(split_summary(out)[0])
         assert [float(r[0]) for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
@@ -207,7 +225,10 @@ class TestDiscordCommand:
     def test_bell(self, capsys):
         code, out, _ = run_cli(["discord", "bell"], capsys)
         assert code == 0
-        _, rows = parse_csv(out)
+        body, summary = split_summary(out)
+        assert summary["gqd_converged"] is True
+        assert summary["gqd_evaluations"] > 6561
+        _, rows = parse_csv(body)
         values = {r[0]: float(r[1]) for r in rows}
         assert abs(values["mutual_information"] - 2.0) <= 1e-9
         assert abs(values["discord_asymmetric"] - 1.0) <= 1e-8
@@ -225,10 +246,18 @@ class TestDiscordCommand:
         )
         assert json.loads(out)["meta"]["gqd_evaluations"] == 1
 
+    def test_file_output_prints_summary(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        code, out, _ = run_cli(["discord", "bell", "--out", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["summary"]["gqd_converged"] is True
+        _, rows = parse_csv(path.read_text())
+        assert [r[0] for r in rows][-1] == "gqd_minimize"
+
     def test_fully_mixed_werner_ghz(self, capsys):
         code, out, _ = run_cli(["discord", "werner-ghz:0", "--strategy", "fixed-z"], capsys)
         assert code == 0
-        _, rows = parse_csv(out)
+        _, rows = parse_csv(split_summary(out)[0])
         for name, value in ((r[0], float(r[1])) for r in rows):
             assert abs(value) <= 1e-8, name
 
@@ -237,7 +266,7 @@ class TestDiscordCommand:
             ["discord", "at-pair:3,0.8,same-site", "--strategy", "fixed-x"], capsys
         )
         assert code == 0
-        _, rows = parse_csv(out)
+        _, rows = parse_csv(split_summary(out)[0])
         values = {r[0]: float(r[1]) for r in rows}
         assert abs(values["discord_asymmetric"]) <= 1e-8
 
