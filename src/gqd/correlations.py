@@ -32,6 +32,16 @@ from .measurement import LocalBasis, ProductBasis, QubitBasisAngles, qubit_basis
 STRATEGIES = ("fixed-z", "fixed-x", "reduced-eigenbasis", "minimize")
 
 _CHUNK_ROWS = 64  # coarse-grid candidates scored per vectorized objective call
+_FD_STEP = 1e-5  # central-difference step of the refinement gradient, in radians
+_FTOL = 1e-15  # L-BFGS relative-decrease floor: refine until no further progress
+# A line-search stop counts as converged when |gradient|_inf <= this.  Where a
+# minimum sits at a vanishing outcome probability (pure states), p log p is not
+# smooth and the central difference reads up to ~2e-7 at the minimum.
+_STALL_GTOL = 1e-6
+
+
+class _BudgetExhausted(Exception):
+    """Raised inside refinement when max_evaluations cannot pay for one more step."""
 
 
 @dataclass(frozen=True)
@@ -40,7 +50,8 @@ class OptimizerConfig:
 
     The coarse stage walks a per-qubit (theta, phi) grid — enumerated in full
     when the product grid is small enough, otherwise sampled (seeded) — and
-    the best points seed simplex refinements in an unconstrained angle space.
+    the best distinct points seed L-BFGS refinements in an unconstrained
+    angle space.  ``tol`` is the L-BFGS gradient tolerance (max-norm).
     """
 
     grid_points: int = 9
@@ -205,12 +216,16 @@ def _minimize_over_angles(
     config: OptimizerConfig,
     seeds: Sequence[np.ndarray] = (),
 ) -> tuple[float, np.ndarray, int, bool]:
-    """Coarse grid + multistart Nelder-Mead over n_pairs (theta, phi) pairs.
+    """Coarse grid + multistart L-BFGS over n_pairs (theta, phi) pairs.
 
     ``objective`` maps angle rows x[B, 2 * n_pairs] to B values; the seeds
-    and grid are scored in chunks of ``_CHUNK_ROWS`` rows.  Returns (best
-    value, best angles, evaluations, converged).  Deterministic for a fixed
-    config: enumeration order is fixed and the sampled grid uses its seed.
+    and grid are scored in chunks of ``_CHUNK_ROWS`` rows.  Each refinement
+    step is one call that scores x and x +- _FD_STEP along every angle, so
+    the value and its central-difference gradient cost ``1 + 4 * n_pairs``
+    rows, all of them counted as evaluations.  The best row seen anywhere,
+    probe rows included, is returned.  Returns (best value, best angles,
+    evaluations, converged).  Deterministic for a fixed config: enumeration
+    order is fixed and the sampled grid uses its seed.
     """
     thetas = np.linspace(0.0, math.pi, config.grid_points, endpoint=False)
     phis = np.linspace(0.0, 2.0 * math.pi, config.grid_points, endpoint=False)
@@ -232,14 +247,21 @@ def _minimize_over_angles(
     best = int(np.argmin(scores))
     best_value, best_x = float(scores[best]), candidates[best].copy()
 
-    def tracked(x: np.ndarray) -> float:
+    steps = _FD_STEP * np.eye(2 * n_pairs)
+    rows_per_step = 1 + 2 * len(steps)
+
+    def value_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evaluations, best_value, best_x
-        evaluations += 1
-        v = float(objective(x[None])[0])
-        if v < best_value:
-            best_value = v
-            best_x = np.array(x, dtype=float)
-        return v
+        if config.max_evaluations - evaluations < rows_per_step:
+            raise _BudgetExhausted
+        rows = np.concatenate([x[None], x + steps, x - steps])
+        values = objective(rows)
+        evaluations += rows_per_step
+        k = int(np.argmin(values))
+        if values[k] < best_value:
+            best_value, best_x = float(values[k]), rows[k].copy()
+        plus, minus = values[1:1 + len(steps)], values[1 + len(steps):]
+        return float(values[0]), (plus - minus) / (2.0 * _FD_STEP)
 
     starts: dict[tuple[float, ...], np.ndarray] = {}  # distinct points, best (value, order) first
     for k in np.argsort(scores, kind="stable"):
@@ -249,26 +271,18 @@ def _minimize_over_angles(
 
     refined_ok = True
     for x0 in starts.values():
-        budget = config.max_evaluations - evaluations
-        if budget <= 0:
+        if exhausted:
+            break
+        try:
+            res = _scipy_minimize(
+                value_and_gradient, x0, jac=True, method="L-BFGS-B",
+                options={"ftol": _FTOL, "gtol": config.tol},
+            )
+        except _BudgetExhausted:
             exhausted = True
             break
-        res = _scipy_minimize(
-            tracked,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-7,
-                "fatol": config.tol,
-                "maxfev": budget,
-                "maxiter": max(10 * budget, 1000),
-            },
-        )
-        if not res.success:
-            refined_ok = False
-            if evaluations >= config.max_evaluations:
-                exhausted = True
-                break
+        stalled = res.message.startswith("ABNORMAL") and np.abs(res.jac).max() <= _STALL_GTOL
+        refined_ok = refined_ok and (res.success or stalled)
 
     return best_value, best_x, evaluations, (not exhausted) and refined_ok
 

@@ -30,6 +30,7 @@ from gqd.core import (
     kron_all,
     reduced_from_vector,
 )
+from gqd.correlations import gqd
 from gqd.measurement import all_x, dephase
 from gqd.states import random_density
 
@@ -316,6 +317,17 @@ class TestScans:
         assert (result.gqd > 0).all()
         interior = result.deltas[1:-1]
         assert zero_crossings(interior, result.derivative, lo=0.85, hi=1.15) == []
+
+    @pytest.mark.parametrize("sites", [3, 4, 5])
+    def test_z_basis_is_the_minimizing_quartet_basis(self, sites):
+        # criterion 8 scans fixed-z as the minimizing basis: certify that claim
+        for delta in (0.5, 0.9, 1.0, 1.1, 1.5):
+            spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
+            rho = reduce_to_group(_ground_vector(spec)[0], spec, SpinGroup("quartet"))
+            minimized = gqd(rho, "minimize")
+            assert minimized.converged
+            assert abs(minimized.value - gqd(rho, "fixed-z").value) <= 1e-9
+            assert minimized.value <= gqd(rho, "fixed-x").value
 
     def test_scan_result_shapes(self):
         deltas = [0.8, 1.0, 1.2]

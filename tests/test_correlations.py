@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -293,10 +294,24 @@ class TestGqdMinimize:
         assert result.evaluations <= 50
         assert result.value >= -1e-9
 
-    def test_result_basis_matches_value(self):
-        rho = random_density((2, 2), seed=83)
-        result = gqd(rho, "minimize")
+    def test_budget_exhausted_during_refinement(self):
+        # 6561 sampled grid rows + 4 structured seeds, then room for three of
+        # the 13-row gradient steps at three qubits but not a fourth
+        config = OptimizerConfig(max_evaluations=6561 + 4 + 40)
+        rho = random_density((2, 2, 2), seed=3)
+        result = gqd(rho, "minimize", config)
+        assert result.converged is False
+        assert 6561 + 4 < result.evaluations <= config.max_evaluations
         assert abs(gqd_at_basis(rho, result.basis) - result.value) <= 1e-9
+
+    def test_result_basis_matches_value(self):
+        # the best angles may come from a gradient probe row; the returned
+        # basis must still reproduce the returned value
+        for n, seed in ((2, 83), (3, 84), (4, 85)):
+            rho = random_density((2,) * n, seed=seed)
+            result = gqd(rho, "minimize")
+            assert result.converged
+            assert abs(gqd_at_basis(rho, result.basis) - result.value) <= 1e-9
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -378,6 +393,39 @@ class TestBatchedObjective:
         for chunk in (1, 7, 64):
             chunked = np.concatenate([objective(x[k:k + chunk]) for k in range(0, rows, chunk)])
             assert np.abs(chunked - batched).max() <= 1e-13
+
+
+def haar_unitary(rng, d=2):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestMinimizerProperties:
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(n=st.integers(2, 3), seed=st.integers(0, 10_000))
+    def test_not_above_fixed_strategies(self, n, seed):
+        rho = random_density((2,) * n, seed=seed, rank=1 + seed % (2**n))
+        best = gqd(rho, "minimize").value
+        for strategy in ("fixed-z", "fixed-x", "reduced-eigenbasis"):
+            assert best <= gqd(rho, strategy).value + 1e-9
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(n=st.integers(2, 3), seed=st.integers(0, 10_000))
+    def test_invariant_under_local_unitaries(self, n, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density((2,) * n, seed=seed, rank=1 + seed % (2**n))
+        u = functools.reduce(kron, [haar_unitary(rng) for _ in range(n)])
+        rotated = DensityOperator(u @ rho.matrix @ u.conj().T, rho.dims)
+        assert abs(gqd(rho, "minimize").value - gqd(rotated, "minimize").value) <= 1e-6
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(n=st.integers(2, 3), seed=st.integers(0, 10_000))
+    def test_zero_on_classical_classical_states(self, n, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(2**n))
+        rho = classical_state(probs, unitaries=[haar_unitary(rng) for _ in range(n)])
+        assert gqd(rho, "minimize").value <= 1e-6
 
 
 class TestOptimizerConfig:
