@@ -30,6 +30,7 @@ from .core import (
 DENSE_MAX_SITES = 6      # 4^6 = 4096: limit of the dense reference views
 SPARSE_MAX_SITES = 8     # ground-state solver budget (N = 16 spins)
 RESIDUAL_TOL = 1e-8      # bound on ||Hv - Ev|| / max(1, |E|) of every returned ground state
+POSITIVITY_FLOOR = -1e-12  # sector amplitudes in [floor, 0] are rounding of positive ones below 1e-16
 CRITICAL_WINDOW = (0.85, 1.15)  # coupling window refined around the delta = 1 critical point
 
 GROUP_SITES = {"quartet": 2, "sextet": 3, "octet": 4}
@@ -104,7 +105,7 @@ class ScanResult:
     """Coupling sweep of a correlation measure plus its central-difference derivative."""
 
     deltas: np.ndarray
-    gqd: np.ndarray
+    values: np.ndarray
     derivative: np.ndarray
     basis: str
     chain: ChainSpec
@@ -113,7 +114,7 @@ class ScanResult:
 
     def __post_init__(self) -> None:
         n = len(self.deltas)
-        if len(self.gqd) != n or len(self.degenerate) != n:
+        if len(self.values) != n or len(self.degenerate) != n:
             raise ValueError("scan columns have inconsistent lengths")
         if len(self.derivative) != max(n - 2, 0):
             raise ValueError("derivative is defined on interior points only")
@@ -144,6 +145,8 @@ def _hamiltonian_parts(
     maps i to i ^ (1 << (2*sites - 1 - q)).  The cache holds one chain, so a
     scan over delta builds it once; callers only see sums formed from it.
     """
+    if sites > SPARSE_MAX_SITES:
+        raise ValueError(f"chains beyond {SPARSE_MAX_SITES} sites are out of budget")
     n = 2 * sites
     index = np.arange(4**sites)
     bit = [1 << (n - 1 - q) for q in range(n)]
@@ -165,8 +168,6 @@ def _hamiltonian_parts(
 
 def build_hamiltonian_sparse(spec: ChainSpec) -> sparse.csr_matrix:
     """Real sparse Ashkin-Teller Hamiltonian for up to 8 sites (16 spins)."""
-    if spec.sites > SPARSE_MAX_SITES:
-        raise ValueError(f"chains beyond {SPARSE_MAX_SITES} sites are out of budget")
     a, b = _hamiltonian_parts(spec.sites, spec.beta, spec.coupling)
     return (a + spec.delta * b).tocsr()
 
@@ -181,9 +182,14 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return build_hamiltonian_sparse(spec).toarray()
 
 
+def _sigma_mask(sites: int) -> int:
+    """Bit mask of every sigma spin of the basis index; shifted right by one, of every tau spin."""
+    return sum(1 << (2 * sites - 1 - 2 * s) for s in range(sites))
+
+
 def _parity_sparse(sites: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     """Permutations i -> i ^ M for M the mask of every sigma spin, then of every tau spin."""
-    sigma = sum(1 << (2 * sites - 1 - 2 * s) for s in range(sites))
+    sigma = _sigma_mask(sites)
     zero = np.zeros(4**sites)
     return _with_flips(zero, [sigma], 1.0), _with_flips(zero, [sigma >> 1], 1.0)
 
@@ -223,28 +229,112 @@ def _project_q0(block: np.ndarray, p1, p2) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _ground_vector(spec: ChainSpec) -> tuple[np.ndarray, bool]:
-    """Lanczos ground state vector with the degenerate case resolved into the Q=0 sector.
+def _orbits(sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the basis indices under the chain's symmetries that permute basis states.
 
-    Raises RuntimeError when the returned vector is not an eigenvector of H to
-    within RESIDUAL_TOL * max(1, |E|), E its Rayleigh quotient.
+    The group has 8*sites elements: the translations, the sigma <-> tau swap and
+    the four parity masks, all commuting with H.  Each index is labelled by the
+    smallest of its images.  Returns (representatives, label of every index,
+    orbit sizes), with representatives[k] the smallest index of orbit k.
     """
+    n = 2 * sites
+    sigma = _sigma_mask(sites)
+    tau = sigma >> 1
+    index = np.arange(4**sites)
+    smallest = index.copy()
+    for image in (index, ((index & sigma) >> 1) | ((index & tau) << 1)):
+        for _ in range(sites):
+            image = (image >> 2) | ((image & 3) << (n - 2))  # one site along the ring
+            for mask in (0, sigma, tau, sigma | tau):
+                np.minimum(smallest, image ^ mask, out=smallest)
+    return np.unique(smallest, return_inverse=True, return_counts=True)
+
+
+@functools.lru_cache(maxsize=1)
+def _sector_parts(
+    sites: int, beta: float, coupling: float
+) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """A and B folded into the fully symmetric sector, with the table that embeds its vectors.
+
+    The sector is spanned by the normalized orbit sums |O> = sum_{i in O} |i> / sqrt|O|.
+    Because H commutes with the group, <O|H|O'> = sqrt(|O|/|O'|) * sum_{j in O'} H[r_O, j]
+    with r_O the representative of O: the representatives' rows times the orbit
+    indicator matrix, scaled on both sides.  Returns (A_sec, B_sec, label of every
+    basis index, sqrt of every orbit size).
+    """
+    reps, labels, sizes = _orbits(sites)
+    dim = labels.size
+    indicator = sparse.csr_matrix(
+        (np.ones(dim), labels, np.arange(dim + 1)), shape=(dim, reps.size)
+    )
+    root = np.sqrt(sizes)
+    left, right = sparse.diags(root), sparse.diags(1.0 / root)
+    a, b = _hamiltonian_parts(sites, beta, coupling)
+    a_sec, b_sec = ((left @ (m[reps] @ indicator) @ right).tocsr() for m in (a, b))
+    return a_sec, b_sec, labels, root
+
+
+def _sector_ground(spec: ChainSpec) -> np.ndarray:
+    """Ground state solved in the fully symmetric sector and embedded in the full space.
+
+    Raises RuntimeError unless every sector amplitude is positive, up to
+    POSITIVITY_FLOOR, once the overall sign is fixed: the Perron-Frobenius
+    certificate of the solve.  An excited state of the sector is orthogonal to
+    the positive ground state and fails it.  The floor admits the exact
+    amplitudes of strongly ordered chains that fall below rounding (about
+    1e-17 at 8 sites, |beta| = 32, delta = 0) and so come out as -1e-16.
+    """
+    a, b, labels, root = _sector_parts(spec.sites, spec.beta, spec.coupling)
+    _, vecs = eigsh(a + spec.delta * b, k=1, which="SA", v0=root / np.linalg.norm(root))
+    c = vecs[:, 0]
+    if c.sum() < 0.0:
+        c = -c
+    if c.min() < POSITIVITY_FLOOR:
+        raise RuntimeError(
+            f"sector ground state at delta={spec.delta} has a negative amplitude "
+            f"{c.min():.3e}; the Perron-Frobenius certificate failed"
+        )
+    return c[labels] / root[labels]
+
+
+def _full_space_ground(spec: ChainSpec) -> tuple[np.ndarray, bool]:
+    """Lanczos ground state vector with the degenerate case resolved into the Q=0 sector."""
     h = build_hamiltonian_sparse(spec)
     v0 = np.full(spec.dim, 1.0 / np.sqrt(spec.dim))
     vals, vecs = eigsh(h, k=6, which="SA", v0=v0)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     degenerate = bool(vals[1] - vals[0] < DEGENERACY_GAP)
-    vector = vecs[:, 0]
-    if degenerate:
-        sel = vals - vals[0] < DEGENERACY_GAP
-        if sel.all():
-            raise ValueError(
-                f"all {len(vals)} resolved eigenvalues are degenerate with the ground energy; "
-                "the ground manifold may be larger than the solver resolves"
-            )
-        vector = _project_q0(vecs[:, sel], *_parity_sparse(spec.sites))
-    hv = h @ vector
+    if not degenerate:
+        return vecs[:, 0], False
+    sel = vals - vals[0] < DEGENERACY_GAP
+    if sel.all():
+        raise ValueError(
+            f"all {len(vals)} resolved eigenvalues are degenerate with the ground energy; "
+            "the ground manifold may be larger than the solver resolves"
+        )
+    return _project_q0(vecs[:, sel], *_parity_sparse(spec.sites)), True
+
+
+def _ground_vector(spec: ChainSpec) -> tuple[np.ndarray, bool]:
+    """Ground state vector of the chain and whether its level is degenerate.
+
+    For J > 0 and delta >= 0 every off-diagonal entry of H is <= 0 and single
+    spin flips connect all basis states, so by Perron-Frobenius the ground state
+    is unique and positive.  Every symmetry that permutes basis states then fixes
+    it, and it is solved in the fully symmetric sector.  Elsewhere the full space
+    is solved and a degenerate level is resolved into the (+1, +1) parity sector.
+
+    Raises RuntimeError when the returned vector is not an eigenvector of H to
+    within RESIDUAL_TOL * max(1, |E|), E its Rayleigh quotient, checked in the
+    full space on either path.
+    """
+    if spec.coupling > 0 and spec.delta >= 0:
+        vector, degenerate = _sector_ground(spec), False
+    else:
+        vector, degenerate = _full_space_ground(spec)
+    a, b = _hamiltonian_parts(spec.sites, spec.beta, spec.coupling)
+    hv = a @ vector + spec.delta * (b @ vector)
     energy = float(vector @ hv)
     residual = float(np.linalg.norm(hv - energy * vector))
     if residual > RESIDUAL_TOL * max(1.0, abs(energy)):
@@ -329,7 +419,7 @@ def _scan(
     values = np.array(values)
     return ScanResult(
         deltas=deltas,
-        gqd=values,
+        values=values,
         derivative=central_difference(deltas, values),
         basis=basis,
         chain=template,

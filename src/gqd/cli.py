@@ -187,7 +187,7 @@ def _cmd_at_scan(args) -> int:
         derivative_column = [None] * len(result.deltas)
     rows = [
         (float(d), float(g), dv if dv is None else float(dv), bool(flag))
-        for d, g, dv, flag in zip(result.deltas, result.gqd, derivative_column, result.degenerate)
+        for d, g, dv, flag in zip(result.deltas, result.values, derivative_column, result.degenerate)
     ]
     summary = {
         "zero_crossings": [round(c, 12) for c in crossings],

@@ -189,17 +189,17 @@ def test_criterion_7_pairwise_null_result():
     grid = default_delta_grid()
 
     same = pairwise_discord_scan(template, grid, "same-site")
-    same_ok = np.abs(same.gqd).max() <= 1e-8
+    same_ok = np.abs(same.values).max() <= 1e-8
 
     neighbor = pairwise_discord_scan(template, grid, "neighbor-sigma")
-    positive = (neighbor.gqd > 0).all()
+    positive = (neighbor.values > 0).all()
     crossings = zero_crossings(neighbor.deltas[1:-1], neighbor.derivative, lo=0.9, hi=1.1)
     report(
         7,
         "same-site pair discord vanishes for every coupling; neighbor pair discord "
         "is positive and featureless at the critical point",
         same_ok and positive and not crossings,
-        f"max same-site = {np.abs(same.gqd).max():.2e}, neighbor crossings = {crossings}",
+        f"max same-site = {np.abs(same.values).max():.2e}, neighbor crossings = {crossings}",
     )
 
 

@@ -8,6 +8,7 @@ from gqd.ashkin_teller import (
     ScanResult,
     SpinGroup,
     _ground_vector,
+    _orbits,
     _project_q0,
     build_hamiltonian,
     build_hamiltonian_sparse,
@@ -196,13 +197,31 @@ class TestGroundState:
             previous = energy
 
     def test_ground_vector_matches_dense(self):
+        # J > 0 and delta >= 0 take the symmetric-sector path, the last two
+        # (coupling, delta) pairs the full-space fallback
+        pairs = [(j, d) for j in (1.0, 2.5) for d in (0.0, 0.3, 0.9, 1.0, 1.7)]
+        pairs += [(1.0, -0.5), (-0.7, 0.9)]
         for sites in (2, 3, 4):
-            for delta in (0.3, 0.9, 1.0, 1.7):
-                spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
-                dense = ground_state(build_hamiltonian(spec))
-                vector, degenerate = _ground_vector(spec)
-                assert degenerate == dense.degenerate
-                assert abs(abs(np.vdot(dense.vector, vector)) - 1.0) <= 1e-8
+            for beta in (0.0, 1.0, 2.5):
+                for coupling, delta in pairs:
+                    spec = ChainSpec(sites=sites, beta=beta, delta=delta, coupling=coupling)
+                    h = build_hamiltonian(spec)
+                    dense = ground_state(h)
+                    vector, degenerate = _ground_vector(spec)
+                    assert degenerate == dense.degenerate
+                    assert abs(vector @ h @ vector - dense.energy) <= 1e-10
+                    assert abs(abs(np.vdot(dense.vector, vector)) - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("sites", [5, 6, 7, 8])
+    def test_sector_ground_matches_full_space_lanczos(self, sites):
+        for delta in (0.3, 1.0):
+            spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
+            h = build_hamiltonian_sparse(spec)
+            vals, vecs = eigsh(h, k=1, which="SA", v0=np.full(spec.dim, spec.dim**-0.5))
+            vector, degenerate = _ground_vector(spec)
+            assert not degenerate
+            assert abs(vector @ (h @ vector) - vals[0]) <= 1e-10
+            assert abs(abs(vecs[:, 0] @ vector) - 1.0) <= 1e-8
 
     @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6])
     def test_ground_vector_residual(self, sites):
@@ -227,6 +246,34 @@ class TestGroundState:
         with pytest.raises(RuntimeError, match="residual"):
             _ground_vector(ChainSpec(sites=3, beta=1.0, delta=0.9))
 
+    def test_perron_frobenius_certificate(self, monkeypatch):
+        def signed_eigsh(sign):
+            def patched(h, **kwargs):
+                vals, vecs = eigsh(h, **kwargs)
+                vecs = vecs.copy()
+                vecs[:, 0] *= sign
+                return vals, vecs
+            return patched
+
+        spec = ChainSpec(sites=4, beta=1.0, delta=0.9)
+        expected, _ = _ground_vector(spec)
+        # the overall sign is free: a negated solution is the same ground state
+        monkeypatch.setattr(ashkin_teller, "eigsh", signed_eigsh(-1.0))
+        assert np.abs(_ground_vector(spec)[0] - expected).max() <= 1e-12
+        flip_one = np.ones(14)
+        flip_one[5] = -1.0
+        monkeypatch.setattr(ashkin_teller, "eigsh", signed_eigsh(flip_one))
+        with pytest.raises(RuntimeError, match="Perron-Frobenius"):
+            _ground_vector(spec)
+
+    def test_certificate_admits_amplitudes_below_rounding(self):
+        # strongly ordered: the smallest exact sector amplitudes are far below
+        # 1e-16 and come out of the solver with either sign
+        spec = ChainSpec(sites=6, beta=1000.0, delta=0.0)
+        vector, degenerate = _ground_vector(spec)
+        assert not degenerate
+        assert vector.min() >= ashkin_teller.POSITIVITY_FLOOR
+
     def test_unresolved_degenerate_manifold_raises(self):
         # beta = 0, delta = -1: three degenerate states per site, 9 in all at
         # two sites, more than the solver's six eigenpairs can resolve
@@ -240,6 +287,37 @@ class TestGroundState:
         block, _ = np.linalg.qr(odd @ rng.normal(size=(16, 2)))
         with pytest.raises(ValueError, match="parity"):
             _project_q0(block, p1, p2)
+
+
+def qubit_permutation(index, sites, perm):
+    """Basis index after moving qubit q to position perm[q] (qubit 0 the most significant bit)."""
+    n = 2 * sites
+    moved = np.zeros_like(index)
+    for q in range(n):
+        moved |= ((index >> (n - 1 - q)) & 1) << (n - 1 - perm[q])
+    return moved
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("sites, sector_dim", [(2, 3), (3, 4), (4, 14), (5, 28), (6, 98)])
+    def test_orbit_table(self, sites, sector_dim):
+        n = 2 * sites
+        index = np.arange(4**sites)
+        sigma = sum(1 << (n - 1 - q) for q in range(0, n, 2))
+        generators = {
+            "translation": qubit_permutation(index, sites, [(q + 2) % n for q in range(n)]),
+            "swap": qubit_permutation(index, sites, [q ^ 1 for q in range(n)]),
+            "sigma parity": index ^ sigma,
+            "tau parity": index ^ (sigma >> 1),
+        }
+        reps, labels, sizes = _orbits(sites)
+        for name, image in generators.items():
+            assert (labels[image] == labels).all(), name
+        assert sizes.sum() == 4**sites
+        assert (8 * sites % sizes == 0).all()
+        assert len(sizes) == sector_dim
+        assert (labels[reps] == np.arange(sector_dim)).all()
+        assert (np.bincount(labels) == sizes).all()
 
 
 class TestSpinGroup:
@@ -309,12 +387,12 @@ class TestScans:
         crossings = zero_crossings(interior, result.derivative, lo=0.85, hi=1.15)
         assert len(crossings) == 1
         assert 0.9 < crossings[0] < 1.1
-        assert (result.gqd >= -1e-9).all()
+        assert (result.values >= -1e-9).all()
 
     def test_quartet_z_basis_sees_nothing(self):
         deltas = np.round(np.arange(0.81, 1.20, 0.02), 10)
         result = gqd_scan(CRITICAL, deltas, SpinGroup("quartet"), "fixed-z")
-        assert (result.gqd > 0).all()
+        assert (result.values > 0).all()
         interior = result.deltas[1:-1]
         assert zero_crossings(interior, result.derivative, lo=0.85, hi=1.15) == []
 
@@ -332,7 +410,7 @@ class TestScans:
     def test_scan_result_shapes(self):
         deltas = [0.8, 1.0, 1.2]
         result = gqd_scan(CRITICAL, deltas, SpinGroup("quartet"), "fixed-x")
-        assert len(result.gqd) == 3
+        assert len(result.values) == 3
         assert len(result.derivative) == 1
         assert not result.degenerate.any()
 
@@ -362,12 +440,12 @@ class TestPairwiseScans:
     def test_same_site_discord_vanishes(self):
         deltas = [0.2, 0.8, 1.0, 1.4, 1.8]
         result = pairwise_discord_scan(CRITICAL, deltas, "same-site")
-        assert np.abs(result.gqd).max() <= 1e-8
+        assert np.abs(result.values).max() <= 1e-8
 
     def test_neighbor_pair_positive_no_extremum(self):
         deltas = np.round(np.arange(0.85, 1.16, 0.05), 10)
         result = pairwise_discord_scan(CRITICAL, deltas, "neighbor-sigma")
-        assert (result.gqd > 1e-3).all()
+        assert (result.values > 1e-3).all()
         interior = result.deltas[1:-1]
         assert zero_crossings(interior, result.derivative, lo=0.9, hi=1.1) == []
 
@@ -401,7 +479,7 @@ class TestScanResultValidation:
         with pytest.raises(ValueError):
             ScanResult(
                 deltas=np.array([1.0, 2.0]),
-                gqd=np.array([0.1]),
+                values=np.array([0.1]),
                 derivative=np.empty(0),
                 basis="fixed-x",
                 chain=CRITICAL,

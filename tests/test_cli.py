@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import gqd.core
-from gqd import cli
+from gqd import cli, correlations
+from gqd.ashkin_teller import ChainSpec, SpinGroup, build_hamiltonian, ground_state, reduce_to_group
 from gqd.selftest import run_selftest
 
 
@@ -196,6 +197,27 @@ class TestAtScan:
         body, _, _ = out.rpartition("\n{")
         _, rows = parse_csv(body + "\n")
         assert len(rows) == 1 and float(rows[0][1]) > 0
+
+    def test_scan_across_the_perron_frobenius_boundary(self, capsys):
+        # delta < 0 takes the full-space fallback, delta >= 0 the symmetric sector
+        flags = ["at-scan", "--sites", "3", "--delta-max", "0.5",
+                 "--grid-step", "0.25", "--fine-step", "0"]
+        scans = []
+        for start in ("-0.5", "0"):
+            code, out, _ = run_cli(flags + ["--delta-min", start], capsys)
+            assert code == 0
+            _, rows = parse_csv(split_summary(out)[0])
+            scans.append({float(r[0]): float(r[1]) for r in rows})
+        across, inside = scans
+        assert sorted(across) == [-0.5, -0.25, 0.0, 0.25, 0.5]
+        assert sorted(inside) == [0.0, 0.25, 0.5]
+        for delta, value in inside.items():
+            assert abs(across[delta] - value) <= 1e-12
+        for delta in (-0.5, -0.25):
+            spec = ChainSpec(sites=3, beta=1.0, delta=delta)
+            vector = ground_state(build_hamiltonian(spec)).vector
+            rho = reduce_to_group(vector, spec, SpinGroup("quartet"))
+            assert abs(across[delta] - correlations.gqd(rho, "fixed-x").value) <= 1e-9
 
     def test_over_sparse_budget(self, capsys):
         code, _, err = run_cli(["at-scan", "--sites", "9"], capsys)
