@@ -151,8 +151,6 @@ def _cmd_werner_ghz(args) -> int:
 
 def _delta_grid(args) -> np.ndarray:
     step = args.grid_step if args.grid_step is not None else 0.05
-    if step <= 0 or args.delta_max < args.delta_min:
-        raise UsageError("empty coupling range")
     fine = args.fine_step if args.fine_step and args.fine_step > 0 else step
     return at.default_delta_grid(
         start=args.delta_min, stop=args.delta_max, step=step, fine_step=fine
@@ -183,8 +181,6 @@ def _cmd_at_scan(args) -> int:
     crossings = at.zero_crossings(interior, result.derivative)
     lo, hi = at.CRITICAL_WINDOW
     derivative_column: list[Any] = [None] + list(result.derivative) + [None]
-    if len(result.deltas) < 3:
-        derivative_column = [None] * len(result.deltas)
     rows = [
         (float(d), float(g), dv if dv is None else float(dv), bool(flag))
         for d, g, dv, flag in zip(result.deltas, result.values, derivative_column, result.degenerate)

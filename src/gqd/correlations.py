@@ -23,6 +23,8 @@ from scipy.optimize import minimize as _scipy_minimize
 from . import measurement
 from .core import (
     DensityOperator,
+    basis_probabilities,
+    kron,
     partial_trace_matrix,
     shannon_entropy,
     von_neumann_entropy,
@@ -87,33 +89,9 @@ class GqdResult:
             raise ValueError(f"global discord must be non-negative, got {self.value}")
 
 
-def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Kronecker product of stacks a[B, ra, ca] and b[B, rb, cb]."""
-    rows, ra, ca = a.shape
-    _, rb, cb = b.shape
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(rows, ra * rb, ca * cb)
-
-
 def _qubit_unitaries(x: np.ndarray) -> np.ndarray:
-    """Angle rows x[B, 2n] -> per-qubit unitaries u[B, n, 2, 2], as in ``qubit_unitary``."""
-    x = np.asarray(x, dtype=float)
-    c, s = np.cos(0.5 * x[:, 0::2]), np.sin(0.5 * x[:, 0::2])
-    e = np.exp(1j * x[:, 1::2]) * s
-    u = np.empty(c.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = u[..., 1, 1] = c
-    u[..., 0, 1] = -e.conj()
-    u[..., 1, 0] = e
-    return u
-
-
-def _basis_probabilities(m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """diag(U^dagger m U) for each U in a (B, D, D) stack, clipped to nonnegative reals."""
-    return np.maximum(np.real((u.conj() * (m @ u)).sum(-2)), 0.0)
-
-
-def _entropy_hermitian(m: np.ndarray) -> "float | np.ndarray":
-    """Von Neumann entropy in bits of a Hermitian matrix, or of each one in a (..., d, d) stack."""
-    return shannon_entropy(np.linalg.eigvalsh(m))
+    """Angle rows x[B, 2n] -> per-qubit unitaries u[B, n, 2, 2] (``measurement.qubit_unitary``)."""
+    return measurement.qubit_unitary(x[:, 0::2], x[:, 1::2])
 
 
 @functools.lru_cache(maxsize=32)
@@ -134,7 +112,7 @@ class _GqdContext:
         dims = rho.dims.dims
         reduced = [partial_trace_matrix(self.matrix, dims, [j]) for j in range(len(dims))]
         # sum_j S(rho_j) - S(rho): the part of the integrand no basis changes
-        self.offset = sum(_entropy_hermitian(r) for r in reduced) - von_neumann_entropy(rho)
+        self.offset = sum(von_neumann_entropy(r) for r in reduced) - von_neumann_entropy(rho)
         self.marginals = _marginal_map(dims)
 
     def values(self, unitaries: Sequence[np.ndarray]) -> np.ndarray:
@@ -143,7 +121,7 @@ class _GqdContext:
         The local outcome distributions are the marginals of the global one,
         so sum_j H(p_j) is one entropy of the marginals laid side by side.
         """
-        p = _basis_probabilities(self.matrix, functools.reduce(_kron_rows, unitaries))
+        p = basis_probabilities(self.matrix, kron(*unitaries))
         return shannon_entropy(p) - shannon_entropy(p @ self.marginals) + self.offset
 
 
@@ -160,8 +138,8 @@ def mutual_information(rho: DensityOperator, cut: Sequence[int]) -> float:
     if not a or len(a) == len(rho.dims) or any(k < 0 or k >= n for k in a):
         raise ValueError(f"cut {list(cut)} does not split {n} subsystems into two nonempty groups")
     b = [k for k in range(n) if k not in a]
-    s_a = _entropy_hermitian(partial_trace_matrix(rho.matrix, rho.dims.dims, a))
-    s_b = _entropy_hermitian(partial_trace_matrix(rho.matrix, rho.dims.dims, b))
+    s_a = von_neumann_entropy(partial_trace_matrix(rho.matrix, rho.dims.dims, a))
+    s_b = von_neumann_entropy(partial_trace_matrix(rho.matrix, rho.dims.dims, b))
     return float(s_a + s_b - von_neumann_entropy(rho))
 
 
@@ -384,7 +362,7 @@ def discord_asymmetric(rho_ab: DensityOperator, config: OptimizerConfig | None =
     d_a = rho_ab.total_dim // d_b
     t = rho_ab.matrix.reshape(d_a, d_b, d_a, d_b)
     info = mutual_information(rho_ab, cut=range(len(dims) - 1))
-    s_a = _entropy_hermitian(np.einsum("abcb->ac", t))
+    s_a = von_neumann_entropy(np.einsum("abcb->ac", t))
 
     def objective(x: np.ndarray) -> np.ndarray:
         return info - s_a + _conditional_entropy_tensor(t, _qubit_unitaries(x)[:, 0])
@@ -395,39 +373,29 @@ def discord_asymmetric(rho_ab: DensityOperator, config: OptimizerConfig | None =
     return value
 
 
-def symmetric_discord(rho_ab: DensityOperator, config: OptimizerConfig | None = None) -> float:
-    """Two-qubit symmetric discord: min over product bases of I(rho) - I(Phi(rho)).
+def _correlation_loss(m: np.ndarray, info: float, x: np.ndarray) -> np.ndarray:
+    """I(rho) - I(Phi(rho)) at two-qubit angle rows x[B, 4], given info = I(rho).
 
-    Every evaluated basis is cross-checked against the relative-entropy form
-    (the two must agree to 1e-9), so this runs both routes throughout.
+    The dephased marginals are formed explicitly, so this route is independent of
+    the relative-entropy one in ``_GqdContext.values``; tests hold the two equal.
     """
+    us = _qubit_unitaries(x)
+    u = kron(us[:, 0], us[:, 1])
+    t = measurement._dephase_matrix(m, u).reshape(-1, 2, 2, 2, 2)
+    marginals = np.stack([np.einsum("...abcb->...ac", t), np.einsum("...abad->...bd", t)])
+    s_dephased = shannon_entropy(basis_probabilities(m, u))  # Phi(rho) has spectrum diag(U^+ m U)
+    return info - (von_neumann_entropy(marginals).sum(0) - s_dephased)
+
+
+def symmetric_discord(rho_ab: DensityOperator, config: OptimizerConfig | None = None) -> float:
+    """Two-qubit symmetric discord: min over product bases of I(rho) - I(Phi(rho))."""
     dims = rho_ab.dims.dims
     if len(dims) != 2 or any(d != 2 for d in dims):
         raise ValueError("symmetric discord is implemented for two qubits")
     config = config or OptimizerConfig()
-
-    m = rho_ab.matrix
-    ctx = _GqdContext(rho_ab)
     info = mutual_information(rho_ab, cut=[0])
-
-    def objective(x: np.ndarray) -> np.ndarray:
-        us = _qubit_unitaries(x).swapaxes(0, 1)
-        relative_form = ctx.values(us)
-        u = _kron_rows(us[0], us[1])
-        p = _basis_probabilities(m, u)
-        dephased = ((u * p[:, None, :]) @ u.conj().swapaxes(-1, -2)).reshape(-1, 2, 2, 2, 2)
-        s_a = _entropy_hermitian(np.einsum("...abcb->...ac", dephased))
-        s_b = _entropy_hermitian(np.einsum("...abad->...bd", dephased))
-        loss_form = info - (s_a + s_b - shannon_entropy(p))
-        k = int(np.argmax(np.abs(loss_form - relative_form)))
-        if abs(loss_form[k] - relative_form[k]) > 1e-9:
-            raise RuntimeError(
-                "correlation-loss and relative-entropy forms disagree "
-                f"({loss_form[k]} vs {relative_form[k]})"
-            )
-        return loss_form
-
     value, _, _, _ = _minimize_over_angles(
-        objective, 2, config, seeds=_structured_seeds(rho_ab)
+        functools.partial(_correlation_loss, rho_ab.matrix, info), 2, config,
+        seeds=_structured_seeds(rho_ab),
     )
     return value

@@ -11,8 +11,9 @@ from .core import (
     DensityOperator,
     HERMITIAN_TOL,
     SubsystemDims,
+    basis_probabilities,
     eig_hermitian,
-    kron_all,
+    kron,
     partial_trace,
 )
 
@@ -83,7 +84,7 @@ class ProductBasis:
 
     def unitary(self) -> np.ndarray:
         """Kronecker product of local basis matrices (columns = product vectors)."""
-        return kron_all([b.vectors for b in self.locals])
+        return kron(*(b.vectors for b in self.locals))
 
     def check_dims(self, dims: SubsystemDims) -> None:
         if len(self.locals) != len(dims):
@@ -95,17 +96,21 @@ class ProductBasis:
                 raise ValueError(f"basis factor {k} has dim {b.dim}, subsystem has dim {d}")
 
 
-def qubit_unitary(theta: float, phi: float) -> np.ndarray:
-    """2x2 unitary with columns |+>, |-> of the rotated qubit basis.
+def qubit_unitary(theta: "float | np.ndarray", phi: "float | np.ndarray") -> np.ndarray:
+    """Unitary with columns |+>, |-> of the rotated qubit basis.
 
     |+> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>
     |-> = -e^{-i phi} sin(theta/2)|0> + cos(theta/2)|1>
+
+    Array angles broadcast against each other, giving a (..., 2, 2) stack.
     """
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    return np.array(
-        [[c, -np.exp(-1j * phi) * s], [np.exp(1j * phi) * s, c]], dtype=complex
-    )
+    c = np.cos(0.5 * theta)
+    e = np.exp(1j * phi) * np.sin(0.5 * theta)
+    u = np.empty(e.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = u[..., 1, 1] = c
+    u[..., 0, 1] = -e.conj()
+    u[..., 1, 0] = e
+    return u
 
 
 def qubit_basis(angles: QubitBasisAngles) -> LocalBasis:
@@ -134,10 +139,10 @@ def all_x(n: int) -> ProductBasis:
 
 
 def _dephase_matrix(m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Kill off-diagonals of m in the basis given by u's columns."""
-    d = np.real(np.einsum("ik,ij,jk->k", u.conj(), m, u))
-    out = (u * d) @ u.conj().T
-    return 0.5 * (out + out.conj().T)
+    """Kill off-diagonals of m in the basis of u's columns; u may be a (..., D, D) stack."""
+    p = basis_probabilities(m, u)
+    out = (u * p[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
 def dephase(rho: DensityOperator, basis: ProductBasis) -> DensityOperator:

@@ -3,15 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    DensityOperator,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    SubsystemDims,
-    kron_all,
-    shannon_entropy,
-)
+from .core import DensityOperator, SubsystemDims, shannon_entropy
 
 _MU_ONE_EPS = 1e-15  # (1-mu) log2 (1-mu) is a removable singularity at mu=1
 
@@ -48,34 +40,10 @@ def werner(mu: float) -> DensityOperator:
     return DensityOperator(m, SubsystemDims.qubits(2))
 
 
-def _werner_ghz_pauli(mu: float) -> np.ndarray:
-    """Pauli-expansion form of the Werner-GHZ state, used as a construction self-check."""
-    terms = [
-        (+1.0, (SIGMA_Z, SIGMA_Z, np.eye(2))),
-        (+1.0, (SIGMA_Z, np.eye(2), SIGMA_Z)),
-        (+1.0, (np.eye(2), SIGMA_Z, SIGMA_Z)),
-        (+1.0, (SIGMA_X, SIGMA_X, SIGMA_X)),
-        (-1.0, (SIGMA_X, SIGMA_Y, SIGMA_Y)),
-        (-1.0, (SIGMA_Y, SIGMA_X, SIGMA_Y)),
-        (-1.0, (SIGMA_Y, SIGMA_Y, SIGMA_X)),
-    ]
-    m = np.eye(8, dtype=complex) / 8.0
-    for sign, ops in terms:
-        m += sign * mu / 8.0 * kron_all(ops)
-    return m
-
-
 def werner_ghz(mu: float) -> DensityOperator:
-    """Three-qubit Werner-GHZ state (1-mu)/8 * I + mu |GHZ><GHZ|.
-
-    Built both from the convex-mixture form and from its Pauli expansion;
-    the two must agree entrywise to 1e-12.
-    """
+    """Three-qubit Werner-GHZ state (1-mu)/8 * I + mu |GHZ><GHZ|."""
     mu = _check_mu(mu)
     m = (1.0 - mu) / 8.0 * np.eye(8, dtype=complex) + mu * ghz(3).matrix
-    diff = np.abs(m - _werner_ghz_pauli(mu)).max()
-    if diff > 1e-12:
-        raise RuntimeError(f"Werner-GHZ construction self-check failed (diff {diff:.3e})")
     return DensityOperator(m, SubsystemDims.qubits(3))
 
 

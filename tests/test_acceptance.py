@@ -139,8 +139,8 @@ def test_criterion_5_bipartite_reduction():
         worst = max(worst, diff)
         agree &= diff <= 1e-6
 
-    # dual-form agreement at explicitly sampled bases (it is also asserted
-    # inside symmetric_discord at every basis the optimizer touches)
+    # dual-form agreement at explicitly sampled bases (row by row on the
+    # optimizer's own objective in tests/test_correlations.py)
     rng = np.random.default_rng(99)
     forms = True
     for i in range(100):

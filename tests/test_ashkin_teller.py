@@ -28,7 +28,6 @@ from gqd.core import (
     SubsystemDims,
     eig_hermitian,
     kron,
-    kron_all,
     reduced_from_vector,
 )
 from gqd.correlations import gqd
@@ -51,7 +50,7 @@ def swap_sigma_tau(h, sites):
 
 def pauli_string(factors, n_spins):
     """Kronecker product over n_spins qubits with the given Paulis, identity elsewhere."""
-    return kron_all([factors.get(k, np.eye(2)) for k in range(n_spins)])
+    return kron(*[factors.get(k, np.eye(2)) for k in range(n_spins)])
 
 
 def pauli_hamiltonian(spec):

@@ -183,11 +183,14 @@ class TestAtScan:
         assert payload["rows"][0]["dgqd_ddelta"] is None
 
     def test_empty_range_usage_error(self, capsys):
-        code, _, err = run_cli(
-            ["at-scan", "--sites", "2", "--delta-min", "1.5", "--delta-max", "0.5"], capsys
-        )
-        assert code == 1
-        assert "range" in err
+        for flags in (
+            ["--delta-min", "1.5", "--delta-max", "0.5"],
+            ["--grid-step", "0"],
+            ["--grid-step", "-0.05"],
+        ):
+            code, _, err = run_cli(["at-scan", "--sites", "2", *flags], capsys)
+            assert code == 1, flags
+            assert "range" in err, flags
 
     def test_seven_sites_runs_without_flags(self, capsys):
         code, out, _ = run_cli(

@@ -82,6 +82,9 @@ class TestKron:
         a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         assert np.allclose(kron(a, b), naive_kron(a, b), atol=1e-14)
+        c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        assert np.array_equal(kron(a), a)
+        assert np.allclose(kron(a, b, c), naive_kron(naive_kron(a, b), c), atol=1e-14)
 
 
 class TestSubsystemDims:
@@ -188,9 +191,26 @@ class TestEntropy:
             assert -1e-12 <= s <= n + 1e-9
         assert von_neumann_entropy(random_density((2, 2), rank=1, seed=4)) <= 1e-9
 
+    def test_stack_matches_single_matrices(self):
+        stack = np.stack([random_density((2, 2), rank=1 + k % 4, seed=40 + k).matrix
+                          for k in range(6)])
+        got = von_neumann_entropy(stack)
+        assert got.shape == (6,)
+        assert np.abs(got - [von_neumann_entropy(m) for m in stack]).max() <= 1e-14
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             von_neumann_entropy(np.array([[0.0, 1.0], [0.0, 1.0]]))
+        stack = np.stack([np.eye(2) / 2, np.array([[0.5, 0.1], [0.0, 0.5]])])
+        with pytest.raises(ValueError, match="Hermitian"):
+            von_neumann_entropy(stack)
+
+    def test_rejects_eigenvalue_below_floor(self):
+        stack = np.stack([np.eye(2) / 2, np.diag([-2e-10, 1.0 + 2e-10])])
+        with pytest.raises(ValueError, match="not positive"):
+            von_neumann_entropy(stack)
+        # just inside the floor the eigenvalue counts as zero
+        assert von_neumann_entropy(np.diag([-0.5e-10, 1.0 + 0.5e-10])) <= 1e-9
 
 
 class TestRelativeEntropy:
@@ -242,6 +262,18 @@ class TestRelativeEntropy:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             relative_entropy(np.eye(2) / 2, np.eye(4) / 4)
+
+    def test_matches_einsum_reference(self):
+        # Tr rho log2 rho - sum_k <s_k|rho|s_k> log2 w_k over sigma's eigenpairs (w_k, s_k)
+        for seed in range(10):
+            rho = random_density((2, 2), rank=1 + seed % 4, seed=500 + seed)
+            sigma = random_density((2, 2), seed=600 + seed)
+            w, v = np.linalg.eigh(sigma.matrix)
+            q = np.real(np.einsum("ik,ij,jk->k", v.conj(), rho.matrix, v))
+            p = np.linalg.eigvalsh(rho.matrix)
+            p = p[p > 0]
+            want = float(p @ np.log2(p) - q @ np.log2(w))
+            assert abs(relative_entropy(rho, sigma) - want) <= 1e-14
 
 
 class TestEigHermitian:

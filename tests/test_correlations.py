@@ -356,17 +356,40 @@ class TestSymmetricDiscord:
         with pytest.raises(ValueError):
             symmetric_discord(random_density((2, 2, 2), seed=0))
 
-    def test_disagreeing_forms_raise(self, monkeypatch):
-        values = correlations._GqdContext.values
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), rank=st.integers(1, 4), rows=st.integers(1, 64))
+    def test_correlation_loss_matches_relative_form_rowwise(self, seed, rank, rows):
+        # The objective's correlation-loss form against the relative-entropy form,
+        # at random rows, theta = 0 rows, and the refinement's +-1e-5 probe rows.
+        rho = random_density((2, 2), seed=seed, rank=rank)
+        rng = np.random.default_rng(seed)
+        x = np.empty((rows, 4))
+        x[:, 0::2] = rng.uniform(0, math.pi, (rows, 2))
+        x[:, 1::2] = rng.uniform(0, 2 * math.pi, (rows, 2))
+        x[: (rows + 1) // 2, 2 * rng.integers(0, 2)] = 0.0
+        x[0, 0::2] = 0.0
+        steps = 1e-5 * np.eye(4)
+        x = np.concatenate([x, x[0] + steps, x[0] - steps, x[-1] + steps, x[-1] - steps])
+        loss = correlations._correlation_loss(rho.matrix, mutual_information(rho, [0]), x)
+        ctx = correlations._GqdContext(rho)
+        relative = ctx.values(correlations._qubit_unitaries(x).swapaxes(0, 1))
+        assert loss.shape == relative.shape == (len(x),)
+        assert np.abs(loss - relative).max() <= 1e-9
 
-        def skewed(self, unitaries):
-            out = values(self, unitaries)
-            out[-1] += 1e-6  # one basis of the batch only
-            return out
-
-        monkeypatch.setattr(correlations._GqdContext, "values", skewed)
-        with pytest.raises(RuntimeError, match="disagree"):
-            symmetric_discord(werner(0.5))
+    def test_floor_edge_state_raises_everywhere(self):
+        # accepted as a state (min eigenvalue -0.9e-10), but its qubit-0
+        # reduction has eigenvalue -1.8e-10, below the entropy floor
+        eps = 0.9e-10
+        rho = DensityOperator(np.diag([-eps, -eps, 0.5 + eps, 0.5 + eps]).astype(complex),
+                              SubsystemDims.qubits(2))
+        with pytest.raises(ValueError, match="not positive"):
+            mutual_information(rho, [0])
+        with pytest.raises(ValueError, match="not positive"):
+            gqd(rho, "fixed-x")
+        with pytest.raises(ValueError, match="not positive"):
+            gqd(rho, "minimize")
+        with pytest.raises(ValueError, match="not positive"):
+            symmetric_discord(rho)
 
 
 class TestBatchedObjective:

@@ -7,7 +7,6 @@ from gqd.core import (
     DensityOperator,
     SubsystemDims,
     kron,
-    kron_all,
     partial_trace,
     von_neumann_entropy,
 )
@@ -59,6 +58,16 @@ class TestQubitBasis:
         assert u[0, 1] == -np.exp(-2.0j) * math.sin(0.5)
         assert u[1, 1] == math.cos(0.5)
 
+    def test_array_angles_match_scalar_calls(self):
+        rng = np.random.default_rng(17)
+        theta = rng.uniform(0, math.pi, (5, 3))
+        phi = rng.uniform(0, 2 * math.pi, (5, 3))
+        u = qubit_unitary(theta, phi)
+        assert u.shape == (5, 3, 2, 2)
+        for idx in np.ndindex(theta.shape):
+            single = qubit_unitary(float(theta[idx]), float(phi[idx]))
+            assert np.abs(u[idx] - single).max() <= 1e-15
+
     def test_completeness_and_orthogonality(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -104,9 +113,9 @@ class TestDephase:
         for mu in (0.0, 0.3, 0.8, 1.0):
             want = (1 - mu) / 8 * np.eye(8) + mu / 8 * (
                 np.eye(8)
-                + kron_all([z, z, i2])
-                + kron_all([z, i2, z])
-                + kron_all([i2, z, z])
+                + kron(z, z, i2)
+                + kron(z, i2, z)
+                + kron(i2, z, z)
             )
             out = dephase(werner_ghz(mu), all_z(3))
             assert np.abs(out.matrix - want).max() <= 1e-12
@@ -144,6 +153,18 @@ class TestDephase:
             rho = random_density((2, 2), seed=60 + seed, rank=1 + seed % 4)
             basis = random_product_basis(rng, 2)
             assert von_neumann_entropy(dephase(rho, basis)) >= von_neumann_entropy(rho) - 1e-10
+
+    def test_matches_einsum_reference(self):
+        # sum_k |k><k| rho |k><k| over the product vectors |k>, by einsum
+        rng = np.random.default_rng(29)
+        for seed in range(10):
+            n = 2 + seed % 2
+            rho = random_density((2,) * n, rank=1 + seed % 4, seed=700 + seed)
+            basis = random_product_basis(rng, n)
+            u = basis.unitary()
+            p = np.real(np.einsum("ik,ij,jk->k", u.conj(), rho.matrix, u))
+            want = np.einsum("ik,k,jk->ij", u, p, u.conj())
+            assert np.abs(dephase(rho, basis).matrix - want).max() <= 1e-14
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gqd.core import eig_hermitian, partial_trace, von_neumann_entropy
+from gqd.core import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    eig_hermitian,
+    kron,
+    partial_trace,
+    von_neumann_entropy,
+)
 from gqd.correlations import gqd_at_basis
 from gqd.measurement import ProductBasis, QubitBasisAngles, all_z, dephase, qubit_basis
 from gqd.states import (
@@ -50,6 +58,22 @@ class TestWernerGhz:
             w = np.sort(np.linalg.eigvalsh(werner_ghz(mu).matrix))
             want = np.sort([(1 + 7 * mu) / 8] + [(1 - mu) / 8] * 7)
             assert np.abs(w - want).max() <= 1e-12
+
+    def test_pauli_expansion(self):
+        # (1 + mu (ZZ1 + Z1Z + 1ZZ + XXX - XYY - YXY - YYX)) / 8
+        i2 = np.eye(2)
+        terms = [
+            (+1.0, (SIGMA_Z, SIGMA_Z, i2)),
+            (+1.0, (SIGMA_Z, i2, SIGMA_Z)),
+            (+1.0, (i2, SIGMA_Z, SIGMA_Z)),
+            (+1.0, (SIGMA_X, SIGMA_X, SIGMA_X)),
+            (-1.0, (SIGMA_X, SIGMA_Y, SIGMA_Y)),
+            (-1.0, (SIGMA_Y, SIGMA_X, SIGMA_Y)),
+            (-1.0, (SIGMA_Y, SIGMA_Y, SIGMA_X)),
+        ]
+        for mu in np.linspace(0.0, 1.0, 21):
+            want = (np.eye(8) + mu * sum(sign * kron(*ops) for sign, ops in terms)) / 8.0
+            assert np.abs(werner_ghz(float(mu)).matrix - want).max() <= 1e-12
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
