@@ -216,7 +216,7 @@ def ground_state(h: np.ndarray) -> GroundState:
 
 
 def _project_q0(block: np.ndarray, p1, p2) -> np.ndarray:
-    """Pick a (+1, +1) parity vector inside a degenerate eigenspace (columns of block)."""
+    """The one (+1, +1) parity vector inside a degenerate eigenspace (columns of block)."""
     w = block
     for parity in (p1, p2):
         a = w.conj().T @ (parity @ w)
@@ -225,6 +225,8 @@ def _project_q0(block: np.ndarray, p1, p2) -> np.ndarray:
         if not sel.any():
             raise ValueError("degenerate ground manifold has no (+1, +1) parity vector")
         w = w @ vecs[:, sel]
+    if w.shape[1] > 1:
+        raise ValueError(f"degenerate ground manifold has {w.shape[1]} (+1, +1) parity vectors")
     v = w[:, 0]
     return v / np.linalg.norm(v)
 
@@ -298,7 +300,8 @@ def _sector_ground(spec: ChainSpec) -> np.ndarray:
 
 
 def _full_space_ground(spec: ChainSpec) -> tuple[np.ndarray, bool]:
-    """Lanczos ground state vector with the degenerate case resolved into the Q=0 sector."""
+    """Lanczos ground state vector; a degenerate level W gives a vector fixed by H alone:
+    W W^T v0 for the parity-even v0 or, where that vanishes, W's one Q=0 vector."""
     h = build_hamiltonian_sparse(spec)
     v0 = np.full(spec.dim, 1.0 / np.sqrt(spec.dim))
     vals, vecs = eigsh(h, k=6, which="SA", v0=v0)
@@ -313,7 +316,11 @@ def _full_space_ground(spec: ChainSpec) -> tuple[np.ndarray, bool]:
             f"all {len(vals)} resolved eigenvalues are degenerate with the ground energy; "
             "the ground manifold may be larger than the solver resolves"
         )
-    return _project_q0(vecs[:, sel], *_parity_sparse(spec.sites)), True
+    w = vecs[:, sel]
+    v = w @ (w.T @ v0)
+    if np.linalg.norm(v) > 1e-6:
+        return v / np.linalg.norm(v), True
+    return _project_q0(w, *_parity_sparse(spec.sites)), True
 
 
 def _ground_vector(spec: ChainSpec) -> tuple[np.ndarray, bool]:
@@ -384,16 +391,14 @@ def default_delta_grid(
     stop: float = 1.8,
     step: float = 0.05,
     fine_step: float = 0.01,
-    fine_lo: float = CRITICAL_WINDOW[0],
-    fine_hi: float = CRITICAL_WINDOW[1],
 ) -> np.ndarray:
-    """Coupling grid: coarse over [start, stop], refined around the critical point."""
+    """Coupling grid: coarse over [start, stop], refined over CRITICAL_WINDOW."""
     if step <= 0 or stop < start:
         raise ValueError("empty coupling range")
     coarse = np.arange(start, stop + 0.5 * step, step)
     if fine_step >= step:  # no refinement requested
         return np.unique(np.round(coarse, 10))
-    fine = np.arange(fine_lo, fine_hi + 0.5 * fine_step, fine_step)
+    fine = np.arange(CRITICAL_WINDOW[0], CRITICAL_WINDOW[1] + 0.5 * fine_step, fine_step)
     fine = fine[(fine >= start) & (fine <= stop)]
     return np.unique(np.round(np.concatenate([coarse, fine]), 10))
 
@@ -457,13 +462,12 @@ def pairwise_discord_scan(
     template: ChainSpec,
     deltas: Sequence[float],
     pair_kind: str,
-    config: "correlations.OptimizerConfig | None" = None,
 ) -> ScanResult:
     """Asymmetric discord of a spin pair across the coupling grid."""
     keep = pair_qubits(pair_kind)
 
     def measure(vector: np.ndarray, spec: ChainSpec) -> float:
         rho = reduced_from_vector(vector, SubsystemDims.qubits(spec.n_spins), keep)
-        return correlations.discord_asymmetric(rho, config)
+        return correlations.discord_asymmetric(rho)
 
     return _scan(template, deltas, measure, "minimize", pair_kind)

@@ -88,13 +88,6 @@ def _emit_summary(args, summary: dict) -> None:
         sys.stdout.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
 
 
-def _optimizer_config(args) -> correlations.OptimizerConfig:
-    kwargs: dict[str, Any] = {"seed": args.seed}
-    if args.multistarts is not None:
-        kwargs["multistarts"] = args.multistarts
-    return correlations.OptimizerConfig(**kwargs)
-
-
 def _cmd_ghz_surface(args) -> int:
     if args.resolution < 2:
         raise UsageError("resolution must be at least 2")
@@ -133,7 +126,7 @@ def _cmd_werner_ghz(args) -> int:
         "monotone_analytic": bool(np.all(np.diff(analytic) >= -1e-12)),
     }
     if args.mode in ("numeric", "both"):
-        config = _optimizer_config(args)
+        config = correlations.OptimizerConfig(seed=args.seed)
         results = [correlations.gqd(states.werner_ghz(float(m)), "minimize", config) for m in mus]
         numeric = [r.value for r in results]
         diffs = [abs(a - b) for a, b in zip(analytic, numeric)]
@@ -164,11 +157,13 @@ def _extremum(x: np.ndarray, d: np.ndarray, root: float) -> str:
     return "max" if falls else "min"
 
 
+def _check_site_budget(sites: int) -> None:
+    if sites > at.SPARSE_MAX_SITES:
+        raise BudgetError(f"chains beyond {at.SPARSE_MAX_SITES} sites are out of budget")
+
+
 def _cmd_at_scan(args) -> int:
-    if args.sites > at.SPARSE_MAX_SITES:
-        raise BudgetError(
-            f"chains beyond {at.SPARSE_MAX_SITES} sites are out of budget"
-        )
+    _check_site_budget(args.sites)
     try:
         deltas = _delta_grid(args)
         template = at.ChainSpec(sites=args.sites, beta=args.beta, delta=float(deltas[0]))
@@ -224,6 +219,7 @@ def _parse_state(spec: str):
             if len(fields) != 3:
                 raise ValueError("at-pair takes sites,delta,kind")
             sites, delta, kind = int(fields[0]), float(fields[1]), fields[2].strip()
+            _check_site_budget(sites)
             keep = at.pair_qubits(kind)
             chain = at.ChainSpec(sites=sites, beta=1.0, delta=delta)
             vector, _ = at._ground_vector(chain)
@@ -239,7 +235,7 @@ def _parse_state(spec: str):
 
 def _cmd_discord(args) -> int:
     label, rho = _parse_state(args.state)
-    config = _optimizer_config(args)
+    config = correlations.OptimizerConfig(seed=args.seed)
     n = rho.n_subsystems
 
     info = correlations.mutual_information(rho, cut=range(n - 1))
@@ -275,30 +271,29 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--out", default=None, help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--grid-step", type=float, default=None,
-                        help="sweep-grid step for commands that scan a parameter")
-    common.add_argument("--multistarts", type=int, default=None,
-                        help="override the optimizer multistart count")
+    base = _Parser(add_help=False)  # flags every command reads
+    base.add_argument("--out", default=None, help="output file (default: stdout)")
+    base.add_argument("--seed", type=int, default=0)
+    table = _Parser(add_help=False, parents=[base])  # commands that write CSV or JSON
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+    sweep = _Parser(add_help=False, parents=[table])  # commands that sweep a parameter
+    sweep.add_argument("--grid-step", type=float, default=None, help="sweep-grid step")
 
     parser = _Parser(prog="gqd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ghz-surface", parents=[common],
+    p = sub.add_parser("ghz-surface", parents=[table],
                        help="dephased-GHZ entropy surface over (theta2, theta3)")
     p.add_argument("--resolution", type=int, default=129, help="grid points per axis")
     p.set_defaults(func=_cmd_ghz_surface)
 
-    p = sub.add_parser("werner-ghz", parents=[common],
+    p = sub.add_parser("werner-ghz", parents=[sweep],
                        help="global discord of the Werner-GHZ family over mu")
     p.add_argument("--mode", choices=("analytic", "numeric", "both"), default="analytic")
     p.add_argument("--points", type=int, default=101)
     p.set_defaults(func=_cmd_werner_ghz)
 
-    p = sub.add_parser("at-scan", parents=[common],
+    p = sub.add_parser("at-scan", parents=[sweep],
                        help="Ashkin-Teller group discord scan across the coupling")
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--group", choices=tuple(sorted(at.GROUP_SITES)), default="quartet")
@@ -311,14 +306,14 @@ def build_parser() -> _Parser:
                    help="finer step inside the critical window (0 disables)")
     p.set_defaults(func=_cmd_at_scan)
 
-    p = sub.add_parser("discord", parents=[common],
+    p = sub.add_parser("discord", parents=[table],
                        help="correlation measures of a named state")
     p.add_argument("state",
                    help="bell | ghz:N | werner:MU | werner-ghz:MU | at-pair:SITES,DELTA,KIND")
     p.add_argument("--strategy", choices=correlations.STRATEGIES, default="minimize")
     p.set_defaults(func=_cmd_discord)
 
-    p = sub.add_parser("selftest", parents=[common], help="run the verification suites")
+    p = sub.add_parser("selftest", parents=[base], help="run the verification suites")
     p.add_argument("--count", type=int, default=200)
     p.set_defaults(func=_cmd_selftest)
 

@@ -33,6 +33,10 @@ from .measurement import LocalBasis, ProductBasis, QubitBasisAngles, qubit_basis
 
 STRATEGIES = ("fixed-z", "fixed-x", "reduced-eigenbasis", "minimize")
 
+_GRID_POINTS = 9  # theta and phi values per qubit on the coarse grid
+_COARSE_BUDGET = 6561  # coarse rows: the full grid while 81**n fits, else a seeded sample
+_MULTISTARTS = 8  # distinct coarse points refined by L-BFGS
+_GTOL = 1e-8  # L-BFGS gradient tolerance (max-norm)
 _CHUNK_ROWS = 64  # coarse-grid candidates scored per vectorized objective call
 _FD_STEP = 1e-5  # central-difference step of the refinement gradient, in radians
 _FTOL = 1e-15  # L-BFGS relative-decrease floor: refine until no further progress
@@ -48,30 +52,20 @@ class _BudgetExhausted(Exception):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the product-basis minimization.
+    """Settings of the product-basis minimization.
 
     The coarse stage walks a per-qubit (theta, phi) grid — enumerated in full
-    when the product grid is small enough, otherwise sampled (seeded) — and
-    the best distinct points seed L-BFGS refinements in an unconstrained
-    angle space.  ``tol`` is the L-BFGS gradient tolerance (max-norm).
+    when small enough, otherwise sampled with ``seed`` — and the best distinct
+    points seed L-BFGS refinements.  A run that would score more than
+    ``max_evaluations`` objective rows stops and reports ``converged=False``.
     """
 
-    grid_points: int = 9
-    multistarts: int = 8
-    tol: float = 1e-8
     max_evaluations: int = 200_000
     seed: int = 0
-    coarse_budget: int = 6561
 
     def __post_init__(self) -> None:
-        if self.grid_points < 5:
-            raise ValueError("grid_points must be >= 5")
-        if self.multistarts < 8:
-            raise ValueError("multistarts must be >= 8")
-        if self.tol <= 0 or self.max_evaluations <= 0:
-            raise ValueError("tol and max_evaluations must be positive")
-        if self.coarse_budget < self.multistarts:
-            raise ValueError("coarse_budget must cover at least the multistarts")
+        if self.max_evaluations <= 0:
+            raise ValueError("max_evaluations must be positive")
 
 
 @dataclass(frozen=True)
@@ -205,15 +199,15 @@ def _minimize_over_angles(
     evaluations, converged).  Deterministic for a fixed config: enumeration
     order is fixed and the sampled grid uses its seed.
     """
-    thetas = np.linspace(0.0, math.pi, config.grid_points, endpoint=False)
-    phis = np.linspace(0.0, 2.0 * math.pi, config.grid_points, endpoint=False)
+    thetas = np.linspace(0.0, math.pi, _GRID_POINTS, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * math.pi, _GRID_POINTS, endpoint=False)
     pairs = np.array([(t, p) for t in thetas for p in phis])
     n_combo = len(pairs)
-    if n_combo**n_pairs <= config.coarse_budget:
+    if n_combo**n_pairs <= _COARSE_BUDGET:
         idx = np.indices((n_combo,) * n_pairs).reshape(n_pairs, -1).T
     else:
         rng = np.random.default_rng(config.seed)
-        idx = rng.integers(0, n_combo, size=(config.coarse_budget, n_pairs))
+        idx = rng.integers(0, n_combo, size=(_COARSE_BUDGET, n_pairs))
     grid = pairs[idx].reshape(len(idx), -1)
     candidates = np.concatenate([np.reshape(seeds, (-1, 2 * n_pairs)), grid])
     exhausted = len(candidates) > config.max_evaluations
@@ -244,7 +238,7 @@ def _minimize_over_angles(
     starts: dict[tuple[float, ...], np.ndarray] = {}  # distinct points, best (value, order) first
     for k in np.argsort(scores, kind="stable"):
         starts.setdefault(tuple(np.round(candidates[k], 12)), candidates[k])
-        if len(starts) == config.multistarts:
+        if len(starts) == _MULTISTARTS:
             break
 
     refined_ok = True
@@ -254,7 +248,7 @@ def _minimize_over_angles(
         try:
             res = _scipy_minimize(
                 value_and_gradient, x0, jac=True, method="L-BFGS-B",
-                options={"ftol": _FTOL, "gtol": config.tol},
+                options={"ftol": _FTOL, "gtol": _GTOL},
             )
         except _BudgetExhausted:
             exhausted = True

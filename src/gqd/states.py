@@ -86,24 +86,19 @@ def ghz_dephased_spectrum(theta2: float, theta3: float) -> np.ndarray:
     return np.array([l1, l2, l3, l4, l4, l3, l2, l1])
 
 
-def ghz_surface(n_theta2: int, n_theta3: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entropy of the dephased GHZ spectrum over a (theta2, theta3) grid.
+def ghz_surface(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entropy of the dephased GHZ spectrum over a resolution x resolution (theta2, theta3) grid.
 
     Angles are sampled on [0, pi) including the 0 endpoint, so the boundary
     minimum at (0, 0) is on the grid.  Returns (theta2s, theta3s, values)
     with values[i, j] at (theta2s[i], theta3s[j]).
     """
-    if n_theta3 is None:
-        n_theta3 = n_theta2
-    if n_theta2 < 2 or n_theta3 < 2:
+    if resolution < 2:
         raise ValueError("grid needs at least 2 points per axis")
-    t2 = np.linspace(0.0, np.pi, n_theta2, endpoint=False)
-    t3 = np.linspace(0.0, np.pi, n_theta3, endpoint=False)
-    values = np.empty((n_theta2, n_theta3))
-    for i, a in enumerate(t2):
-        for j, b in enumerate(t3):
-            values[i, j] = shannon_entropy(ghz_dephased_spectrum(a, b))
-    return t2, t3, values
+    t = np.linspace(0.0, np.pi, resolution, endpoint=False)
+    # the eight eigenvalues on a contiguous last axis, so each row sums as in one call
+    spectra = np.stack(list(ghz_dephased_spectrum(t[:, None], t[None, :])), axis=-1)
+    return t, t, shannon_entropy(spectra)
 
 
 def random_density(

@@ -279,11 +279,31 @@ class TestGroundState:
         with pytest.raises(ValueError, match="degenerate"):
             _ground_vector(ChainSpec(sites=2, beta=0.0, delta=-1.0))
 
+    @pytest.mark.parametrize("sites", [2, 3, 4])
+    def test_degenerate_level_is_deterministic(self, sites):
+        # delta = -1 lies outside the Perron-Frobenius domain and its ground
+        # level is 4- to 6-fold, with more than one (+1, +1) direction
+        spec = ChainSpec(sites=sites, beta=1.0, delta=-1.0)
+        energies, vectors = np.linalg.eigh(build_hamiltonian(spec))
+        level = vectors[:, energies - energies[0] < 1e-8]
+        assert level.shape[1] > 1
+        expected = level @ level.T.sum(axis=1)  # projection of the uniform vector
+        expected /= np.linalg.norm(expected)
+        for _ in range(3):
+            vector, degenerate = _ground_vector(spec)
+            assert degenerate
+            assert abs(abs(expected @ vector) - 1.0) <= 1e-10
+
     def test_project_q0_rejects_block_without_even_parity(self):
         p1, p2 = parity_operators(2)
         rng = np.random.default_rng(0)
         odd = (np.eye(16) - p1) / 2.0          # projector onto sigma parity -1
         block, _ = np.linalg.qr(odd @ rng.normal(size=(16, 2)))
+        with pytest.raises(ValueError, match="parity"):
+            _project_q0(block, p1, p2)
+        # a block with two (+1, +1) directions has no single Q=0 vector to return
+        even = (np.eye(16) + p1) @ (np.eye(16) + p2) / 4.0
+        block, _ = np.linalg.qr(even @ rng.normal(size=(16, 2)))
         with pytest.raises(ValueError, match="parity"):
             _project_q0(block, p1, p2)
 

@@ -295,6 +295,12 @@ class TestDiscordCommand:
         values = {r[0]: float(r[1]) for r in rows}
         assert abs(values["discord_asymmetric"]) <= 1e-8
 
+    def test_at_pair_over_sparse_budget(self, capsys):
+        code, out, err = run_cli(["discord", "at-pair:9,1.0,same-site"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("gqd: error: ") and err.count("\n") == 1
+
     def test_unknown_state(self, capsys):
         code, _, err = run_cli(["discord", "cat-state"], capsys)
         assert code == 1
@@ -347,6 +353,26 @@ class TestIoAndUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["fix-everything"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ghz-surface", "--grid-step", "0.1"],
+            ["ghz-surface", "--multistarts", "8"],
+            ["at-scan", "--sites", "2", "--multistarts", "8"],
+            ["discord", "bell", "--grid-step", "0.1"],
+            ["selftest", "--format", "json"],
+            ["selftest", "--grid-step", "0.1"],
+            ["selftest", "--multistarts", "8"],
+            ["werner-ghz", "--multistarts", "8"],
+            ["discord", "bell", "--multistarts", "8"],
+        ],
+    )
+    def test_flag_not_read_by_command(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_library_selftest_determinism(self):
         a = run_selftest(seed=5, count=12).render()

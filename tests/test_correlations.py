@@ -454,11 +454,7 @@ class TestMinimizerProperties:
 class TestOptimizerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            OptimizerConfig(grid_points=4)
-        with pytest.raises(ValueError):
-            OptimizerConfig(multistarts=7)
-        with pytest.raises(ValueError):
-            OptimizerConfig(tol=0.0)
+            OptimizerConfig(max_evaluations=0)
 
     def test_gqd_result_validation(self):
         with pytest.raises(ValueError):

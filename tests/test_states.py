@@ -10,6 +10,7 @@ from gqd.core import (
     eig_hermitian,
     kron,
     partial_trace,
+    shannon_entropy,
     von_neumann_entropy,
 )
 from gqd.correlations import gqd_at_basis
@@ -159,6 +160,11 @@ class TestGhzSurface:
     def test_symmetric_in_angles(self):
         _, _, values = ghz_surface(17)
         assert np.abs(values - values.T).max() <= 1e-12
+
+    def test_matches_pointwise_spectrum_entropy(self):
+        t2, t3, values = ghz_surface(17)
+        pointwise = [[shannon_entropy(ghz_dephased_spectrum(a, b)) for b in t3] for a in t2]
+        assert np.array_equal(values, np.array(pointwise))
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
