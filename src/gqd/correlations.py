@@ -98,24 +98,73 @@ def _marginal_map(dims: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _operator_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal Hermitian basis G[mu] of d x d operators, with its pairs i < j.
+
+    mu runs over the d diagonal units E_ii, then (E_ij + E_ji)/sqrt2 and then
+    (-i E_ij + i E_ji)/sqrt2, each in pair order.  Returns (G, i, j).
+    """
+    i, j = np.triu_indices(d, 1)
+    g = np.zeros((d * d, d, d), dtype=complex)
+    g[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    sym, asym = d + np.arange(len(i)), d + len(i) + np.arange(len(i))
+    g[sym, i, j] = g[sym, j, i] = math.sqrt(0.5)
+    g[asym, i, j], g[asym, j, i] = -1j * math.sqrt(0.5), 1j * math.sqrt(0.5)
+    g.flags.writeable = i.flags.writeable = j.flags.writeable = False
+    return g, i, j
+
+
+def _outcome_coefficients(u: np.ndarray) -> np.ndarray:
+    """Real c[..., mu, k] = <u_k|G_mu|u_k> for a (..., d, d) stack of bases with columns u_k:
+    |u_ik|**2, then sqrt2 Re and sqrt2 Im of conj(u_ik) u_jk for each pair i < j."""
+    _, i, j = _operator_basis(u.shape[-1])
+    z = u[..., i, :].conj() * u[..., j, :] * math.sqrt(2.0)
+    return np.concatenate([u.real**2 + u.imag**2, z.real, z.imag], axis=-2)
+
+
 class _GqdContext:
-    """Per-state precomputation so basis sweeps only pay for the basis change."""
+    """Per-state precomputation so basis sweeps only pay for the basis change: rho as
+    its real coordinates T[mu_1..mu_n] = Tr(rho G_mu_1 x ... x G_mu_n), rho = sum_mu T_mu G_mu."""
 
     def __init__(self, rho: DensityOperator):
-        self.matrix = rho.matrix
-        dims = rho.dims.dims
-        reduced = [partial_trace_matrix(self.matrix, dims, [j]) for j in range(len(dims))]
-        # sum_j S(rho_j) - S(rho): the part of the integrand no basis changes
-        self.offset = sum(von_neumann_entropy(r) for r in reduced) - von_neumann_entropy(rho)
+        self.dims = dims = rho.dims.dims
+        n = len(dims)
+        # Pair each subsystem's ket and bra index (a, b), then map one pair axis per step
+        # to the coordinates conj(G_mu[a, b]) and move it last: n steps restore the order.
+        t = rho.matrix.reshape(dims + dims).transpose([a for q in range(n) for a in (q, n + q)])
+        for d in dims:
+            t = t.reshape(d * d, -1).T @ _operator_basis(d)[0].reshape(d * d, -1).T.conj()
+        self.coords = np.ascontiguousarray(t.real).reshape([d * d for d in dims])
+        self.groups = {d: [q for q in range(n) if dims[q] == d] for d in dict.fromkeys(dims)}
+        # sum_j S(rho_j) - S(rho), the part no basis changes, with one entropy call per local
+        # dimension; rho_j's coordinates are T summed over the others' diagonal units (traces)
+        self.offset = -von_neumann_entropy(rho)
+        for d, members in self.groups.items():
+            reduced = [
+                self.coords[tuple(slice(None) if q == j else slice(e) for q, e in enumerate(dims))]
+                .sum(axis=tuple(q for q in range(n) if q != j))
+                for j in members
+            ]
+            stack = (reduced @ _operator_basis(d)[0].reshape(d * d, -1)).reshape(-1, d, d)
+            self.offset += von_neumann_entropy(stack).sum()
         self.marginals = _marginal_map(dims)
 
     def values(self, unitaries: Sequence[np.ndarray]) -> np.ndarray:
         """Integrand at B product bases; ``unitaries[j]`` is a (B, d_j, d_j) stack.
 
-        The local outcome distributions are the marginals of the global one,
-        so sum_j H(p_j) is one entropy of the marginals laid side by side.
+        p[b, k_1..k_n] = sum_mu T_mu prod_q c_q[b, mu_q, k_q], one batched matmul per
+        subsystem that sums the leading coordinate axis and appends its outcome axis.
+        The local distributions are the marginals of p: one entropy of them side by side.
         """
-        p = basis_probabilities(self.matrix, kron(*unitaries))
+        coeffs = {}
+        for members in self.groups.values():
+            stack = np.stack([unitaries[q] for q in members])
+            coeffs.update(zip(members, _outcome_coefficients(stack)))
+        p = self.coords.reshape(1, -1)
+        for q, d in enumerate(self.dims):
+            p = p.reshape(len(p), d * d, -1).swapaxes(1, 2) @ coeffs[q]
+        p = np.maximum(p.reshape(len(p), -1), 0.0)
         return shannon_entropy(p) - shannon_entropy(p @ self.marginals) + self.offset
 
 

@@ -37,6 +37,15 @@ from gqd.states import random_density
 CRITICAL = ChainSpec(sites=3, beta=1.0, delta=1.0)
 
 
+def assert_z_basis_minimizes(spec, group):
+    """The minimized GQD of the group converges onto fixed-z, which lies at or below fixed-x."""
+    rho = reduce_to_group(_ground_vector(spec)[0], spec, SpinGroup(group))
+    minimized = gqd(rho, "minimize")
+    assert minimized.converged
+    assert abs(minimized.value - gqd(rho, "fixed-z").value) <= 1e-9
+    assert minimized.value <= gqd(rho, "fixed-x").value
+
+
 def swap_sigma_tau(h, sites):
     """Permute qubits (sigma_j <-> tau_j) in the site-major layout."""
     n = 2 * sites
@@ -419,12 +428,15 @@ class TestScans:
     def test_z_basis_is_the_minimizing_quartet_basis(self, sites):
         # criterion 8 scans fixed-z as the minimizing basis: certify that claim
         for delta in (0.5, 0.9, 1.0, 1.1, 1.5):
-            spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
-            rho = reduce_to_group(_ground_vector(spec)[0], spec, SpinGroup("quartet"))
-            minimized = gqd(rho, "minimize")
-            assert minimized.converged
-            assert abs(minimized.value - gqd(rho, "fixed-z").value) <= 1e-9
-            assert minimized.value <= gqd(rho, "fixed-x").value
+            assert_z_basis_minimizes(ChainSpec(sites=sites, beta=1.0, delta=delta), "quartet")
+
+    @pytest.mark.parametrize("delta", [0.9, 0.95, 1.0, 1.05, 1.1])
+    def test_z_basis_is_the_minimizing_sextet_basis(self, delta):
+        # the paper's chain of N = 16 spins, across the critical window
+        assert_z_basis_minimizes(ChainSpec(sites=8, beta=1.0, delta=delta), "sextet")
+
+    def test_z_basis_is_the_minimizing_octet_basis(self):
+        assert_z_basis_minimizes(ChainSpec(sites=8, beta=1.0, delta=1.0), "octet")
 
     def test_scan_result_shapes(self):
         deltas = [0.8, 1.0, 1.2]

@@ -32,6 +32,7 @@ from gqd.measurement import (
     QubitBasisAngles,
     all_z,
     dephase,
+    local_dephase,
     qubit_basis,
     sigma_x_basis,
     sigma_z_basis,
@@ -178,8 +179,6 @@ class TestGqdAtBasis:
             expected = von_neumann_entropy(dephase(rho, basis)) - von_neumann_entropy(rho)
             for j in range(n):
                 r_j = partial_trace(rho, [j])
-                from gqd.measurement import local_dephase
-
                 expected -= von_neumann_entropy(local_dephase(r_j, basis.locals[j])) - von_neumann_entropy(r_j)
             assert abs(gqd_at_basis(rho, basis) - expected) <= 1e-9
 
@@ -416,6 +415,70 @@ class TestBatchedObjective:
         for chunk in (1, 7, 64):
             chunked = np.concatenate([objective(x[k:k + chunk]) for k in range(0, rows, chunk)])
             assert np.abs(chunked - batched).max() <= 1e-13
+
+
+def relative_entropy_reference(rho, unitaries):
+    """S(rho || Phi(rho)) - sum_j S(rho_j || Phi_j(rho_j)) through the dephasing channels."""
+    basis = ProductBasis(tuple(LocalBasis(u) for u in unitaries))
+    value = relative_entropy(rho, dephase(rho, basis))
+    for j, local in enumerate(basis.locals):
+        rho_j = partial_trace(rho, [j])
+        value -= relative_entropy(rho_j, local_dephase(rho_j, local))
+    return value
+
+
+class TestContractionKernel:
+    """``_GqdContext.values`` row by row against the relative-entropy definition."""
+
+    @settings(derandomize=True, max_examples=24, deadline=None)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 10_000), rank=st.integers(1, 32))
+    def test_qubit_rows_match_relative_entropy_reference(self, n, seed, rank):
+        rho = random_density((2,) * n, seed=seed, rank=min(rank, 2**n))
+        rng = np.random.default_rng(seed)
+        x = np.empty((4, 2 * n))
+        x[:, 0::2] = rng.uniform(0, math.pi, (4, n))
+        x[:, 1::2] = rng.uniform(0, 2 * math.pi, (4, n))
+        x[1, 0::2] = 0.0  # the all-z row
+        x[2, 2 * rng.integers(0, n)] = 0.0  # one qubit measured in z
+        steps = 1e-5 * np.eye(2 * n)[rng.permutation(2 * n)[:2]]
+        x = np.concatenate([x, x[1] + steps, x[1] - steps, x[0] + steps, x[0] - steps])
+        unitaries = correlations._qubit_unitaries(x)
+        values = correlations._GqdContext(rho).values(unitaries.swapaxes(0, 1))
+        assert values.shape == (len(x),)
+        for value, row in zip(values, unitaries):
+            assert abs(value - relative_entropy_reference(rho, row)) <= 1e-10
+
+    @settings(derandomize=True, max_examples=18, deadline=None)
+    @given(dims=st.sampled_from([(3, 2), (2, 3, 2), (3, 3)]), seed=st.integers(0, 10_000),
+           rank=st.integers(1, 12))
+    def test_qudit_rows_match_relative_entropy_reference(self, dims, seed, rank):
+        total = int(np.prod(dims))
+        rho = random_density(dims, seed=seed, rank=min(rank, total))
+        rng = np.random.default_rng(seed)
+        rows = [[haar_unitary(rng, d) for d in dims] for _ in range(3)]
+        rows.append([np.eye(d) for d in dims])
+        stacks = [np.stack([row[j] for row in rows]) for j in range(len(dims))]
+        values = correlations._GqdContext(rho).values(stacks)
+        assert values.shape == (len(rows),)
+        for value, row in zip(values, rows):
+            assert abs(value - relative_entropy_reference(rho, row)) <= 1e-10
+        for strategy in ("fixed-z", "reduced-eigenbasis"):
+            result = gqd(rho, strategy)
+            expected = relative_entropy_reference(rho, [b.vectors for b in result.basis.locals])
+            assert abs(result.value - expected) <= 1e-10
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 2), (2, 3, 2), (3, 3)])
+    def test_coordinates_rebuild_the_state(self, dims):
+        for rank in (1, 2, int(np.prod(dims))):
+            rho = random_density(dims, seed=sum(dims) + rank, rank=rank)
+            coords = correlations._GqdContext(rho).coords
+            assert coords.dtype == float and coords.shape == tuple(d * d for d in dims)
+            bases = [correlations._operator_basis(d)[0] for d in dims]
+            rebuilt = sum(
+                coords[mu] * kron(*(g[m] for g, m in zip(bases, mu)))
+                for mu in itertools.product(*(range(d * d) for d in dims))
+            )
+            assert np.abs(rebuilt - rho.matrix).max() <= 1e-13
 
 
 def haar_unitary(rng, d=2):
