@@ -107,9 +107,6 @@ class ScanResult:
     deltas: np.ndarray
     values: np.ndarray
     derivative: np.ndarray
-    basis: str
-    chain: ChainSpec
-    group: "SpinGroup | str"
     degenerate: np.ndarray
 
     def __post_init__(self) -> None:
@@ -334,12 +331,15 @@ def _ground_vector(spec: ChainSpec) -> tuple[np.ndarray, bool]:
 
     Raises RuntimeError when the returned vector is not an eigenvector of H to
     within RESIDUAL_TOL * max(1, |E|), E its Rayleigh quotient, checked in the
-    full space on either path.
+    full space on either path.  Every error names the coupling delta it failed at.
     """
     if spec.coupling > 0 and spec.delta >= 0:
         vector, degenerate = _sector_ground(spec), False
     else:
-        vector, degenerate = _full_space_ground(spec)
+        try:
+            vector, degenerate = _full_space_ground(spec)
+        except ValueError as exc:
+            raise ValueError(f"ground state at delta={spec.delta}: {exc}") from exc
     a, b = _hamiltonian_parts(spec.sites, spec.beta, spec.coupling)
     hv = a @ vector + spec.delta * (b @ vector)
     energy = float(vector @ hv)
@@ -407,8 +407,6 @@ def _scan(
     template: ChainSpec,
     deltas: Sequence[float],
     measure: Callable[[np.ndarray, ChainSpec], float],
-    basis: str,
-    group: "SpinGroup | str",
 ) -> ScanResult:
     """Ground state and ``measure(vector, spec)`` at every coupling of the grid."""
     deltas = np.asarray(list(deltas), dtype=float)
@@ -426,9 +424,6 @@ def _scan(
         deltas=deltas,
         values=values,
         derivative=central_difference(deltas, values),
-        basis=basis,
-        chain=template,
-        group=group,
         degenerate=np.array(flags, dtype=bool),
     )
 
@@ -447,7 +442,7 @@ def gqd_scan(
     def measure(vector: np.ndarray, spec: ChainSpec) -> float:
         return correlations.gqd(reduce_to_group(vector, spec, group), strategy=strategy).value
 
-    return _scan(template, deltas, measure, strategy, group)
+    return _scan(template, deltas, measure)
 
 
 def pair_qubits(kind: str) -> list[int]:
@@ -470,4 +465,4 @@ def pairwise_discord_scan(
         rho = reduced_from_vector(vector, SubsystemDims.qubits(spec.n_spins), keep)
         return correlations.discord_asymmetric(rho)
 
-    return _scan(template, deltas, measure, "minimize", pair_kind)
+    return _scan(template, deltas, measure)

@@ -181,8 +181,8 @@ def _cmd_at_scan(args) -> int:
         for d, g, dv, flag in zip(result.deltas, result.values, derivative_column, result.degenerate)
     ]
     summary = {
-        "zero_crossings": [round(c, 12) for c in crossings],
-        "window_crossings": [round(c, 12) for c in crossings if lo < c < hi],
+        "zero_crossings": [round(c, 10) for c in crossings],
+        "window_crossings": [round(c, 10) for c in crossings if lo < c < hi],
         "extremum": [_extremum(interior, result.derivative, c) for c in crossings],
         "degenerate_points": int(result.degenerate.sum()),
     }

@@ -133,18 +133,9 @@ def eig_hermitian(m: "np.ndarray | DensityOperator") -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
-def _kron_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a), np.asarray(b)
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
-
-
 def kron(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices; the first acts on the slowest-varying factor.
-
-    Factors may be (..., r, c) stacks: leading axes broadcast, one product per row.
-    """
-    return functools.reduce(_kron_pair, mats[1:], np.array(mats[0]))
+    """Kronecker product of one or more matrices; the first acts on the slowest-varying factor."""
+    return functools.reduce(np.kron, mats[1:], np.array(mats[0]))
 
 
 def _validate_keep(keep: Sequence[int], n: int) -> list[int]:

@@ -21,15 +21,8 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from . import measurement
-from .core import (
-    DensityOperator,
-    basis_probabilities,
-    kron,
-    partial_trace_matrix,
-    shannon_entropy,
-    von_neumann_entropy,
-)
-from .measurement import LocalBasis, ProductBasis, QubitBasisAngles, qubit_basis
+from .core import DensityOperator, partial_trace_matrix, shannon_entropy, von_neumann_entropy
+from .measurement import LocalBasis, ProductBasis
 
 STRATEGIES = ("fixed-z", "fixed-x", "reduced-eigenbasis", "minimize")
 
@@ -212,25 +205,6 @@ def measured_conditional_entropy(rho_ab: DensityOperator, basis_b: LocalBasis) -
     return float(_conditional_entropy_tensor(t, basis_b.vectors))
 
 
-def _canonical_angles(x: np.ndarray) -> list[tuple[float, float]]:
-    """Map refined angles back into theta in [0, pi), phi in [0, 2*pi).
-
-    The basis at (theta + pi, phi) is the same unordered basis with the two
-    vectors swapped, so theta is reduced modulo pi after a 2*pi wrap.
-    """
-    two_pi = 2.0 * math.pi
-    out = []
-    for k in range(0, len(x), 2):
-        t = float(x[k]) % two_pi
-        if t >= math.pi:
-            t -= math.pi
-        p = float(x[k + 1]) % two_pi
-        if p >= two_pi:
-            p = 0.0
-        out.append((t, p))
-    return out
-
-
 def _minimize_over_angles(
     objective: Callable[[np.ndarray], np.ndarray],
     n_pairs: int,
@@ -384,9 +358,7 @@ def gqd(
         lambda rows: ctx.values(_qubit_unitaries(rows).swapaxes(0, 1)),
         rho.n_subsystems, config, seeds=_structured_seeds(rho),
     )
-    basis = ProductBasis(
-        tuple(qubit_basis(QubitBasisAngles(t, p)) for t, p in _canonical_angles(x))
-    )
+    basis = ProductBasis(tuple(LocalBasis(u) for u in _qubit_unitaries(x[None])[0]))
     return GqdResult(value=value, basis=basis, strategy="minimize",
                      converged=converged, evaluations=evaluations)
 
@@ -416,29 +388,13 @@ def discord_asymmetric(rho_ab: DensityOperator, config: OptimizerConfig | None =
     return value
 
 
-def _correlation_loss(m: np.ndarray, info: float, x: np.ndarray) -> np.ndarray:
-    """I(rho) - I(Phi(rho)) at two-qubit angle rows x[B, 4], given info = I(rho).
-
-    The dephased marginals are formed explicitly, so this route is independent of
-    the relative-entropy one in ``_GqdContext.values``; tests hold the two equal.
-    """
-    us = _qubit_unitaries(x)
-    u = kron(us[:, 0], us[:, 1])
-    t = measurement._dephase_matrix(m, u).reshape(-1, 2, 2, 2, 2)
-    marginals = np.stack([np.einsum("...abcb->...ac", t), np.einsum("...abad->...bd", t)])
-    s_dephased = shannon_entropy(basis_probabilities(m, u))  # Phi(rho) has spectrum diag(U^+ m U)
-    return info - (von_neumann_entropy(marginals).sum(0) - s_dephased)
-
-
 def symmetric_discord(rho_ab: DensityOperator, config: OptimizerConfig | None = None) -> float:
-    """Two-qubit symmetric discord: min over product bases of I(rho) - I(Phi(rho))."""
+    """Two-qubit symmetric discord: min over product bases of I(rho) - I(Phi(rho)).
+
+    I(rho) - I(Phi(rho)) is the global discord integrand for two subsystems, so
+    this is ``gqd``'s minimization; tests assert the dual form row by row.
+    """
     dims = rho_ab.dims.dims
     if len(dims) != 2 or any(d != 2 for d in dims):
         raise ValueError("symmetric discord is implemented for two qubits")
-    config = config or OptimizerConfig()
-    info = mutual_information(rho_ab, cut=[0])
-    value, _, _, _ = _minimize_over_angles(
-        functools.partial(_correlation_loss, rho_ab.matrix, info), 2, config,
-        seeds=_structured_seeds(rho_ab),
-    )
-    return value
+    return gqd(rho_ab, "minimize", config).value

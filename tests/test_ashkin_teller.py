@@ -512,8 +512,5 @@ class TestScanResultValidation:
                 deltas=np.array([1.0, 2.0]),
                 values=np.array([0.1]),
                 derivative=np.empty(0),
-                basis="fixed-x",
-                chain=CRITICAL,
-                group=SpinGroup("quartet"),
                 degenerate=np.array([False, False]),
             )

@@ -159,6 +159,8 @@ class TestAtScan:
         assert summary["window_crossings"] == [crossing]
         assert abs(crossing - 1.0) <= 0.01
         assert summary["extremum"] == ["max"]
+        # digits past the tenth are rounding noise of the central difference
+        assert all(c == round(c, 10) for c in summary["zero_crossings"])
 
     def test_extremum_follows_derivative_sign(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
@@ -221,6 +223,16 @@ class TestAtScan:
             vector = ground_state(build_hamiltonian(spec)).vector
             rho = reduce_to_group(vector, spec, SpinGroup("quartet"))
             assert abs(across[delta] - correlations.gqd(rho, "fixed-x").value) <= 1e-9
+
+    def test_unresolved_ground_state_names_its_delta(self, capsys):
+        code, out, err = run_cli(
+            ["at-scan", "--sites", "3", "--beta", "0.5", "--delta-min", "-1.5",
+             "--delta-max", "0.5", "--grid-step", "0.5", "--fine-step", "0"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "delta=-1.5" in err
 
     def test_over_sparse_budget(self, capsys):
         code, _, err = run_cli(["at-scan", "--sites", "9"], capsys)

@@ -358,8 +358,9 @@ class TestSymmetricDiscord:
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), rank=st.integers(1, 4), rows=st.integers(1, 64))
     def test_correlation_loss_matches_relative_form_rowwise(self, seed, rank, rows):
-        # The objective's correlation-loss form against the relative-entropy form,
-        # at random rows, theta = 0 rows, and the refinement's +-1e-5 probe rows.
+        # The objective's relative-entropy form against the correlation-loss form
+        # I(rho) - I(Phi(rho)), built from the dephased state, at random rows,
+        # theta = 0 rows, and the refinement's +-1e-5 probe rows.
         rho = random_density((2, 2), seed=seed, rank=rank)
         rng = np.random.default_rng(seed)
         x = np.empty((rows, 4))
@@ -369,9 +370,13 @@ class TestSymmetricDiscord:
         x[0, 0::2] = 0.0
         steps = 1e-5 * np.eye(4)
         x = np.concatenate([x, x[0] + steps, x[0] - steps, x[-1] + steps, x[-1] - steps])
-        loss = correlations._correlation_loss(rho.matrix, mutual_information(rho, [0]), x)
-        ctx = correlations._GqdContext(rho)
-        relative = ctx.values(correlations._qubit_unitaries(x).swapaxes(0, 1))
+        unitaries = correlations._qubit_unitaries(x)
+        info = mutual_information(rho, [0])
+        loss = np.array([
+            info - mutual_information(dephase(rho, ProductBasis(tuple(map(LocalBasis, us)))), [0])
+            for us in unitaries
+        ])
+        relative = correlations._GqdContext(rho).values(unitaries.swapaxes(0, 1))
         assert loss.shape == relative.shape == (len(x),)
         assert np.abs(loss - relative).max() <= 1e-9
 
