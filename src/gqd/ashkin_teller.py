@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, norm as sparse_norm
 
 from . import correlations
 from .core import (
@@ -31,6 +31,7 @@ DENSE_MAX_SITES = 6      # 4^6 = 4096: limit of the dense reference views
 SPARSE_MAX_SITES = 8     # ground-state solver budget (N = 16 spins)
 RESIDUAL_TOL = 1e-8      # bound on ||Hv - Ev|| / max(1, |E|) of every returned ground state
 POSITIVITY_FLOOR = -1e-12  # sector amplitudes in [floor, 0] are rounding of positive ones below 1e-16
+FOLD_BLOCK = 4096        # rows per block of the fold certificate, which bounds its temporaries
 CRITICAL_WINDOW = (0.85, 1.15)  # coupling window refined around the delta = 1 critical point
 
 GROUP_SITES = {"quartet": 2, "sextet": 3, "octet": 4}
@@ -246,20 +247,26 @@ def _orbits(sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             image = (image >> 2) | ((image & 3) << (n - 2))  # one site along the ring
             for mask in (0, sigma, tau, sigma | tau):
                 np.minimum(smallest, image ^ mask, out=smallest)
-    return np.unique(smallest, return_inverse=True, return_counts=True)
+    is_rep = smallest == index
+    labels = (np.cumsum(is_rep, dtype=np.int32) - 1)[smallest]  # rank of each smallest image
+    return np.flatnonzero(is_rep), labels, np.bincount(labels)
+
+
+def _fold_defect(m: sparse.csr_matrix, m_sec: sparse.csr_matrix, embed) -> float:
+    """||m E - E m_sec||_F for the sector embedding E, accumulated over row blocks."""
+    blocks = (slice(r, r + FOLD_BLOCK) for r in range(0, embed.shape[0], FOLD_BLOCK))
+    return math.sqrt(sum(sparse_norm(m[s] @ embed - embed[s] @ m_sec) ** 2 for s in blocks))
 
 
 @functools.lru_cache(maxsize=1)
-def _sector_parts(
-    sites: int, beta: float, coupling: float
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """A and B folded into the fully symmetric sector, with the table that embeds its vectors.
+def _sector_parts(sites: int, beta: float, coupling: float) -> tuple:
+    """A and B folded into the fully symmetric sector, with its embedding and fold certificate.
 
     The sector is spanned by the normalized orbit sums |O> = sum_{i in O} |i> / sqrt|O|.
     Because H commutes with the group, <O|H|O'> = sqrt(|O|/|O'|) * sum_{j in O'} H[r_O, j]
     with r_O the representative of O: the representatives' rows times the orbit
-    indicator matrix, scaled on both sides.  Returns (A_sec, B_sec, label of every
-    basis index, sqrt of every orbit size).
+    indicator matrix, scaled on both sides.  Returns (A_sec, B_sec, E, f_A, f_B):
+    E the isometry c -> sum_O c_O |O>, and f_A = ||A E - E A_sec||_F, f_B likewise.
     """
     reps, labels, sizes = _orbits(sites)
     dim = labels.size
@@ -270,11 +277,19 @@ def _sector_parts(
     left, right = sparse.diags(root), sparse.diags(1.0 / root)
     a, b = _hamiltonian_parts(sites, beta, coupling)
     a_sec, b_sec = ((left @ (m[reps] @ indicator) @ right).tocsr() for m in (a, b))
-    return a_sec, b_sec, labels, root
+    embed = (indicator @ right).tocsr()
+    folds = (_fold_defect(m, m_sec, embed) for m, m_sec in ((a, a_sec), (b, b_sec)))
+    return (a_sec, b_sec, embed, *folds)
 
 
-def _sector_ground(spec: ChainSpec) -> np.ndarray:
+def _sector_ground(spec: ChainSpec, start: np.ndarray | None = None) -> tuple:
     """Ground state solved in the fully symmetric sector and embedded in the full space.
+
+    The solve starts from the sector part of ``start`` (a ground vector of the
+    same chain at a nearby coupling) or of the uniform vector.  Returns (v, E,
+    bound), E the Rayleigh quotient of the unit sector vector c.  As the
+    embedding is an isometry, bound = ||H_sec c - E c|| + f_A + |delta| f_B is at
+    least ||Hv - Ev||, and no full-space product is formed.
 
     Raises RuntimeError unless every sector amplitude is positive, up to
     POSITIVITY_FLOOR, once the overall sign is fixed: the Perron-Frobenius
@@ -283,8 +298,10 @@ def _sector_ground(spec: ChainSpec) -> np.ndarray:
     amplitudes of strongly ordered chains that fall below rounding (about
     1e-17 at 8 sites, |beta| = 32, delta = 0) and so come out as -1e-16.
     """
-    a, b, labels, root = _sector_parts(spec.sites, spec.beta, spec.coupling)
-    _, vecs = eigsh(a + spec.delta * b, k=1, which="SA", v0=root / np.linalg.norm(root))
+    a, b, embed, fold_a, fold_b = _sector_parts(spec.sites, spec.beta, spec.coupling)
+    h = a + spec.delta * b
+    v0 = embed.T @ (np.ones(embed.shape[0]) if start is None else start)
+    _, vecs = eigsh(h, k=1, which="SA", v0=v0 / np.linalg.norm(v0))
     c = vecs[:, 0]
     if c.sum() < 0.0:
         c = -c
@@ -293,7 +310,10 @@ def _sector_ground(spec: ChainSpec) -> np.ndarray:
             f"sector ground state at delta={spec.delta} has a negative amplitude "
             f"{c.min():.3e}; the Perron-Frobenius certificate failed"
         )
-    return c[labels] / root[labels]
+    hc = h @ c
+    energy = float(c @ hc)
+    bound = float(np.linalg.norm(hc - energy * c)) + fold_a + abs(spec.delta) * fold_b
+    return embed @ c, energy, bound
 
 
 def _full_space_ground(spec: ChainSpec) -> tuple[np.ndarray, bool]:
@@ -306,7 +326,7 @@ def _full_space_ground(spec: ChainSpec) -> tuple[np.ndarray, bool]:
     vals, vecs = vals[order], vecs[:, order]
     degenerate = bool(vals[1] - vals[0] < DEGENERACY_GAP)
     if not degenerate:
-        return vecs[:, 0], False
+        return vecs[:, 0].copy(), False  # a copy, so the eigsh basis is freed
     sel = vals - vals[0] < DEGENERACY_GAP
     if sel.all():
         raise ValueError(
@@ -320,30 +340,32 @@ def _full_space_ground(spec: ChainSpec) -> tuple[np.ndarray, bool]:
     return _project_q0(w, *_parity_sparse(spec.sites)), True
 
 
-def _ground_vector(spec: ChainSpec) -> tuple[np.ndarray, bool]:
+def _ground_vector(spec: ChainSpec, start: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
     """Ground state vector of the chain and whether its level is degenerate.
 
     For J > 0 and delta >= 0 every off-diagonal entry of H is <= 0 and single
     spin flips connect all basis states, so by Perron-Frobenius the ground state
     is unique and positive.  Every symmetry that permutes basis states then fixes
-    it, and it is solved in the fully symmetric sector.  Elsewhere the full space
-    is solved and a degenerate level is resolved into the (+1, +1) parity sector.
+    it, and it is solved in the fully symmetric sector, from ``start`` if given.
+    Elsewhere the full space is solved and a degenerate level is resolved into
+    the (+1, +1) parity sector.
 
     Raises RuntimeError when the returned vector is not an eigenvector of H to
-    within RESIDUAL_TOL * max(1, |E|), E its Rayleigh quotient, checked in the
-    full space on either path.  Every error names the coupling delta it failed at.
+    within RESIDUAL_TOL * max(1, |E|): in the sector, its residual bound; in the
+    full space, ||Hv - Ev|| with E the Rayleigh quotient.  Every error names the
+    coupling delta it failed at.
     """
     if spec.coupling > 0 and spec.delta >= 0:
-        vector, degenerate = _sector_ground(spec), False
+        (vector, energy, residual), degenerate = _sector_ground(spec, start), False
     else:
         try:
             vector, degenerate = _full_space_ground(spec)
         except ValueError as exc:
             raise ValueError(f"ground state at delta={spec.delta}: {exc}") from exc
-    a, b = _hamiltonian_parts(spec.sites, spec.beta, spec.coupling)
-    hv = a @ vector + spec.delta * (b @ vector)
-    energy = float(vector @ hv)
-    residual = float(np.linalg.norm(hv - energy * vector))
+        a, b = _hamiltonian_parts(spec.sites, spec.beta, spec.coupling)
+        hv = a @ vector + spec.delta * (b @ vector)
+        energy = float(vector @ hv)
+        residual = float(np.linalg.norm(hv - energy * vector))
     if residual > RESIDUAL_TOL * max(1.0, abs(energy)):
         raise RuntimeError(
             f"ground state residual {residual:.3e} at delta={spec.delta} exceeds the bound "
@@ -412,13 +434,12 @@ def _scan(
     deltas = np.asarray(list(deltas), dtype=float)
     if deltas.size == 0:
         raise ValueError("empty coupling grid")
-    values, flags = [], []
+    values, flags, vector = [], [], None
     for delta in deltas:
         spec = replace(template, delta=float(delta))
-        vector, degenerate = _ground_vector(spec)
+        vector, degenerate = _ground_vector(spec, start=vector)  # warm start from the last point
         values.append(measure(vector, spec))
         flags.append(degenerate)
-        del vector  # free the eigsh basis it views before the next solve
     values = np.array(values)
     return ScanResult(
         deltas=deltas,

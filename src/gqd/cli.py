@@ -245,9 +245,11 @@ def _cmd_discord(args) -> int:
         ("classical_correlation", info - asym),
         ("discord_asymmetric", asym),
     ]
-    if n == 2:
-        rows.append(("discord_symmetric", correlations.symmetric_discord(rho, config)))
     result = correlations.gqd(rho, strategy=args.strategy, config=config)
+    if n == 2:  # symmetric discord is gqd's two-qubit minimization: reuse it when it ran
+        symmetric = (result.value if args.strategy == "minimize"
+                     else correlations.symmetric_discord(rho, config))
+        rows.append(("discord_symmetric", symmetric))
     rows.append((f"gqd_{args.strategy}", result.value))
 
     summary = {"gqd_converged": result.converged, "gqd_evaluations": result.evaluations}

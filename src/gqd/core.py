@@ -175,12 +175,12 @@ def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
 def reduced_from_vector(
     psi: np.ndarray, dims: "SubsystemDims | Iterable[int]", keep: Sequence[int]
 ) -> DensityOperator:
-    """Reduced density operator of a pure state without forming the full projector."""
+    """Reduced density operator of a pure state without the full projector; real stays real."""
     dims = _as_dims(dims)
     n = len(dims)
     keep = _validate_keep(keep, n)
     rest = [k for k in range(n) if k not in keep]
-    v = np.asarray(psi, dtype=complex).reshape(dims.dims)
+    v = np.asarray(psi, dtype=float if np.isrealobj(psi) else complex).reshape(dims.dims)
     v = np.transpose(v, keep + rest)
     d_keep = int(np.prod([dims[k] for k in keep]))
     a = v.reshape(d_keep, -1)

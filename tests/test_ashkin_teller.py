@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
@@ -113,6 +115,16 @@ class TestHamiltonian:
         p1, p2 = parity_operators(sites)
         assert np.abs(h @ p1 - p1 @ h).max() <= 1e-10
         assert np.abs(h @ p2 - p2 @ h).max() <= 1e-10
+
+    @pytest.mark.parametrize("sites", [2, 3])
+    def test_on_site_cnot_is_a_symmetry_at_delta_one(self, sites):
+        # CNOT (sigma control, tau target) maps X_s -> X_s X_t and Z_t -> Z_s Z_t,
+        # exchanging each delta-weighted term with a unit-weight one
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        c = kron(*[cnot] * sites)
+        for delta, expected in ((1.0, 0.0), (0.7, 1.2)):
+            h = build_hamiltonian(ChainSpec(sites=sites, beta=1.0, delta=delta))
+            assert abs(np.abs(c @ h @ c - h).max() - expected) <= 1e-12
 
     def test_spectrum_symmetric_under_sigma_tau_swap(self):
         h = build_hamiltonian(ChainSpec(sites=2, beta=1.0, delta=1.0))
@@ -317,6 +329,81 @@ class TestGroundState:
             _project_q0(block, p1, p2)
 
 
+class TestSectorCertificate:
+    @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6, 7, 8])
+    def test_fold_certificate_vanishes(self, sites):
+        *_, fold_a, fold_b = ashkin_teller._sector_parts(sites, 1.0, 1.0)
+        assert 0.0 <= fold_a <= 1e-12
+        assert 0.0 <= fold_b <= 1e-12
+
+    def test_perturbed_sector_matrix_is_rejected(self, monkeypatch):
+        a, _ = ashkin_teller._hamiltonian_parts(4, 1.0, 1.0)
+        a_sec, b_sec, embed, _, fold_b = ashkin_teller._sector_parts(4, 1.0, 1.0)
+        bad = a_sec.tolil()
+        bad[3, 3] += 1e-6  # a diagonal entry, so the sector matrix stays symmetric
+        bad = bad.tocsr()
+        fold_a = ashkin_teller._fold_defect(a, bad, embed)
+        assert abs(fold_a - 1e-6) <= 1e-12
+        parts = (bad, b_sec, embed, fold_a, fold_b)
+        monkeypatch.setattr(ashkin_teller, "_sector_parts", lambda *chain: parts)
+        with pytest.raises(RuntimeError, match="residual .* at delta=0.9 "):
+            _ground_vector(ChainSpec(sites=4, beta=1.0, delta=0.9))
+
+    @pytest.mark.parametrize("sites", [3, 4, 5, 6])
+    def test_sector_bound_covers_full_space_residual(self, sites, monkeypatch):
+        # a converged solve leaves residuals of about 1e-15, where each side
+        # carries its own rounding; noise of 1e-6 on the sector vector makes
+        # the residual large enough to compare the two exactly
+        rng = np.random.default_rng(sites)
+
+        def noisy_eigsh(h, **kwargs):
+            vals, vecs = eigsh(h, **kwargs)
+            vecs = vecs + 1e-6 * rng.normal(size=vecs.shape)
+            return vals, vecs / np.linalg.norm(vecs, axis=0)
+
+        for solver in (eigsh, noisy_eigsh):
+            monkeypatch.setattr(ashkin_teller, "eigsh", solver)
+            for delta in (0.4, 1.0, 1.6):
+                spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
+                vector, energy, bound = ashkin_teller._sector_ground(spec)
+                hv = build_hamiltonian_sparse(spec) @ vector
+                residual = np.linalg.norm(hv - (vector @ hv) * vector)
+                rounding = 1e-14 * max(1.0, abs(energy))
+                assert abs(vector @ hv - energy) <= rounding
+                assert residual <= bound + rounding
+                assert bound <= residual + rounding  # the fold is exact, so the bound is tight
+                if solver is eigsh:
+                    assert bound <= ashkin_teller.RESIDUAL_TOL * max(1.0, abs(energy))
+                else:
+                    assert residual > 1e-8
+
+    @pytest.mark.parametrize(
+        "sites, deltas", [(4, default_delta_grid()), (8, default_delta_grid(0.9, 1.1, 0.05, 0.05))]
+    )
+    def test_warm_started_scan_matches_cold_points(self, sites, deltas):
+        template = ChainSpec(sites=sites, beta=1.0, delta=1.0)
+        group = SpinGroup("quartet")
+        warm = []
+        ashkin_teller._scan(template, deltas, lambda vector, spec: warm.append(vector) or 0.0)
+        scan = gqd_scan(template, deltas, group, "fixed-x")
+        for delta, vector, value in zip(deltas, warm, scan.values):
+            spec = replace(template, delta=float(delta))
+            cold, _ = _ground_vector(spec)
+            assert np.abs(vector - cold).max() <= 1e-12
+            assert abs(value - gqd(reduce_to_group(cold, spec, group), "fixed-x").value) <= 1e-12
+
+    def test_warm_start_across_the_fallback_boundary(self):
+        # points below delta = 0 are solved in the full space; the first sector
+        # point after them starts from a full-space vector
+        template = ChainSpec(sites=4, beta=1.0, delta=1.0)
+        deltas = [-0.3, -0.1, 0.0, 0.2]
+        warm = []
+        ashkin_teller._scan(template, deltas, lambda vector, spec: warm.append(vector) or 0.0)
+        for delta, vector in zip(deltas, warm):
+            cold, _ = _ground_vector(replace(template, delta=delta))
+            assert abs(abs(cold @ vector) - 1.0) <= 1e-12
+
+
 def qubit_permutation(index, sites, perm):
     """Basis index after moving qubit q to position perm[q] (qubit 0 the most significant bit)."""
     n = 2 * sites
@@ -346,6 +433,19 @@ class TestOrbits:
         assert len(sizes) == sector_dim
         assert (labels[reps] == np.arange(sector_dim)).all()
         assert (np.bincount(labels) == sizes).all()
+
+    @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6, 7, 8])
+    def test_sector_build_matches_sorted_orbit_table(self, sites, monkeypatch):
+        # reference: the orbit table read off np.unique of every index's smallest image
+        reps, labels, _ = _orbits(sites)
+        assert labels.dtype == np.int32
+        build = ashkin_teller._sector_parts.__wrapped__  # bypass the one-chain cache
+        fast = build(sites, 1.0, 1.0)
+        reference = np.unique(reps[labels], return_inverse=True, return_counts=True)
+        monkeypatch.setattr(ashkin_teller, "_orbits", lambda _: reference)
+        for got, want in zip(fast[:3], build(sites, 1.0, 1.0)[:3]):  # A_sec, B_sec, embedding
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 class TestSpinGroup:

@@ -272,6 +272,24 @@ class TestDiscordCommand:
         assert abs(values["discord_symmetric"] - 1.0) <= 1e-8
         assert abs(values["gqd_minimize"] - 1.0) <= 1e-6
 
+    def test_two_qubit_minimization_runs_once(self, capsys, monkeypatch):
+        # discord_symmetric and gqd_minimize are the same minimization: one run gives both rows
+        calls = []
+        minimize = correlations._minimize_over_angles
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(correlations, "_minimize_over_angles", counted)
+        code, out, _ = run_cli(["discord", "werner:0.3"], capsys)
+        assert code == 0
+        values = {r[0]: r[1] for r in parse_csv(split_summary(out)[0])[1]}
+        assert values["discord_symmetric"] == values["gqd_minimize"]
+        assert len(calls) == 2  # discord_asymmetric's, then the one two-qubit GQD minimization
+        run_cli(["discord", "werner:0.3", "--strategy", "fixed-z"], capsys)
+        assert len(calls) == 4  # at a fixed basis, the symmetric row still minimizes
+
     def test_json_meta_reports_convergence(self, capsys):
         code, out, _ = run_cli(["discord", "bell", "--format", "json"], capsys)
         assert code == 0

@@ -168,6 +168,14 @@ class TestReducedFromVector:
             want = partial_trace(rho, keep).matrix
             assert np.abs(got - want).max() <= 1e-12
 
+    def test_real_vector_matches_its_complex_cast(self):
+        v = np.random.default_rng(22).standard_normal(64)
+        v /= np.linalg.norm(v)
+        for keep in ([0], [3, 1], [0, 2, 5, 4]):
+            got = reduced_from_vector(v, SubsystemDims.qubits(6), keep).matrix
+            want = reduced_from_vector(v.astype(complex), SubsystemDims.qubits(6), keep).matrix
+            assert np.abs(got - want).max() <= 1e-15
+
 
 class TestEntropy:
     def test_pure_state(self):

@@ -190,6 +190,19 @@ class TestGqdAtBasis:
             for _ in range(2):
                 assert gqd_at_basis(rho, random_basis(rng, n)) >= -1e-9
 
+    @settings(derandomize=True, max_examples=24, deadline=None)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 10_000), rank=st.integers(1, 32))
+    def test_invariant_under_qubit_permutation(self, n, seed, rank):
+        # relabelling the qubits of the state and of the basis together leaves the value
+        rng = np.random.default_rng(seed)
+        rho = random_density((2,) * n, seed=seed, rank=min(rank, 2**n))
+        basis = random_basis(rng, n)
+        perm = [int(q) for q in rng.permutation(n)]
+        t = np.transpose(rho.matrix.reshape((2,) * (2 * n)), perm + [n + q for q in perm])
+        permuted = DensityOperator(t.reshape(2**n, 2**n), rho.dims)
+        permuted_basis = ProductBasis(tuple(basis.locals[q] for q in perm))
+        assert abs(gqd_at_basis(rho, basis) - gqd_at_basis(permuted, permuted_basis)) <= 1e-12
+
     def test_additive_on_product_states(self):
         rng = np.random.default_rng(37)
         rho1 = random_density((2, 2), seed=71)
