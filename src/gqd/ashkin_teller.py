@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh, norm as sparse_norm
 
 from . import correlations
@@ -32,6 +33,7 @@ SPARSE_MAX_SITES = 8     # ground-state solver budget (N = 16 spins)
 RESIDUAL_TOL = 1e-8      # bound on ||Hv - Ev|| / max(1, |E|) of every returned ground state
 POSITIVITY_FLOOR = -1e-12  # sector amplitudes in [floor, 0] are rounding of positive ones below 1e-16
 FOLD_BLOCK = 4096        # rows per block of the fold certificate, which bounds its temporaries
+DENSE_SECTOR_DIM = 128   # sectors up to this size (M <= 6 sites) are solved densely, larger by eigsh
 CRITICAL_WINDOW = (0.85, 1.15)  # coupling window refined around the delta = 1 critical point
 
 GROUP_SITES = {"quartet": 2, "sextet": 3, "octet": 4}
@@ -267,6 +269,7 @@ def _sector_parts(sites: int, beta: float, coupling: float) -> tuple:
     with r_O the representative of O: the representatives' rows times the orbit
     indicator matrix, scaled on both sides.  Returns (A_sec, B_sec, E, f_A, f_B):
     E the isometry c -> sum_O c_O |O>, and f_A = ||A E - E A_sec||_F, f_B likewise.
+    A_sec and B_sec are dense arrays up to DENSE_SECTOR_DIM states, sparse above.
     """
     reps, labels, sizes = _orbits(sites)
     dim = labels.size
@@ -278,15 +281,26 @@ def _sector_parts(sites: int, beta: float, coupling: float) -> tuple:
     a, b = _hamiltonian_parts(sites, beta, coupling)
     a_sec, b_sec = ((left @ (m[reps] @ indicator) @ right).tocsr() for m in (a, b))
     embed = (indicator @ right).tocsr()
-    folds = (_fold_defect(m, m_sec, embed) for m, m_sec in ((a, a_sec), (b, b_sec)))
+    folds = [_fold_defect(m, m_sec, embed) for m, m_sec in ((a, a_sec), (b, b_sec))]
+    if reps.size <= DENSE_SECTOR_DIM:
+        a_sec, b_sec = a_sec.toarray(), b_sec.toarray()
     return (a_sec, b_sec, embed, *folds)
+
+
+def _sector_lowest(h, embed, start: np.ndarray | None) -> np.ndarray:
+    """Lowest eigenvector of the sector matrix: one dense eigh, which needs no start, or
+    eigsh from the sector part of ``start`` (of the uniform vector when there is none)."""
+    if isinstance(h, np.ndarray):
+        return eigh(h, subset_by_index=(0, 0))[1][:, 0]
+    v0 = embed.T @ (np.ones(embed.shape[0]) if start is None else start)
+    return eigsh(h, k=1, which="SA", v0=v0 / np.linalg.norm(v0))[1][:, 0]
 
 
 def _sector_ground(spec: ChainSpec, start: np.ndarray | None = None) -> tuple:
     """Ground state solved in the fully symmetric sector and embedded in the full space.
 
-    The solve starts from the sector part of ``start`` (a ground vector of the
-    same chain at a nearby coupling) or of the uniform vector.  Returns (v, E,
+    A sparse solve starts from the sector part of ``start`` (a ground vector of
+    the same chain at a nearby coupling) or of the uniform vector.  Returns (v, E,
     bound), E the Rayleigh quotient of the unit sector vector c.  As the
     embedding is an isometry, bound = ||H_sec c - E c|| + f_A + |delta| f_B is at
     least ||Hv - Ev||, and no full-space product is formed.
@@ -300,9 +314,7 @@ def _sector_ground(spec: ChainSpec, start: np.ndarray | None = None) -> tuple:
     """
     a, b, embed, fold_a, fold_b = _sector_parts(spec.sites, spec.beta, spec.coupling)
     h = a + spec.delta * b
-    v0 = embed.T @ (np.ones(embed.shape[0]) if start is None else start)
-    _, vecs = eigsh(h, k=1, which="SA", v0=v0 / np.linalg.norm(v0))
-    c = vecs[:, 0]
+    c = _sector_lowest(h, embed, start)
     if c.sum() < 0.0:
         c = -c
     if c.min() < POSITIVITY_FLOOR:
@@ -414,11 +426,15 @@ def default_delta_grid(
     step: float = 0.05,
     fine_step: float = 0.01,
 ) -> np.ndarray:
-    """Coupling grid: coarse over [start, stop], refined over CRITICAL_WINDOW."""
+    """Coupling grid: coarse over [start, stop], refined over CRITICAL_WINDOW unless
+    fine_step <= 0 or fine_step >= step."""
+    for name, value in (("start", start), ("stop", stop), ("step", step), ("fine_step", fine_step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if step <= 0 or stop < start:
         raise ValueError("empty coupling range")
     coarse = np.arange(start, stop + 0.5 * step, step)
-    if fine_step >= step:  # no refinement requested
+    if not 0 < fine_step < step:  # no refinement requested
         return np.unique(np.round(coarse, 10))
     fine = np.arange(CRITICAL_WINDOW[0], CRITICAL_WINDOW[1] + 0.5 * fine_step, fine_step)
     fine = fine[(fine >= start) & (fine <= stop)]

@@ -144,10 +144,7 @@ def _cmd_werner_ghz(args) -> int:
 
 def _delta_grid(args) -> np.ndarray:
     step = args.grid_step if args.grid_step is not None else 0.05
-    fine = args.fine_step if args.fine_step and args.fine_step > 0 else step
-    return at.default_delta_grid(
-        start=args.delta_min, stop=args.delta_max, step=step, fine_step=fine
-    )
+    return at.default_delta_grid(args.delta_min, args.delta_max, step, args.fine_step)
 
 
 def _extremum(x: np.ndarray, d: np.ndarray, root: float) -> str:

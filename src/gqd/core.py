@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -71,11 +71,12 @@ class DensityOperator:
     """Hermitian, unit-trace, positive matrix over labeled subsystems.
 
     Validated on construction: Hermiticity and trace to 1e-10, minimum
-    eigenvalue >= -1e-10.
+    eigenvalue >= -1e-10.  The validated spectrum is kept as ``eigenvalues``.
     """
 
     matrix: np.ndarray
     dims: SubsystemDims
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -92,13 +93,14 @@ class DensityOperator:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr}")
-        lo = np.linalg.eigvalsh(m).min()
-        if lo < EIG_FLOOR:
-            raise ValueError(f"matrix is not positive (min eigenvalue {lo:.3e})")
+        w = np.linalg.eigvalsh(m)
+        if w.min() < EIG_FLOOR:
+            raise ValueError(f"matrix is not positive (min eigenvalue {w.min():.3e})")
         m = m.copy()
-        m.flags.writeable = False
+        m.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "eigenvalues", w)
 
     @property
     def n_subsystems(self) -> int:
@@ -222,9 +224,13 @@ def von_neumann_entropy(rho: "DensityOperator | np.ndarray") -> "float | np.ndar
     """S(rho) = -Tr rho log2 rho, in bits.
 
     One operator gives a float; a (..., d, d) stack gives one entropy per
-    matrix.  Eigenvalues in (EIG_FLOOR, 0) count as 0; lower ones raise.
+    matrix.  Eigenvalues in (EIG_FLOOR, 0) count as 0; lower ones raise.  A
+    DensityOperator's spectrum is the one computed when it was validated.
     """
-    w = np.linalg.eigvalsh(_as_hermitian_matrix(rho))
+    if isinstance(rho, DensityOperator):
+        w = rho.eigenvalues
+    else:
+        w = np.linalg.eigvalsh(_as_hermitian_matrix(rho))
     if w.min() < EIG_FLOOR:
         raise ValueError(f"matrix is not positive (min eigenvalue {w.min():.3e})")
     return shannon_entropy(w)

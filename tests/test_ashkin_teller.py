@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from scipy.sparse.linalg import eigsh
 
 from gqd import ashkin_teller
@@ -37,6 +38,7 @@ from gqd.measurement import all_x, dephase
 from gqd.states import random_density
 
 CRITICAL = ChainSpec(sites=3, beta=1.0, delta=1.0)
+SOLVER_SIZES = (4, 7)  # sector of 14 states, solved densely; of 298 states, solved by eigsh
 
 
 def assert_z_basis_minimizes(spec, group):
@@ -256,35 +258,35 @@ class TestGroundState:
 
     def test_inaccurate_eigenvector_raises(self, monkeypatch):
         rng = np.random.default_rng(1)
+        solve = ashkin_teller._sector_lowest
 
-        def perturbed_eigsh(h, **kwargs):
-            vals, vecs = eigsh(h, **kwargs)
-            vecs = vecs + 1e-4 * rng.normal(size=vecs.shape)
-            return vals, vecs / np.linalg.norm(vecs, axis=0)
+        def perturbed_solve(*args):
+            c = solve(*args) + 1e-4 * rng.normal(size=args[0].shape[0])
+            return c / np.linalg.norm(c)
 
-        monkeypatch.setattr(ashkin_teller, "eigsh", perturbed_eigsh)
-        with pytest.raises(RuntimeError, match="residual"):
-            _ground_vector(ChainSpec(sites=3, beta=1.0, delta=0.9))
+        monkeypatch.setattr(ashkin_teller, "_sector_lowest", perturbed_solve)
+        for sites in (3, 7):  # the dense and the sparse solve
+            with pytest.raises(RuntimeError, match="residual"):
+                _ground_vector(ChainSpec(sites=sites, beta=1.0, delta=0.9))
 
     def test_perron_frobenius_certificate(self, monkeypatch):
-        def signed_eigsh(sign):
-            def patched(h, **kwargs):
-                vals, vecs = eigsh(h, **kwargs)
-                vecs = vecs.copy()
-                vecs[:, 0] *= sign
-                return vals, vecs
-            return patched
+        solve = ashkin_teller._sector_lowest
 
-        spec = ChainSpec(sites=4, beta=1.0, delta=0.9)
-        expected, _ = _ground_vector(spec)
-        # the overall sign is free: a negated solution is the same ground state
-        monkeypatch.setattr(ashkin_teller, "eigsh", signed_eigsh(-1.0))
-        assert np.abs(_ground_vector(spec)[0] - expected).max() <= 1e-12
-        flip_one = np.ones(14)
-        flip_one[5] = -1.0
-        monkeypatch.setattr(ashkin_teller, "eigsh", signed_eigsh(flip_one))
-        with pytest.raises(RuntimeError, match="Perron-Frobenius"):
-            _ground_vector(spec)
+        def signed_solve(sign):
+            return lambda *args: solve(*args) * sign
+
+        for sites, sector_dim in zip(SOLVER_SIZES, (14, 298)):
+            spec = ChainSpec(sites=sites, beta=1.0, delta=0.9)
+            monkeypatch.setattr(ashkin_teller, "_sector_lowest", solve)
+            expected, _ = _ground_vector(spec)
+            # the overall sign is free: a negated solution is the same ground state
+            monkeypatch.setattr(ashkin_teller, "_sector_lowest", signed_solve(-1.0))
+            assert np.abs(_ground_vector(spec)[0] - expected).max() <= 1e-12
+            flip_one = np.ones(sector_dim)
+            flip_one[5] = -1.0
+            monkeypatch.setattr(ashkin_teller, "_sector_lowest", signed_solve(flip_one))
+            with pytest.raises(RuntimeError, match="Perron-Frobenius"):
+                _ground_vector(spec)
 
     def test_certificate_admits_amplitudes_below_rounding(self):
         # strongly ordered: the smallest exact sector amplitudes are far below
@@ -337,32 +339,36 @@ class TestSectorCertificate:
         assert 0.0 <= fold_b <= 1e-12
 
     def test_perturbed_sector_matrix_is_rejected(self, monkeypatch):
-        a, _ = ashkin_teller._hamiltonian_parts(4, 1.0, 1.0)
-        a_sec, b_sec, embed, _, fold_b = ashkin_teller._sector_parts(4, 1.0, 1.0)
-        bad = a_sec.tolil()
-        bad[3, 3] += 1e-6  # a diagonal entry, so the sector matrix stays symmetric
-        bad = bad.tocsr()
-        fold_a = ashkin_teller._fold_defect(a, bad, embed)
-        assert abs(fold_a - 1e-6) <= 1e-12
-        parts = (bad, b_sec, embed, fold_a, fold_b)
-        monkeypatch.setattr(ashkin_teller, "_sector_parts", lambda *chain: parts)
-        with pytest.raises(RuntimeError, match="residual .* at delta=0.9 "):
-            _ground_vector(ChainSpec(sites=4, beta=1.0, delta=0.9))
+        build = ashkin_teller._sector_parts
+        for sites in SOLVER_SIZES:
+            a, _ = ashkin_teller._hamiltonian_parts(sites, 1.0, 1.0)
+            a_sec, b_sec, embed, _, fold_b = build(sites, 1.0, 1.0)
+            bad = sparse.lil_matrix(a_sec)
+            bad[3, 3] += 1e-6  # a diagonal entry, so the sector matrix stays symmetric
+            bad = bad.tocsr()
+            fold_a = ashkin_teller._fold_defect(a, bad, embed)
+            assert abs(fold_a - 1e-6) <= 1e-12
+            if isinstance(a_sec, np.ndarray):  # the dense solve gets the part as it is held
+                bad = bad.toarray()
+            parts = (bad, b_sec, embed, fold_a, fold_b)
+            monkeypatch.setattr(ashkin_teller, "_sector_parts", lambda *chain: parts)
+            with pytest.raises(RuntimeError, match="residual .* at delta=0.9 "):
+                _ground_vector(ChainSpec(sites=sites, beta=1.0, delta=0.9))
 
-    @pytest.mark.parametrize("sites", [3, 4, 5, 6])
+    @pytest.mark.parametrize("sites", [3, 4, 5, 6, 7])
     def test_sector_bound_covers_full_space_residual(self, sites, monkeypatch):
         # a converged solve leaves residuals of about 1e-15, where each side
         # carries its own rounding; noise of 1e-6 on the sector vector makes
         # the residual large enough to compare the two exactly
         rng = np.random.default_rng(sites)
+        solve = ashkin_teller._sector_lowest
 
-        def noisy_eigsh(h, **kwargs):
-            vals, vecs = eigsh(h, **kwargs)
-            vecs = vecs + 1e-6 * rng.normal(size=vecs.shape)
-            return vals, vecs / np.linalg.norm(vecs, axis=0)
+        def noisy_solve(*args):
+            c = solve(*args) + 1e-6 * rng.normal(size=args[0].shape[0])
+            return c / np.linalg.norm(c)
 
-        for solver in (eigsh, noisy_eigsh):
-            monkeypatch.setattr(ashkin_teller, "eigsh", solver)
+        for solver in (solve, noisy_solve):
+            monkeypatch.setattr(ashkin_teller, "_sector_lowest", solver)
             for delta in (0.4, 1.0, 1.6):
                 spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
                 vector, energy, bound = ashkin_teller._sector_ground(spec)
@@ -372,10 +378,32 @@ class TestSectorCertificate:
                 assert abs(vector @ hv - energy) <= rounding
                 assert residual <= bound + rounding
                 assert bound <= residual + rounding  # the fold is exact, so the bound is tight
-                if solver is eigsh:
+                if solver is solve:
                     assert bound <= ashkin_teller.RESIDUAL_TOL * max(1.0, abs(energy))
                 else:
                     assert residual > 1e-8
+
+    @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6])
+    def test_dense_and_sparse_solves_agree(self, sites, monkeypatch):
+        a, b, embed, fold_a, fold_b = ashkin_teller._sector_parts(sites, 1.0, 1.0)
+        assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+        specs = [ChainSpec(sites=sites, beta=1.0, delta=delta) for delta in (0.4, 1.0, 1.6)]
+        dense = [_ground_vector(spec)[0] for spec in specs]
+        parts = (sparse.csr_matrix(a), sparse.csr_matrix(b), embed, fold_a, fold_b)
+        monkeypatch.setattr(ashkin_teller, "_sector_parts", lambda *chain: parts)
+        for spec, expected in zip(specs, dense):
+            assert np.abs(_ground_vector(spec)[0] - expected).max() <= 1e-12
+
+    def test_sector_size_picks_the_solver(self):
+        for sites, dense in ((4, True), (8, False)):  # 14 and 1,062 sector states
+            a, b, *_ = ashkin_teller._sector_parts(sites, 1.0, 1.0)
+            assert isinstance(a, np.ndarray) == isinstance(b, np.ndarray) == dense
+            assert sparse.issparse(a) == sparse.issparse(b) == (not dense)
+        # the dense solve needs no start vector and takes none
+        spec = ChainSpec(sites=4, beta=1.0, delta=0.9)
+        start = np.random.default_rng(0).random(spec.dim)
+        cold, warm = ashkin_teller._sector_ground(spec), ashkin_teller._sector_ground(spec, start)
+        assert np.array_equal(cold[0], warm[0]) and cold[1:] == warm[1:]
 
     @pytest.mark.parametrize(
         "sites, deltas", [(4, default_delta_grid()), (8, default_delta_grid(0.9, 1.1, 0.05, 0.05))]
@@ -444,6 +472,9 @@ class TestOrbits:
         reference = np.unique(reps[labels], return_inverse=True, return_counts=True)
         monkeypatch.setattr(ashkin_teller, "_orbits", lambda _: reference)
         for got, want in zip(fast[:3], build(sites, 1.0, 1.0)[:3]):  # A_sec, B_sec, embedding
+            if isinstance(got, np.ndarray):  # a sector part small enough to be held dense
+                assert isinstance(want, np.ndarray) and np.array_equal(got, want)
+                continue
             for field in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
@@ -603,6 +634,17 @@ class TestHelpers:
     def test_default_delta_grid_rejects_bad_range(self):
         with pytest.raises(ValueError):
             default_delta_grid(start=1.0, stop=0.5)
+
+    @pytest.mark.parametrize("name", ["start", "stop", "step", "fine_step"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_default_delta_grid_rejects_non_finite_arguments(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            default_delta_grid(**{name: value})
+
+    @pytest.mark.parametrize("fine_step", [0.0, -0.01, 0.05, 0.1])
+    def test_non_positive_or_coarse_fine_step_means_no_refinement(self, fine_step):
+        grid = default_delta_grid(0.9, 1.1, 0.05, fine_step)
+        assert np.array_equal(grid, [0.9, 0.95, 1.0, 1.05, 1.1])
 
 
 class TestScanResultValidation:

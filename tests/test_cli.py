@@ -234,6 +234,27 @@ class TestAtScan:
         assert out == ""
         assert "delta=-1.5" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--delta-min", "nan", "start"), ("--delta-max", "inf", "stop"),
+         ("--grid-step", "nan", "step"), ("--fine-step", "nan", "fine_step")],
+    )
+    def test_non_finite_grid_is_a_usage_error(self, flag, value, name, capsys):
+        code, out, err = run_cli(["at-scan", "--sites", "2", f"{flag}={value}"], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"gqd: error: {name} must be finite, got {value}" in err
+
+    def test_zero_fine_step_scans_the_coarse_grid(self, capsys):
+        code, out, _ = run_cli(
+            ["at-scan", "--sites", "2", "--delta-min", "0.9", "--delta-max", "1.1",
+             "--grid-step", "0.05", "--fine-step", "0"],
+            capsys,
+        )
+        assert code == 0
+        _, rows = parse_csv(split_summary(out)[0])
+        assert [float(r[0]) for r in rows] == [0.9, 0.95, 1.0, 1.05, 1.1]
+
     def test_over_sparse_budget(self, capsys):
         code, _, err = run_cli(["at-scan", "--sites", "9"], capsys)
         assert code == 3

@@ -14,8 +14,10 @@ from gqd.core import (
     partial_trace,
     reduced_from_vector,
     relative_entropy,
+    shannon_entropy,
     von_neumann_entropy,
 )
+from gqd.correlations import gqd
 from gqd.states import ghz, random_density, werner_ghz
 
 
@@ -219,6 +221,28 @@ class TestEntropy:
             von_neumann_entropy(stack)
         # just inside the floor the eigenvalue counts as zero
         assert von_neumann_entropy(np.diag([-0.5e-10, 1.0 + 0.5e-10])) <= 1e-9
+
+    def test_density_operator_entropy_reads_its_validated_spectrum(self):
+        for seed, dims in enumerate([(2, 2), (2, 3), (2, 2, 2), (3, 3)]):
+            rho = random_density(dims, rank=1 + seed, seed=seed)
+            assert von_neumann_entropy(rho) == shannon_entropy(np.linalg.eigvalsh(rho.matrix))
+            assert not rho.eigenvalues.flags.writeable
+            assert "eigenvalues" not in repr(rho)
+
+    def test_fixed_basis_gqd_takes_the_spectrum_of_rho_once(self, monkeypatch):
+        matrix = random_density((2, 2, 2), rank=3, seed=5).matrix
+        eigvalsh, shapes = np.linalg.eigvalsh, []
+
+        def counting(m):
+            shapes.append(np.shape(m))
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rho = DensityOperator(matrix, SubsystemDims.qubits(3))
+        gqd(rho, "fixed-x")
+        # validation, then the three single-qubit entropies as one stack: S(rho)
+        # is read from the validated spectrum instead of a second (8, 8) call
+        assert shapes == [(8, 8), (3, 2, 2)]
 
 
 class TestRelativeEntropy:
