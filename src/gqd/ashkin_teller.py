@@ -110,11 +110,10 @@ class ScanResult:
     deltas: np.ndarray
     values: np.ndarray
     derivative: np.ndarray
-    degenerate: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.deltas)
-        if len(self.values) != n or len(self.degenerate) != n:
+        if len(self.values) != n:
             raise ValueError("scan columns have inconsistent lengths")
         if len(self.derivative) != max(n - 2, 0):
             raise ValueError("derivative is defined on interior points only")
@@ -187,18 +186,13 @@ def _sigma_mask(sites: int) -> int:
     return sum(1 << (2 * sites - 1 - 2 * s) for s in range(sites))
 
 
-def _parity_sparse(sites: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Permutations i -> i ^ M for M the mask of every sigma spin, then of every tau spin."""
-    sigma = _sigma_mask(sites)
-    zero = np.zeros(4**sites)
-    return _with_flips(zero, [sigma], 1.0), _with_flips(zero, [sigma >> 1], 1.0)
-
-
 def parity_operators(sites: int) -> tuple[np.ndarray, np.ndarray]:
     """The two parity involutions: sigma^x on every sigma spin, and on every tau spin."""
     if sites > DENSE_MAX_SITES:
         raise ValueError(f"dense parity operators support at most {DENSE_MAX_SITES} sites")
-    p1, p2 = _parity_sparse(sites)
+    sigma = _sigma_mask(sites)
+    zero = np.zeros(4**sites)
+    p1, p2 = _with_flips(zero, [sigma], 1.0), _with_flips(zero, [sigma >> 1], 1.0)
     return p1.toarray(), p2.toarray()
 
 
@@ -213,22 +207,6 @@ def ground_state(h: np.ndarray) -> GroundState:
         gap=gap,
         degenerate=gap < DEGENERACY_GAP,
     )
-
-
-def _project_q0(block: np.ndarray, p1, p2) -> np.ndarray:
-    """The one (+1, +1) parity vector inside a degenerate eigenspace (columns of block)."""
-    w = block
-    for parity in (p1, p2):
-        a = w.conj().T @ (parity @ w)
-        vals, vecs = np.linalg.eigh(a)
-        sel = vals > 1.0 - 1e-6
-        if not sel.any():
-            raise ValueError("degenerate ground manifold has no (+1, +1) parity vector")
-        w = w @ vecs[:, sel]
-    if w.shape[1] > 1:
-        raise ValueError(f"degenerate ground manifold has {w.shape[1]} (+1, +1) parity vectors")
-    v = w[:, 0]
-    return v / np.linalg.norm(v)
 
 
 def _orbits(sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,62 +306,26 @@ def _sector_ground(spec: ChainSpec, start: np.ndarray | None = None) -> tuple:
     return embed @ c, energy, bound
 
 
-def _full_space_ground(spec: ChainSpec) -> tuple[np.ndarray, bool]:
-    """Lanczos ground state vector; a degenerate level W gives a vector fixed by H alone:
-    W W^T v0 for the parity-even v0 or, where that vanishes, W's one Q=0 vector."""
-    h = build_hamiltonian_sparse(spec)
-    v0 = np.full(spec.dim, 1.0 / np.sqrt(spec.dim))
-    vals, vecs = eigsh(h, k=6, which="SA", v0=v0)
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    degenerate = bool(vals[1] - vals[0] < DEGENERACY_GAP)
-    if not degenerate:
-        return vecs[:, 0].copy(), False  # a copy, so the eigsh basis is freed
-    sel = vals - vals[0] < DEGENERACY_GAP
-    if sel.all():
-        raise ValueError(
-            f"all {len(vals)} resolved eigenvalues are degenerate with the ground energy; "
-            "the ground manifold may be larger than the solver resolves"
-        )
-    w = vecs[:, sel]
-    v = w @ (w.T @ v0)
-    if np.linalg.norm(v) > 1e-6:
-        return v / np.linalg.norm(v), True
-    return _project_q0(w, *_parity_sparse(spec.sites)), True
-
-
-def _ground_vector(spec: ChainSpec, start: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
-    """Ground state vector of the chain and whether its level is degenerate.
+def _ground_vector(spec: ChainSpec, start: np.ndarray | None = None) -> np.ndarray:
+    """Ground state vector of the chain, solved in the fully symmetric sector from ``start``.
 
     For J > 0 and delta >= 0 every off-diagonal entry of H is <= 0 and single
     spin flips connect all basis states, so by Perron-Frobenius the ground state
-    is unique and positive.  Every symmetry that permutes basis states then fixes
-    it, and it is solved in the fully symmetric sector, from ``start`` if given.
-    Elsewhere the full space is solved and a degenerate level is resolved into
-    the (+1, +1) parity sector.
-
-    Raises RuntimeError when the returned vector is not an eigenvector of H to
-    within RESIDUAL_TOL * max(1, |E|): in the sector, its residual bound; in the
-    full space, ||Hv - Ev|| with E the Rayleigh quotient.  Every error names the
-    coupling delta it failed at.
+    is unique, positive and fixed by every symmetry that permutes basis states.
+    Raises ValueError outside that domain, before anything is built, and
+    RuntimeError when the residual bound exceeds RESIDUAL_TOL * max(1, |E|).
     """
-    if spec.coupling > 0 and spec.delta >= 0:
-        (vector, energy, residual), degenerate = _sector_ground(spec, start), False
-    else:
-        try:
-            vector, degenerate = _full_space_ground(spec)
-        except ValueError as exc:
-            raise ValueError(f"ground state at delta={spec.delta}: {exc}") from exc
-        a, b = _hamiltonian_parts(spec.sites, spec.beta, spec.coupling)
-        hv = a @ vector + spec.delta * (b @ vector)
-        energy = float(vector @ hv)
-        residual = float(np.linalg.norm(hv - energy * vector))
+    if not (spec.coupling > 0 and spec.delta >= 0):
+        raise ValueError(
+            f"delta={spec.delta}, J={spec.coupling} is outside the solved domain J > 0, delta >= 0"
+        )
+    vector, energy, residual = _sector_ground(spec, start)
     if residual > RESIDUAL_TOL * max(1.0, abs(energy)):
         raise RuntimeError(
             f"ground state residual {residual:.3e} at delta={spec.delta} exceeds the bound "
             f"{RESIDUAL_TOL:.0e} * max(1, |E|), E = {energy:.12g}"
         )
-    return vector, degenerate
+    return vector
 
 
 def reduce_to_group(gs_vector: np.ndarray, spec: ChainSpec, group: SpinGroup) -> DensityOperator:
@@ -450,18 +392,16 @@ def _scan(
     deltas = np.asarray(list(deltas), dtype=float)
     if deltas.size == 0:
         raise ValueError("empty coupling grid")
-    values, flags, vector = [], [], None
+    values, vector = [], None
     for delta in deltas:
         spec = replace(template, delta=float(delta))
-        vector, degenerate = _ground_vector(spec, start=vector)  # warm start from the last point
+        vector = _ground_vector(spec, start=vector)  # warm start from the last point
         values.append(measure(vector, spec))
-        flags.append(degenerate)
     values = np.array(values)
     return ScanResult(
         deltas=deltas,
         values=values,
         derivative=central_difference(deltas, values),
-        degenerate=np.array(flags, dtype=bool),
     )
 
 

@@ -43,8 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
     if value is None:
@@ -174,14 +172,13 @@ def _cmd_at_scan(args) -> int:
     lo, hi = at.CRITICAL_WINDOW
     derivative_column: list[Any] = [None] + list(result.derivative) + [None]
     rows = [
-        (float(d), float(g), dv if dv is None else float(dv), bool(flag))
-        for d, g, dv, flag in zip(result.deltas, result.values, derivative_column, result.degenerate)
+        (float(d), float(g), dv if dv is None else float(dv))
+        for d, g, dv in zip(result.deltas, result.values, derivative_column)
     ]
     summary = {
-        "zero_crossings": [round(c, 10) for c in crossings],
-        "window_crossings": [round(c, 10) for c in crossings if lo < c < hi],
+        "zero_crossings": [round(c, 9) for c in crossings],
+        "window_crossings": [round(c, 9) for c in crossings if lo < c < hi],
         "extremum": [_extremum(interior, result.derivative, c) for c in crossings],
-        "degenerate_points": int(result.degenerate.sum()),
     }
     meta = {
         "command": "at-scan",
@@ -193,7 +190,7 @@ def _cmd_at_scan(args) -> int:
         "seed": args.seed,
         "summary": summary,
     }
-    _emit(args, meta, ("delta", "gqd", "dgqd_ddelta", "degenerate"), rows)
+    _emit(args, meta, ("delta", "gqd", "dgqd_ddelta"), rows)
     _emit_summary(args, summary)
     return EXIT_OK
 
@@ -219,7 +216,7 @@ def _parse_state(spec: str):
             _check_site_budget(sites)
             keep = at.pair_qubits(kind)
             chain = at.ChainSpec(sites=sites, beta=1.0, delta=delta)
-            vector, _ = at._ground_vector(chain)
+            vector = at._ground_vector(chain)
             rho = reduced_from_vector(vector, SubsystemDims.qubits(chain.n_spins), keep)
             return spec, rho
     except (ValueError, TypeError) as exc:

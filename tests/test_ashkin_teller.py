@@ -12,7 +12,6 @@ from gqd.ashkin_teller import (
     SpinGroup,
     _ground_vector,
     _orbits,
-    _project_q0,
     build_hamiltonian,
     build_hamiltonian_sparse,
     central_difference,
@@ -32,6 +31,7 @@ from gqd.core import (
     eig_hermitian,
     kron,
     reduced_from_vector,
+    relative_entropy,
 )
 from gqd.correlations import gqd
 from gqd.measurement import all_x, dephase
@@ -43,7 +43,7 @@ SOLVER_SIZES = (4, 7)  # sector of 14 states, solved densely; of 298 states, sol
 
 def assert_z_basis_minimizes(spec, group):
     """The minimized GQD of the group converges onto fixed-z, which lies at or below fixed-x."""
-    rho = reduce_to_group(_ground_vector(spec)[0], spec, SpinGroup(group))
+    rho = reduce_to_group(_ground_vector(spec), spec, SpinGroup(group))
     minimized = gqd(rho, "minimize")
     assert minimized.converged
     assert abs(minimized.value - gqd(rho, "fixed-z").value) <= 1e-9
@@ -219,18 +219,15 @@ class TestGroundState:
             previous = energy
 
     def test_ground_vector_matches_dense(self):
-        # J > 0 and delta >= 0 take the symmetric-sector path, the last two
-        # (coupling, delta) pairs the full-space fallback
         pairs = [(j, d) for j in (1.0, 2.5) for d in (0.0, 0.3, 0.9, 1.0, 1.7)]
-        pairs += [(1.0, -0.5), (-0.7, 0.9)]
         for sites in (2, 3, 4):
             for beta in (0.0, 1.0, 2.5):
                 for coupling, delta in pairs:
                     spec = ChainSpec(sites=sites, beta=beta, delta=delta, coupling=coupling)
                     h = build_hamiltonian(spec)
                     dense = ground_state(h)
-                    vector, degenerate = _ground_vector(spec)
-                    assert degenerate == dense.degenerate
+                    vector = _ground_vector(spec)
+                    assert not dense.degenerate  # Perron-Frobenius: a unique ground state
                     assert abs(vector @ h @ vector - dense.energy) <= 1e-10
                     assert abs(abs(np.vdot(dense.vector, vector)) - 1.0) <= 1e-8
 
@@ -240,8 +237,7 @@ class TestGroundState:
             spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
             h = build_hamiltonian_sparse(spec)
             vals, vecs = eigsh(h, k=1, which="SA", v0=np.full(spec.dim, spec.dim**-0.5))
-            vector, degenerate = _ground_vector(spec)
-            assert not degenerate
+            vector = _ground_vector(spec)
             assert abs(vector @ (h @ vector) - vals[0]) <= 1e-10
             assert abs(abs(vecs[:, 0] @ vector) - 1.0) <= 1e-8
 
@@ -249,7 +245,7 @@ class TestGroundState:
     def test_ground_vector_residual(self, sites):
         for delta in (0.4, 1.0, 1.6):
             spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
-            vector, _ = _ground_vector(spec)
+            vector = _ground_vector(spec)
             h = build_hamiltonian_sparse(spec)
             hv = h @ vector
             energy = vector @ hv
@@ -278,10 +274,10 @@ class TestGroundState:
         for sites, sector_dim in zip(SOLVER_SIZES, (14, 298)):
             spec = ChainSpec(sites=sites, beta=1.0, delta=0.9)
             monkeypatch.setattr(ashkin_teller, "_sector_lowest", solve)
-            expected, _ = _ground_vector(spec)
+            expected = _ground_vector(spec)
             # the overall sign is free: a negated solution is the same ground state
             monkeypatch.setattr(ashkin_teller, "_sector_lowest", signed_solve(-1.0))
-            assert np.abs(_ground_vector(spec)[0] - expected).max() <= 1e-12
+            assert np.abs(_ground_vector(spec) - expected).max() <= 1e-12
             flip_one = np.ones(sector_dim)
             flip_one[5] = -1.0
             monkeypatch.setattr(ashkin_teller, "_sector_lowest", signed_solve(flip_one))
@@ -292,43 +288,18 @@ class TestGroundState:
         # strongly ordered: the smallest exact sector amplitudes are far below
         # 1e-16 and come out of the solver with either sign
         spec = ChainSpec(sites=6, beta=1000.0, delta=0.0)
-        vector, degenerate = _ground_vector(spec)
-        assert not degenerate
+        vector = _ground_vector(spec)
         assert vector.min() >= ashkin_teller.POSITIVITY_FLOOR
 
-    def test_unresolved_degenerate_manifold_raises(self):
-        # beta = 0, delta = -1: three degenerate states per site, 9 in all at
-        # two sites, more than the solver's six eigenpairs can resolve
-        with pytest.raises(ValueError, match="degenerate"):
-            _ground_vector(ChainSpec(sites=2, beta=0.0, delta=-1.0))
+    @pytest.mark.parametrize("delta, coupling", [(-0.5, 1.0), (0.9, -1.0)])
+    def test_outside_the_domain_is_rejected_before_any_build(self, delta, coupling, monkeypatch):
+        def no_build(*chain):
+            raise AssertionError("the sector was built for a rejected coupling")
 
-    @pytest.mark.parametrize("sites", [2, 3, 4])
-    def test_degenerate_level_is_deterministic(self, sites):
-        # delta = -1 lies outside the Perron-Frobenius domain and its ground
-        # level is 4- to 6-fold, with more than one (+1, +1) direction
-        spec = ChainSpec(sites=sites, beta=1.0, delta=-1.0)
-        energies, vectors = np.linalg.eigh(build_hamiltonian(spec))
-        level = vectors[:, energies - energies[0] < 1e-8]
-        assert level.shape[1] > 1
-        expected = level @ level.T.sum(axis=1)  # projection of the uniform vector
-        expected /= np.linalg.norm(expected)
-        for _ in range(3):
-            vector, degenerate = _ground_vector(spec)
-            assert degenerate
-            assert abs(abs(expected @ vector) - 1.0) <= 1e-10
-
-    def test_project_q0_rejects_block_without_even_parity(self):
-        p1, p2 = parity_operators(2)
-        rng = np.random.default_rng(0)
-        odd = (np.eye(16) - p1) / 2.0          # projector onto sigma parity -1
-        block, _ = np.linalg.qr(odd @ rng.normal(size=(16, 2)))
-        with pytest.raises(ValueError, match="parity"):
-            _project_q0(block, p1, p2)
-        # a block with two (+1, +1) directions has no single Q=0 vector to return
-        even = (np.eye(16) + p1) @ (np.eye(16) + p2) / 4.0
-        block, _ = np.linalg.qr(even @ rng.normal(size=(16, 2)))
-        with pytest.raises(ValueError, match="parity"):
-            _project_q0(block, p1, p2)
+        monkeypatch.setattr(ashkin_teller, "_sector_parts", no_build)
+        spec = ChainSpec(sites=3, beta=1.0, delta=delta, coupling=coupling)
+        with pytest.raises(ValueError, match=rf"delta={delta}, J={coupling} .*J > 0, delta >= 0"):
+            _ground_vector(spec)
 
 
 class TestSectorCertificate:
@@ -388,11 +359,11 @@ class TestSectorCertificate:
         a, b, embed, fold_a, fold_b = ashkin_teller._sector_parts(sites, 1.0, 1.0)
         assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
         specs = [ChainSpec(sites=sites, beta=1.0, delta=delta) for delta in (0.4, 1.0, 1.6)]
-        dense = [_ground_vector(spec)[0] for spec in specs]
+        dense = [_ground_vector(spec) for spec in specs]
         parts = (sparse.csr_matrix(a), sparse.csr_matrix(b), embed, fold_a, fold_b)
         monkeypatch.setattr(ashkin_teller, "_sector_parts", lambda *chain: parts)
         for spec, expected in zip(specs, dense):
-            assert np.abs(_ground_vector(spec)[0] - expected).max() <= 1e-12
+            assert np.abs(_ground_vector(spec) - expected).max() <= 1e-12
 
     def test_sector_size_picks_the_solver(self):
         for sites, dense in ((4, True), (8, False)):  # 14 and 1,062 sector states
@@ -416,20 +387,9 @@ class TestSectorCertificate:
         scan = gqd_scan(template, deltas, group, "fixed-x")
         for delta, vector, value in zip(deltas, warm, scan.values):
             spec = replace(template, delta=float(delta))
-            cold, _ = _ground_vector(spec)
+            cold = _ground_vector(spec)
             assert np.abs(vector - cold).max() <= 1e-12
             assert abs(value - gqd(reduce_to_group(cold, spec, group), "fixed-x").value) <= 1e-12
-
-    def test_warm_start_across_the_fallback_boundary(self):
-        # points below delta = 0 are solved in the full space; the first sector
-        # point after them starts from a full-space vector
-        template = ChainSpec(sites=4, beta=1.0, delta=1.0)
-        deltas = [-0.3, -0.1, 0.0, 0.2]
-        warm = []
-        ashkin_teller._scan(template, deltas, lambda vector, spec: warm.append(vector) or 0.0)
-        for delta, vector in zip(deltas, warm):
-            cold, _ = _ground_vector(replace(template, delta=delta))
-            assert abs(abs(cold @ vector) - 1.0) <= 1e-12
 
 
 def qubit_permutation(index, sites, perm):
@@ -505,13 +465,13 @@ class TestSpinGroup:
 
 class TestReduceToGroup:
     def test_valid_density_operator(self):
-        vec, _ = _ground_vector(CRITICAL)
+        vec = _ground_vector(CRITICAL)
         rho = reduce_to_group(vec, CRITICAL, SpinGroup("quartet"))
         assert rho.dims.dims == (2, 2, 2, 2)
         assert abs(rho.matrix.trace() - 1.0) <= 1e-12
 
     def test_translation_invariance(self):
-        vec, _ = _ground_vector(CRITICAL)
+        vec = _ground_vector(CRITICAL)
         spectra = []
         for anchor in range(3):
             rho = reduce_to_group(vec, CRITICAL, SpinGroup("quartet", anchor=anchor))
@@ -523,14 +483,14 @@ class TestReduceToGroup:
         # at beta = 1 the sigma_j/tau_j pair is classical in the sigma-x product basis
         for delta in (0.4, 1.0, 1.6):
             spec = ChainSpec(sites=3, beta=1.0, delta=delta)
-            vec, _ = _ground_vector(spec)
+            vec = _ground_vector(spec)
             rho = reduced_from_vector(vec, SubsystemDims.qubits(6), pair_qubits("same-site"))
             dephased = dephase(rho, all_x(2))
             assert np.abs(dephased.matrix - rho.matrix).max() <= 1e-9
 
     def test_single_spin_reduced_states_x_diagonal(self):
         spec = ChainSpec(sites=3, beta=1.0, delta=0.7)
-        vec, _ = _ground_vector(spec)
+        vec = _ground_vector(spec)
         x_vectors = all_x(1).locals[0].vectors
         for q in range(6):
             rho = reduced_from_vector(vec, SubsystemDims.qubits(6), [q])
@@ -574,7 +534,6 @@ class TestScans:
         result = gqd_scan(CRITICAL, deltas, SpinGroup("quartet"), "fixed-x")
         assert len(result.values) == 3
         assert len(result.derivative) == 1
-        assert not result.degenerate.any()
 
     def test_crossing_stable_under_grid_refinement(self):
         group = SpinGroup("quartet")
@@ -610,6 +569,39 @@ class TestPairwiseScans:
         assert (result.values > 1e-3).all()
         interior = result.deltas[1:-1]
         assert zero_crossings(interior, result.derivative, lo=0.9, hi=1.1) == []
+
+
+class TestPottsPoint:
+    """Fixed-x GQD of whole sites is stationary at delta = 1, where the on-site CNOT is a symmetry."""
+
+    @pytest.mark.parametrize("group", ["quartet", "sextet"])
+    def test_fixed_x_gqd_is_relative_entropy_to_x_dephasing(self, group):
+        # the parities make every single-spin state x-diagonal, so the local terms vanish
+        spec = ChainSpec(sites=4, beta=1.0, delta=0.8)
+        spin_group = SpinGroup(group)
+        rho = reduce_to_group(_ground_vector(spec), spec, spin_group)
+        expected = relative_entropy(rho, dephase(rho, all_x(spin_group.n_spins)))
+        assert abs(gqd(rho, "fixed-x").value - expected) <= 1e-12
+
+    @pytest.mark.parametrize("sites", [4, 8])
+    def test_fixed_x_derivative_at_delta_one_falls_as_step_squared(self, sites):
+        # a central difference reads f'(1) + h^2 f'''(1) / 6: with f'(1) = 0 it
+        # falls by 100 per decade of h
+        steps = (0.1, 0.01, 0.001)
+        deltas = sorted(1.0 + sign * h for h in steps for sign in (-1.0, 1.0))
+        template = ChainSpec(sites=sites, beta=1.0, delta=1.0)
+        for group in ashkin_teller.GROUP_SITES:
+            scan = gqd_scan(template, deltas, SpinGroup(group), "fixed-x")
+            value = dict(zip(deltas, scan.values))
+            slopes = [(value[1.0 + h] - value[1.0 - h]) / (2.0 * h) for h in steps]
+            for coarse, fine in zip(slopes, slopes[1:]):
+                assert 95.0 <= coarse / fine <= 105.0, (group, slopes)
+
+    def test_sigma_neighbour_pair_slope_at_delta_one_is_not_zero(self):
+        # one species alone is not CNOT-invariant, so nothing pins its slope to zero
+        spec = ChainSpec(sites=4, beta=1.0, delta=1.0)
+        scan = pairwise_discord_scan(spec, [0.99, 1.0, 1.01], "neighbor-sigma")
+        assert -0.06 <= scan.derivative[0] <= -0.05
 
 
 class TestHelpers:
@@ -654,5 +646,4 @@ class TestScanResultValidation:
                 deltas=np.array([1.0, 2.0]),
                 values=np.array([0.1]),
                 derivative=np.empty(0),
-                degenerate=np.array([False, False]),
             )
