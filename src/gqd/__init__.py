@@ -11,7 +11,6 @@ Library layout:
 """
 from .core import (
     DensityOperator,
-    Spectrum,
     SubsystemDims,
     eig_hermitian,
     kron,

@@ -35,6 +35,7 @@ POSITIVITY_FLOOR = -1e-12  # sector amplitudes in [floor, 0] are rounding of pos
 FOLD_BLOCK = 4096        # rows per block of the fold certificate, which bounds its temporaries
 DENSE_SECTOR_DIM = 128   # sectors up to this size (M <= 6 sites) are solved densely, larger by eigsh
 CRITICAL_WINDOW = (0.85, 1.15)  # coupling window refined around the delta = 1 critical point
+MAX_GRID_POINTS = 100_000  # largest coarse or fine coupling grid that is built
 
 GROUP_SITES = {"quartet": 2, "sextet": 3, "octet": 4}
 PAIR_KINDS = ("same-site", "neighbor-sigma")
@@ -43,21 +44,18 @@ SCAN_STRATEGIES = ("fixed-z", "fixed-x", "reduced-eigenbasis")
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Chain of ``sites`` sites (2*sites spins) with couplings (beta, delta, J)."""
+    """Chain of ``sites`` sites (2*sites spins) with couplings (beta, delta), in units of J."""
 
     sites: int
     beta: float
     delta: float
-    coupling: float = 1.0
 
     def __post_init__(self) -> None:
         if self.sites < 2:
             raise ValueError(f"need at least 2 sites, got {self.sites}")
-        for name in ("beta", "delta", "coupling"):
+        for name in ("beta", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.coupling == 0.0:
-            raise ValueError("coupling must be nonzero")
 
     @property
     def n_spins(self) -> int:
@@ -70,10 +68,10 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class SpinGroup:
-    """Contiguous block of sites; quartet/sextet/octet = 2/3/4 sites worth of spin pairs."""
+    """The first 2/3/4 sites: a quartet/sextet/octet of spins, like any block of a
+    translation-invariant ground state."""
 
     kind: str
-    anchor: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in GROUP_SITES:
@@ -88,10 +86,10 @@ class SpinGroup:
         return 2 * self.n_group_sites
 
     def qubit_indices(self, sites: int) -> list[int]:
-        """Global qubit indices, sigma block then tau block, sites wrapped mod chain length."""
+        """Global qubit indices, sigma block then tau block."""
         if self.n_group_sites > sites:
             raise ValueError(f"{self.kind} does not fit a chain of {sites} sites")
-        members = [(self.anchor + i) % sites for i in range(self.n_group_sites)]
+        members = range(self.n_group_sites)
         return [2 * s for s in members] + [2 * s + 1 for s in members]
 
 
@@ -134,9 +132,7 @@ def _with_flips(diagonal: np.ndarray, masks: Sequence[int], weight: float) -> sp
 
 
 @functools.lru_cache(maxsize=1)
-def _hamiltonian_parts(
-    sites: int, beta: float, coupling: float
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+def _hamiltonian_parts(sites: int, beta: float) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     """Real parts (A, B) of H(delta) = A + delta * B, built from bit masks.
 
     Qubit q (kron order: site-major, sigma before tau) is bit 2*sites - 1 - q of
@@ -158,16 +154,14 @@ def _hamiltonian_parts(
         zz_s, zz_t = z[s] * z[s_next], z[t] * z[s_next + 1]
         pairs += zz_s + zz_t
         quads += zz_s * zz_t
-    a = _with_flips(-coupling * beta * pairs, bit, -coupling)
-    b = _with_flips(
-        -coupling * beta * quads, [bit[2 * s] | bit[2 * s + 1] for s in range(sites)], -coupling
-    )
+    a = _with_flips(-beta * pairs, bit, -1.0)
+    b = _with_flips(-beta * quads, [bit[2 * s] | bit[2 * s + 1] for s in range(sites)], -1.0)
     return a, b
 
 
 def build_hamiltonian_sparse(spec: ChainSpec) -> sparse.csr_matrix:
     """Real sparse Ashkin-Teller Hamiltonian for up to 8 sites (16 spins)."""
-    a, b = _hamiltonian_parts(spec.sites, spec.beta, spec.coupling)
+    a, b = _hamiltonian_parts(spec.sites, spec.beta)
     return (a + spec.delta * b).tocsr()
 
 
@@ -239,7 +233,7 @@ def _fold_defect(m: sparse.csr_matrix, m_sec: sparse.csr_matrix, embed) -> float
 
 
 @functools.lru_cache(maxsize=1)
-def _sector_parts(sites: int, beta: float, coupling: float) -> tuple:
+def _sector_parts(sites: int, beta: float) -> tuple:
     """A and B folded into the fully symmetric sector, with its embedding and fold certificate.
 
     The sector is spanned by the normalized orbit sums |O> = sum_{i in O} |i> / sqrt|O|.
@@ -256,7 +250,7 @@ def _sector_parts(sites: int, beta: float, coupling: float) -> tuple:
     )
     root = np.sqrt(sizes)
     left, right = sparse.diags(root), sparse.diags(1.0 / root)
-    a, b = _hamiltonian_parts(sites, beta, coupling)
+    a, b = _hamiltonian_parts(sites, beta)
     a_sec, b_sec = ((left @ (m[reps] @ indicator) @ right).tocsr() for m in (a, b))
     embed = (indicator @ right).tocsr()
     folds = [_fold_defect(m, m_sec, embed) for m, m_sec in ((a, a_sec), (b, b_sec))]
@@ -290,7 +284,7 @@ def _sector_ground(spec: ChainSpec, start: np.ndarray | None = None) -> tuple:
     amplitudes of strongly ordered chains that fall below rounding (about
     1e-17 at 8 sites, |beta| = 32, delta = 0) and so come out as -1e-16.
     """
-    a, b, embed, fold_a, fold_b = _sector_parts(spec.sites, spec.beta, spec.coupling)
+    a, b, embed, fold_a, fold_b = _sector_parts(spec.sites, spec.beta)
     h = a + spec.delta * b
     c = _sector_lowest(h, embed, start)
     if c.sum() < 0.0:
@@ -309,16 +303,14 @@ def _sector_ground(spec: ChainSpec, start: np.ndarray | None = None) -> tuple:
 def _ground_vector(spec: ChainSpec, start: np.ndarray | None = None) -> np.ndarray:
     """Ground state vector of the chain, solved in the fully symmetric sector from ``start``.
 
-    For J > 0 and delta >= 0 every off-diagonal entry of H is <= 0 and single
-    spin flips connect all basis states, so by Perron-Frobenius the ground state
-    is unique, positive and fixed by every symmetry that permutes basis states.
-    Raises ValueError outside that domain, before anything is built, and
-    RuntimeError when the residual bound exceeds RESIDUAL_TOL * max(1, |E|).
+    For delta >= 0 every off-diagonal entry of H is <= 0 and single spin flips
+    connect all basis states, so by Perron-Frobenius the ground state is unique,
+    positive and fixed by every symmetry that permutes basis states.  Raises
+    ValueError outside that domain, before anything is built, and RuntimeError
+    when the residual bound exceeds RESIDUAL_TOL * max(1, |E|).
     """
-    if not (spec.coupling > 0 and spec.delta >= 0):
-        raise ValueError(
-            f"delta={spec.delta}, J={spec.coupling} is outside the solved domain J > 0, delta >= 0"
-        )
+    if not spec.delta >= 0:
+        raise ValueError(f"delta={spec.delta} is outside the solved domain delta >= 0")
     vector, energy, residual = _sector_ground(spec, start)
     if residual > RESIDUAL_TOL * max(1.0, abs(energy)):
         raise RuntimeError(
@@ -362,6 +354,13 @@ def zero_crossings(
     return roots
 
 
+def _check_grid_size(span: float, step: float) -> None:
+    """Reject a grid of more than MAX_GRID_POINTS points before it is built; an inf count too."""
+    count = span / step + 1.0
+    if not count <= MAX_GRID_POINTS:
+        raise ValueError(f"coupling grid of {count:.6g} points exceeds {MAX_GRID_POINTS} points")
+
+
 def default_delta_grid(
     start: float = 0.2,
     stop: float = 1.8,
@@ -375,9 +374,11 @@ def default_delta_grid(
             raise ValueError(f"{name} must be finite, got {value}")
     if step <= 0 or stop < start:
         raise ValueError("empty coupling range")
+    _check_grid_size(stop - start, step)
     coarse = np.arange(start, stop + 0.5 * step, step)
     if not 0 < fine_step < step:  # no refinement requested
         return np.unique(np.round(coarse, 10))
+    _check_grid_size(CRITICAL_WINDOW[1] - CRITICAL_WINDOW[0], fine_step)
     fine = np.arange(CRITICAL_WINDOW[0], CRITICAL_WINDOW[1] + 0.5 * fine_step, fine_step)
     fine = fine[(fine >= start) & (fine <= stop)]
     return np.unique(np.round(np.concatenate([coarse, fine]), 10))

@@ -95,23 +95,15 @@ def _cmd_ghz_surface(args) -> int:
         for i, a in enumerate(t2)
         for j, b in enumerate(t3)
     ]
-    meta = {"command": "ghz-surface", "resolution": args.resolution, "seed": args.seed}
+    meta = {"command": "ghz-surface", "resolution": args.resolution}
     _emit(args, meta, ("theta2", "theta3", "gqd"), rows)
     return EXIT_OK
 
 
-def _mu_grid(args) -> np.ndarray:
-    if args.grid_step is not None:
-        if args.grid_step <= 0 or args.grid_step > 1:
-            raise UsageError("grid step must lie in (0, 1]")
-        return np.round(np.arange(0.0, 1.0 + 0.5 * args.grid_step, args.grid_step), 12)
+def _cmd_werner_ghz(args) -> int:
     if args.points < 2:
         raise UsageError("need at least 2 grid points")
-    return np.linspace(0.0, 1.0, args.points)
-
-
-def _cmd_werner_ghz(args) -> int:
-    mus = _mu_grid(args)
+    mus = np.linspace(0.0, 1.0, args.points)
     analytic = [states.werner_ghz_gqd_analytic(float(m)) for m in mus]
     header: tuple[str, ...] = ("mu", "gqd_analytic")
     columns: list[list[Any]] = [list(mus.astype(float)), analytic]
@@ -140,11 +132,6 @@ def _cmd_werner_ghz(args) -> int:
     return EXIT_OK
 
 
-def _delta_grid(args) -> np.ndarray:
-    step = args.grid_step if args.grid_step is not None else 0.05
-    return at.default_delta_grid(args.delta_min, args.delta_max, step, args.fine_step)
-
-
 def _extremum(x: np.ndarray, d: np.ndarray, root: float) -> str:
     """Kind of extremum at a zero of the derivative d: "max" where d falls through it."""
     before, after = d[x < root], d[x > root]
@@ -160,9 +147,10 @@ def _check_site_budget(sites: int) -> None:
 def _cmd_at_scan(args) -> int:
     _check_site_budget(args.sites)
     try:
-        deltas = _delta_grid(args)
+        deltas = at.default_delta_grid(args.delta_min, args.delta_max, args.grid_step,
+                                       args.fine_step)
         template = at.ChainSpec(sites=args.sites, beta=args.beta, delta=float(deltas[0]))
-        group = at.SpinGroup(kind=args.group, anchor=args.anchor)
+        group = at.SpinGroup(kind=args.group)
         result = at.gqd_scan(template, deltas, group, strategy=args.strategy)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -185,9 +173,7 @@ def _cmd_at_scan(args) -> int:
         "sites": args.sites,
         "beta": args.beta,
         "group": args.group,
-        "anchor": args.anchor,
         "strategy": args.strategy,
-        "seed": args.seed,
         "summary": summary,
     }
     _emit(args, meta, ("delta", "gqd", "dgqd_ddelta"), rows)
@@ -269,11 +255,8 @@ def _cmd_selftest(args) -> int:
 def build_parser() -> _Parser:
     base = _Parser(add_help=False)  # flags every command reads
     base.add_argument("--out", default=None, help="output file (default: stdout)")
-    base.add_argument("--seed", type=int, default=0)
     table = _Parser(add_help=False, parents=[base])  # commands that write CSV or JSON
     table.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep = _Parser(add_help=False, parents=[table])  # commands that sweep a parameter
-    sweep.add_argument("--grid-step", type=float, default=None, help="sweep-grid step")
 
     parser = _Parser(prog="gqd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -283,21 +266,22 @@ def build_parser() -> _Parser:
     p.add_argument("--resolution", type=int, default=129, help="grid points per axis")
     p.set_defaults(func=_cmd_ghz_surface)
 
-    p = sub.add_parser("werner-ghz", parents=[sweep],
+    p = sub.add_parser("werner-ghz", parents=[table],
                        help="global discord of the Werner-GHZ family over mu")
     p.add_argument("--mode", choices=("analytic", "numeric", "both"), default="analytic")
     p.add_argument("--points", type=int, default=101)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_werner_ghz)
 
-    p = sub.add_parser("at-scan", parents=[sweep],
+    p = sub.add_parser("at-scan", parents=[table],
                        help="Ashkin-Teller group discord scan across the coupling")
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--group", choices=tuple(sorted(at.GROUP_SITES)), default="quartet")
     p.add_argument("--strategy", choices=at.SCAN_STRATEGIES, default="fixed-x")
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--anchor", type=int, default=0)
     p.add_argument("--delta-min", type=float, default=0.2)
     p.add_argument("--delta-max", type=float, default=1.8)
+    p.add_argument("--grid-step", type=float, default=0.05, help="coarse coupling-grid step")
     p.add_argument("--fine-step", type=float, default=0.01,
                    help="finer step inside the critical window (0 disables)")
     p.set_defaults(func=_cmd_at_scan)
@@ -307,10 +291,12 @@ def build_parser() -> _Parser:
     p.add_argument("state",
                    help="bell | ghz:N | werner:MU | werner-ghz:MU | at-pair:SITES,DELTA,KIND")
     p.add_argument("--strategy", choices=correlations.STRATEGIES, default="minimize")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_discord)
 
     p = sub.add_parser("selftest", parents=[base], help="run the verification suites")
     p.add_argument("--count", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -111,28 +111,10 @@ class DensityOperator:
         return self.dims.total
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.eigenvalues, dtype=float)
-        v = np.asarray(self.eigenvectors, dtype=complex)
-        if np.any(np.diff(w) < 0):
-            raise ValueError("eigenvalues must be ascending")
-        if np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() > 1e-8:
-            raise ValueError("eigenvector columns are not orthonormal")
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
-
-
-def eig_hermitian(m: "np.ndarray | DensityOperator") -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
-    w, v = np.linalg.eigh(_as_hermitian_matrix(m))
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+def eig_hermitian(m: "np.ndarray | DensityOperator"):
+    """Eigendecomposition of a Hermitian matrix: ``.eigenvalues`` ascending, ``.eigenvectors``
+    the orthonormal columns (numpy's ``EighResult``)."""
+    return np.linalg.eigh(_as_hermitian_matrix(m))
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:

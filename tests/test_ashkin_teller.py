@@ -66,10 +66,10 @@ def pauli_string(factors, n_spins):
     return kron(*[factors.get(k, np.eye(2)) for k in range(n_spins)])
 
 
-def pauli_hamiltonian(spec):
-    """The Ashkin-Teller Hamiltonian summed term by term from Pauli strings."""
+def pauli_hamiltonian(spec, j):
+    """The Ashkin-Teller Hamiltonian at overall coupling J, summed term by term from Pauli strings."""
     n = spec.n_spins
-    j, beta, delta = spec.coupling, spec.beta, spec.delta
+    beta, delta = spec.beta, spec.delta
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
     for site in range(spec.sites):
         s, t = 2 * site, 2 * site + 1
@@ -94,10 +94,11 @@ class TestHamiltonian:
          (0.6, -1.4, 2.5), (1.0, 0.9, -0.8)],
     )
     def test_matches_pauli_string_oracle(self, sites, beta, delta, coupling):
-        spec = ChainSpec(sites=sites, beta=beta, delta=delta, coupling=coupling)
+        # H is built in units of J: the Pauli sum at any overall coupling J is J times it
+        spec = ChainSpec(sites=sites, beta=beta, delta=delta)
         h = build_hamiltonian(spec)
         assert h.dtype == np.float64
-        assert np.abs(h - pauli_hamiltonian(spec)).max() <= 1e-12
+        assert np.abs(coupling * h - pauli_hamiltonian(spec, coupling)).max() <= 1e-12
 
     def test_decoupled_transverse_fields(self):
         # beta = delta = 0: four independent spins, ground energy -4J
@@ -147,16 +148,12 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             ChainSpec(sites=1, beta=1.0, delta=1.0)
 
-    @pytest.mark.parametrize("field", ["beta", "delta", "coupling"])
+    @pytest.mark.parametrize("field", ["beta", "delta"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_couplings_rejected(self, field, value):
-        couplings = {"beta": 1.0, "delta": 1.0, "coupling": 1.0, field: value}
+        couplings = {"beta": 1.0, "delta": 1.0, field: value}
         with pytest.raises(ValueError, match=field):
             ChainSpec(sites=2, **couplings)
-
-    def test_zero_coupling_rejected(self):
-        with pytest.raises(ValueError, match="coupling must be nonzero"):
-            ChainSpec(sites=2, beta=1.0, delta=1.0, coupling=0.0)
 
 
 class TestParityOperators:
@@ -219,11 +216,10 @@ class TestGroundState:
             previous = energy
 
     def test_ground_vector_matches_dense(self):
-        pairs = [(j, d) for j in (1.0, 2.5) for d in (0.0, 0.3, 0.9, 1.0, 1.7)]
         for sites in (2, 3, 4):
             for beta in (0.0, 1.0, 2.5):
-                for coupling, delta in pairs:
-                    spec = ChainSpec(sites=sites, beta=beta, delta=delta, coupling=coupling)
+                for delta in (0.0, 0.3, 0.9, 1.0, 1.7):
+                    spec = ChainSpec(sites=sites, beta=beta, delta=delta)
                     h = build_hamiltonian(spec)
                     dense = ground_state(h)
                     vector = _ground_vector(spec)
@@ -291,29 +287,38 @@ class TestGroundState:
         vector = _ground_vector(spec)
         assert vector.min() >= ashkin_teller.POSITIVITY_FLOOR
 
-    @pytest.mark.parametrize("delta, coupling", [(-0.5, 1.0), (0.9, -1.0)])
-    def test_outside_the_domain_is_rejected_before_any_build(self, delta, coupling, monkeypatch):
+    def test_outside_the_domain_is_rejected_before_any_build(self, monkeypatch):
         def no_build(*chain):
             raise AssertionError("the sector was built for a rejected coupling")
 
         monkeypatch.setattr(ashkin_teller, "_sector_parts", no_build)
-        spec = ChainSpec(sites=3, beta=1.0, delta=delta, coupling=coupling)
-        with pytest.raises(ValueError, match=rf"delta={delta}, J={coupling} .*J > 0, delta >= 0"):
+        spec = ChainSpec(sites=3, beta=1.0, delta=-0.5)
+        with pytest.raises(ValueError, match=r"^delta=-0.5 is outside the solved domain delta >= 0$"):
             _ground_vector(spec)
+
+    @pytest.mark.parametrize("sites", [3, 5, 8])
+    def test_ground_vector_is_invariant_under_translation_and_swap(self, sites):
+        # every block of sites, and sigma or tau alike, sees the same amplitudes:
+        # the reason a group needs no anchor
+        n = 2 * sites
+        index = np.arange(4**sites)
+        vector = _ground_vector(ChainSpec(sites=sites, beta=1.0, delta=0.9))
+        for perm in ([(q + 2) % n for q in range(n)], [q ^ 1 for q in range(n)]):
+            assert np.array_equal(vector[qubit_permutation(index, sites, perm)], vector)
 
 
 class TestSectorCertificate:
     @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6, 7, 8])
     def test_fold_certificate_vanishes(self, sites):
-        *_, fold_a, fold_b = ashkin_teller._sector_parts(sites, 1.0, 1.0)
+        *_, fold_a, fold_b = ashkin_teller._sector_parts(sites, 1.0)
         assert 0.0 <= fold_a <= 1e-12
         assert 0.0 <= fold_b <= 1e-12
 
     def test_perturbed_sector_matrix_is_rejected(self, monkeypatch):
         build = ashkin_teller._sector_parts
         for sites in SOLVER_SIZES:
-            a, _ = ashkin_teller._hamiltonian_parts(sites, 1.0, 1.0)
-            a_sec, b_sec, embed, _, fold_b = build(sites, 1.0, 1.0)
+            a, _ = ashkin_teller._hamiltonian_parts(sites, 1.0)
+            a_sec, b_sec, embed, _, fold_b = build(sites, 1.0)
             bad = sparse.lil_matrix(a_sec)
             bad[3, 3] += 1e-6  # a diagonal entry, so the sector matrix stays symmetric
             bad = bad.tocsr()
@@ -356,7 +361,7 @@ class TestSectorCertificate:
 
     @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6])
     def test_dense_and_sparse_solves_agree(self, sites, monkeypatch):
-        a, b, embed, fold_a, fold_b = ashkin_teller._sector_parts(sites, 1.0, 1.0)
+        a, b, embed, fold_a, fold_b = ashkin_teller._sector_parts(sites, 1.0)
         assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
         specs = [ChainSpec(sites=sites, beta=1.0, delta=delta) for delta in (0.4, 1.0, 1.6)]
         dense = [_ground_vector(spec) for spec in specs]
@@ -367,7 +372,7 @@ class TestSectorCertificate:
 
     def test_sector_size_picks_the_solver(self):
         for sites, dense in ((4, True), (8, False)):  # 14 and 1,062 sector states
-            a, b, *_ = ashkin_teller._sector_parts(sites, 1.0, 1.0)
+            a, b, *_ = ashkin_teller._sector_parts(sites, 1.0)
             assert isinstance(a, np.ndarray) == isinstance(b, np.ndarray) == dense
             assert sparse.issparse(a) == sparse.issparse(b) == (not dense)
         # the dense solve needs no start vector and takes none
@@ -428,10 +433,10 @@ class TestOrbits:
         reps, labels, _ = _orbits(sites)
         assert labels.dtype == np.int32
         build = ashkin_teller._sector_parts.__wrapped__  # bypass the one-chain cache
-        fast = build(sites, 1.0, 1.0)
+        fast = build(sites, 1.0)
         reference = np.unique(reps[labels], return_inverse=True, return_counts=True)
         monkeypatch.setattr(ashkin_teller, "_orbits", lambda _: reference)
-        for got, want in zip(fast[:3], build(sites, 1.0, 1.0)[:3]):  # A_sec, B_sec, embedding
+        for got, want in zip(fast[:3], build(sites, 1.0)[:3]):  # A_sec, B_sec, embedding
             if isinstance(got, np.ndarray):  # a sector part small enough to be held dense
                 assert isinstance(want, np.ndarray) and np.array_equal(got, want)
                 continue
@@ -441,12 +446,8 @@ class TestOrbits:
 
 class TestSpinGroup:
     def test_quartet_indices(self):
-        group = SpinGroup("quartet", anchor=0)
+        group = SpinGroup("quartet")
         assert group.qubit_indices(3) == [0, 2, 1, 3]
-
-    def test_wraps_periodically(self):
-        group = SpinGroup("sextet", anchor=2)
-        assert group.qubit_indices(3) == [4, 0, 2, 5, 1, 3]
 
     def test_group_too_large(self):
         with pytest.raises(ValueError):
@@ -471,13 +472,14 @@ class TestReduceToGroup:
         assert abs(rho.matrix.trace() - 1.0) <= 1e-12
 
     def test_translation_invariance(self):
+        # the quartet on sites (0, 1) equals the one on any pair of neighbours
         vec = _ground_vector(CRITICAL)
-        spectra = []
-        for anchor in range(3):
-            rho = reduce_to_group(vec, CRITICAL, SpinGroup("quartet", anchor=anchor))
-            spectra.append(np.sort(np.linalg.eigvalsh(rho.matrix)))
-        assert np.abs(spectra[0] - spectra[1]).max() <= 1e-9
-        assert np.abs(spectra[0] - spectra[2]).max() <= 1e-9
+        first = reduce_to_group(vec, CRITICAL, SpinGroup("quartet")).matrix
+        for shift in range(3):
+            block = [shift, (shift + 1) % 3]
+            keep = [2 * s for s in block] + [2 * s + 1 for s in block]
+            rho = reduced_from_vector(vec, SubsystemDims.qubits(6), keep)
+            assert np.abs(rho.matrix - first).max() <= 1e-9
 
     def test_same_site_pair_diagonal_in_x_basis(self):
         # at beta = 1 the sigma_j/tau_j pair is classical in the sigma-x product basis
@@ -632,6 +634,14 @@ class TestHelpers:
     def test_default_delta_grid_rejects_non_finite_arguments(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             default_delta_grid(**{name: value})
+
+    def test_default_delta_grid_bounds_its_size(self):
+        assert default_delta_grid(0.0, 99_999.0, 1.0, 0.0).size == ashkin_teller.MAX_GRID_POINTS
+        for args, count in [((0.0, 100_000.0, 1.0, 0.0), "100001"),
+                            ((-1e308, 1e308, 1.0, 0.0), "inf"),
+                            ((0.2, 1.8, 0.05, 1e-320), "inf")]:
+            with pytest.raises(ValueError, match=f"^coupling grid of {count} points exceeds"):
+                default_delta_grid(*args)
 
     @pytest.mark.parametrize("fine_step", [0.0, -0.01, 0.05, 0.1])
     def test_non_positive_or_coarse_fine_step_means_no_refinement(self, fine_step):

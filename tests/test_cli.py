@@ -119,12 +119,6 @@ class TestWernerGhz:
         assert header == ["mu", "gqd_analytic", "gqd_numeric", "abs_difference"]
         assert len(rows) == 2
 
-    def test_grid_step_flag(self, capsys):
-        code, out, _ = run_cli(["werner-ghz", "--grid-step", "0.25"], capsys)
-        assert code == 0
-        _, rows = parse_csv(split_summary(out)[0])
-        assert [float(r[0]) for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
-
 
 class TestAtScan:
     def test_small_scan_with_summary(self, capsys):
@@ -207,7 +201,7 @@ class TestAtScan:
         assert code == 1
         assert out == ""
         assert err.startswith("gqd: error: ") and err.count("\n") == 1
-        assert "delta=-0.5, J=1.0" in err and "J > 0, delta >= 0" in err
+        assert "delta=-0.5 is outside the solved domain delta >= 0" in err
 
     def test_unresolved_ground_state_names_its_delta(self, capsys):
         code, out, err = run_cli(
@@ -229,6 +223,17 @@ class TestAtScan:
         assert code == 1
         assert out == ""
         assert f"gqd: error: {name} must be finite, got {value}" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, count",
+        [("--grid-step", "1e-300", "1.6e+300"), ("--delta-max", "1e300", "2e+301"),
+         ("--fine-step", "1e-9", "3e+08")],
+    )
+    def test_oversized_grid_is_a_usage_error(self, flag, value, count, capsys):
+        code, out, err = run_cli(["at-scan", "--sites", "2", flag, value], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"gqd: error: coupling grid of {count} points exceeds 100000 points" in err
 
     def test_zero_fine_step_scans_the_coarse_grid(self, capsys):
         code, out, _ = run_cli(
@@ -335,7 +340,7 @@ class TestDiscordCommand:
         code, out, err = run_cli(["discord", "at-pair:3,-0.5,same-site"], capsys)
         assert code == 1
         assert out == ""
-        assert "delta=-0.5, J=1.0" in err and "J > 0, delta >= 0" in err
+        assert "delta=-0.5 is outside the solved domain delta >= 0" in err
 
     def test_at_pair_over_sparse_budget(self, capsys):
         code, out, err = run_cli(["discord", "at-pair:9,1.0,same-site"], capsys)
@@ -408,6 +413,10 @@ class TestIoAndUsage:
             ["selftest", "--multistarts", "8"],
             ["werner-ghz", "--multistarts", "8"],
             ["discord", "bell", "--multistarts", "8"],
+            ["at-scan", "--sites", "2", "--anchor", "1"],
+            ["at-scan", "--sites", "2", "--seed", "1"],
+            ["ghz-surface", "--seed", "1"],
+            ["werner-ghz", "--grid-step", "0.25"],
         ],
     )
     def test_flag_not_read_by_command(self, argv, capsys):

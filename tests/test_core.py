@@ -325,7 +325,10 @@ class TestEigHermitian:
     def test_reconstruction(self):
         rho = random_density((2, 2, 2), seed=13)
         spec = eig_hermitian(rho)
-        recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+        v = spec.eigenvectors
+        assert np.all(np.diff(spec.eigenvalues) >= 0)  # ascending
+        assert np.abs(v.conj().T @ v - np.eye(8)).max() <= 1e-8  # orthonormal columns
+        recon = (v * spec.eigenvalues) @ v.conj().T
         assert np.abs(recon - rho.matrix).max() <= 1e-9
 
     def test_rejects_non_hermitian(self):
