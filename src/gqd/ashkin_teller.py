@@ -97,7 +97,6 @@ class SpinGroup:
 class GroundState:
     energy: float
     vector: np.ndarray
-    gap: float
     degenerate: bool
 
 
@@ -194,12 +193,10 @@ def ground_state(h: np.ndarray) -> GroundState:
     """Lowest eigenpair of a dense Hermitian matrix, with a degeneracy flag (test reference)."""
     spec = eig_hermitian(h)
     e = spec.eigenvalues
-    gap = float(e[1] - e[0]) if len(e) > 1 else np.inf
     return GroundState(
         energy=float(e[0]),
         vector=spec.eigenvectors[:, 0],
-        gap=gap,
-        degenerate=gap < DEGENERACY_GAP,
+        degenerate=len(e) > 1 and bool(e[1] - e[0] < DEGENERACY_GAP),
     )
 
 
@@ -243,6 +240,7 @@ def _sector_parts(sites: int, beta: float) -> tuple:
     E the isometry c -> sum_O c_O |O>, and f_A = ||A E - E A_sec||_F, f_B likewise.
     A_sec and B_sec are dense arrays up to DENSE_SECTOR_DIM states, sparse above.
     """
+    a, b = _hamiltonian_parts(sites, beta)
     reps, labels, sizes = _orbits(sites)
     dim = labels.size
     indicator = sparse.csr_matrix(
@@ -250,7 +248,6 @@ def _sector_parts(sites: int, beta: float) -> tuple:
     )
     root = np.sqrt(sizes)
     left, right = sparse.diags(root), sparse.diags(1.0 / root)
-    a, b = _hamiltonian_parts(sites, beta)
     a_sec, b_sec = ((left @ (m[reps] @ indicator) @ right).tocsr() for m in (a, b))
     embed = (indicator @ right).tocsr()
     folds = [_fold_defect(m, m_sec, embed) for m, m_sec in ((a, a_sec), (b, b_sec))]

@@ -71,7 +71,9 @@ class DensityOperator:
     """Hermitian, unit-trace, positive matrix over labeled subsystems.
 
     Validated on construction: Hermiticity and trace to 1e-10, minimum
-    eigenvalue >= -1e-10.  The validated spectrum is kept as ``eigenvalues``.
+    eigenvalue >= -1e-10.  The stored matrix is the exact Hermitian part
+    0.5 (m + m^dagger) of the input, float64 when the input is real and
+    complex128 otherwise.  The validated spectrum is kept as ``eigenvalues``.
     """
 
     matrix: np.ndarray
@@ -79,7 +81,8 @@ class DensityOperator:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
+        m = m.astype(np.result_type(m, np.float64), copy=False)
         dims = _as_dims(self.dims)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
@@ -87,16 +90,14 @@ class DensityOperator:
             raise ValueError(
                 f"matrix side {m.shape[0]} does not match subsystem dims {dims.dims}"
             )
-        herm = np.abs(m - m.conj().T).max()
-        if herm > HERMITIAN_TOL:
-            raise ValueError(f"matrix is not Hermitian (max asymmetry {herm:.3e})")
+        m = _as_hermitian_matrix(m)
+        m = 0.5 * (m + m.conj().T)
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr}")
         w = np.linalg.eigvalsh(m)
         if w.min() < EIG_FLOOR:
             raise ValueError(f"matrix is not positive (min eigenvalue {w.min():.3e})")
-        m = m.copy()
         m.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
@@ -133,27 +134,18 @@ def _validate_keep(keep: Sequence[int], n: int) -> list[int]:
     return keep
 
 
-def partial_trace_matrix(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a raw matrix; kept subsystems appear in ``keep`` order."""
-    dims = [int(d) for d in dims]
+def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
+    """Reduced operator on the kept subsystems (in ``keep`` order); trace preserved."""
+    dims = list(rho.dims)
     n = len(dims)
     keep = _validate_keep(keep, n)
     traced = [k for k in range(n) if k not in keep]
-    t = np.asarray(m, dtype=complex).reshape(dims + dims)
     axes = keep + traced + [n + k for k in keep] + [n + k for k in traced]
-    t = np.transpose(t, axes)
-    d_keep = int(np.prod([dims[k] for k in keep]))
-    d_rest = int(np.prod([dims[k] for k in traced])) if traced else 1
-    t = t.reshape(d_keep, d_rest, d_keep, d_rest)
-    return np.einsum("aibi->ab", t)
-
-
-def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
-    """Reduced operator on the kept subsystems (in ``keep`` order); trace preserved."""
-    out = partial_trace_matrix(rho.matrix, rho.dims.dims, keep)
-    out = 0.5 * (out + out.conj().T)
-    sub = SubsystemDims(tuple(rho.dims[k] for k in keep))
-    return DensityOperator(out, sub)
+    d_keep = math.prod(dims[k] for k in keep)
+    d_rest = rho.total_dim // d_keep
+    t = np.transpose(rho.matrix.reshape(dims + dims), axes).reshape(d_keep, d_rest, d_keep, d_rest)
+    sub = SubsystemDims(tuple(dims[k] for k in keep))
+    return DensityOperator(np.einsum("aibi->ab", t), sub)
 
 
 def reduced_from_vector(
@@ -168,17 +160,15 @@ def reduced_from_vector(
     v = np.transpose(v, keep + rest)
     d_keep = int(np.prod([dims[k] for k in keep]))
     a = v.reshape(d_keep, -1)
-    out = a @ a.conj().T
-    out = 0.5 * (out + out.conj().T)
     sub = SubsystemDims(tuple(dims[k] for k in keep))
-    return DensityOperator(out, sub)
+    return DensityOperator(a @ a.conj().T, sub)
 
 
 def _as_hermitian_matrix(rho: "DensityOperator | np.ndarray") -> np.ndarray:
     """The matrix (or (..., d, d) stack) of rho; raw arrays must be Hermitian to 1e-10."""
     if isinstance(rho, DensityOperator):
         return rho.matrix
-    m = np.asarray(rho, dtype=complex)
+    m = np.asarray(rho)
     herm = np.abs(m - m.conj().swapaxes(-1, -2)).max()
     if herm > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {herm:.3e})")

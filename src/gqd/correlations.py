@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from . import measurement
-from .core import DensityOperator, partial_trace_matrix, shannon_entropy, von_neumann_entropy
+from .core import DensityOperator, partial_trace, shannon_entropy, von_neumann_entropy
 from .measurement import LocalBasis, ProductBasis
 
 STRATEGIES = ("fixed-z", "fixed-x", "reduced-eigenbasis", "minimize")
@@ -174,8 +174,8 @@ def mutual_information(rho: DensityOperator, cut: Sequence[int]) -> float:
     if not a or len(a) == len(rho.dims) or any(k < 0 or k >= n for k in a):
         raise ValueError(f"cut {list(cut)} does not split {n} subsystems into two nonempty groups")
     b = [k for k in range(n) if k not in a]
-    s_a = von_neumann_entropy(partial_trace_matrix(rho.matrix, rho.dims.dims, a))
-    s_b = von_neumann_entropy(partial_trace_matrix(rho.matrix, rho.dims.dims, b))
+    s_a = von_neumann_entropy(partial_trace(rho, a))
+    s_b = von_neumann_entropy(partial_trace(rho, b))
     return float(s_a + s_b - von_neumann_entropy(rho))
 
 
@@ -366,7 +366,8 @@ def gqd(
 def discord_asymmetric(rho_ab: DensityOperator, config: OptimizerConfig | None = None) -> float:
     """Bipartite quantum discord with the measurement on the last subsystem.
 
-    Minimizes I - [S(A) - S(AB|{Pi_B})] over projective qubit bases on B.
+    Minimizes I - [S(A) - S(AB|{Pi_B})] = S(B) - S(AB) + S(AB|{Pi_B}) over
+    projective qubit bases on B.
     """
     dims = rho_ab.dims.dims
     if len(dims) < 2 or dims[-1] != 2:
@@ -376,11 +377,11 @@ def discord_asymmetric(rho_ab: DensityOperator, config: OptimizerConfig | None =
     d_b = dims[-1]
     d_a = rho_ab.total_dim // d_b
     t = rho_ab.matrix.reshape(d_a, d_b, d_a, d_b)
-    info = mutual_information(rho_ab, cut=range(len(dims) - 1))
-    s_a = von_neumann_entropy(np.einsum("abcb->ac", t))
+    s_b = von_neumann_entropy(partial_trace(rho_ab, [len(dims) - 1]))
+    offset = s_b - von_neumann_entropy(rho_ab)
 
     def objective(x: np.ndarray) -> np.ndarray:
-        return info - s_a + _conditional_entropy_tensor(t, _qubit_unitaries(x)[:, 0])
+        return offset + _conditional_entropy_tensor(t, _qubit_unitaries(x)[:, 0])
 
     half_pi = 0.5 * math.pi
     seeds = [np.array([0.0, 0.0]), np.array([half_pi, 0.0]), np.array([half_pi, half_pi])]

@@ -141,8 +141,7 @@ def all_x(n: int) -> ProductBasis:
 def _dephase_matrix(m: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Kill off-diagonals of m in the basis of u's columns; u may be a (..., D, D) stack."""
     p = basis_probabilities(m, u)
-    out = (u * p[..., None, :]) @ u.conj().swapaxes(-1, -2)
-    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+    return (u * p[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def dephase(rho: DensityOperator, basis: ProductBasis) -> DensityOperator:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -21,9 +22,17 @@ from . import core, correlations, measurement, states
 @dataclass
 class SuiteResult:
     name: str
-    passed: int
-    total: int
+    passed: int = 0
+    total: int = 0
     failures: list[str] = field(default_factory=list)
+
+    def record(self, ok: bool, detail: Callable[[], str]) -> None:
+        """Count one case; ``detail`` is formatted only for the first 5 failures."""
+        self.total += 1
+        if ok:
+            self.passed += 1
+        elif len(self.failures) < 5:
+            self.failures.append(detail())
 
     @property
     def ok(self) -> bool:
@@ -67,7 +76,7 @@ def _product_basis(angles: list[tuple[float, float]]) -> measurement.ProductBasi
 
 
 def _suite_non_negativity(rng: np.random.Generator, count: int) -> SuiteResult:
-    result = SuiteResult("non-negativity", 0, count)
+    result = SuiteResult("non-negativity")
     for i in range(count):
         n = int(rng.integers(2, 4))
         total = 2**n
@@ -76,17 +85,15 @@ def _suite_non_negativity(rng: np.random.Generator, count: int) -> SuiteResult:
         rho = states.random_density((2,) * n, rank=rank, seed=state_seed)
         angles = _random_basis_angles(rng, n)
         value = correlations.gqd_at_basis(rho, _product_basis(angles))
-        if value >= -1e-9:
-            result.passed += 1
-        elif len(result.failures) < 5:
-            result.failures.append(
-                f"state_seed={state_seed} n={n} rank={rank} angles={angles} value={value}"
-            )
+        result.record(
+            value >= -1e-9,
+            lambda: f"state_seed={state_seed} n={n} rank={rank} angles={angles} value={value}",
+        )
     return result
 
 
 def _suite_monotonicity(rng: np.random.Generator, count: int) -> SuiteResult:
-    result = SuiteResult("relative-entropy-monotonicity", 0, count)
+    result = SuiteResult("relative-entropy-monotonicity")
     for i in range(count):
         n = int(rng.integers(2, 4))
         seed_a = int(rng.integers(0, 2**32))
@@ -97,17 +104,15 @@ def _suite_monotonicity(rng: np.random.Generator, count: int) -> SuiteResult:
         part = core.relative_entropy(
             core.partial_trace(rho, [0]), core.partial_trace(sigma, [0])
         )
-        if full >= part - 1e-9 and full >= -1e-10:
-            result.passed += 1
-        elif len(result.failures) < 5:
-            result.failures.append(
-                f"seeds=({seed_a},{seed_b}) n={n} full={full} reduced={part}"
-            )
+        result.record(
+            full >= part - 1e-9 and full >= -1e-10,
+            lambda: f"seeds=({seed_a},{seed_b}) n={n} full={full} reduced={part}",
+        )
     return result
 
 
 def _suite_idempotence(rng: np.random.Generator, count: int) -> SuiteResult:
-    result = SuiteResult("dephasing-idempotence", 0, count)
+    result = SuiteResult("dephasing-idempotence")
     for i in range(count):
         n = int(rng.integers(2, 4))
         state_seed = int(rng.integers(0, 2**32))
@@ -117,25 +122,12 @@ def _suite_idempotence(rng: np.random.Generator, count: int) -> SuiteResult:
         once = measurement.dephase(rho, basis)
         twice = measurement.dephase(once, basis)
         err = np.abs(twice.matrix - once.matrix).max()
-        if err <= 1e-10:
-            result.passed += 1
-        elif len(result.failures) < 5:
-            result.failures.append(f"state_seed={state_seed} angles={angles} error={err}")
+        result.record(err <= 1e-10, lambda: f"state_seed={state_seed} angles={angles} error={err}")
     return result
 
 
 def _suite_oracle_equality(rng: np.random.Generator, count: int) -> SuiteResult:
-    checks = 0
-    result = SuiteResult("oracle-equality", 0, 0)
-
-    def record(ok: bool, detail: str) -> None:
-        nonlocal checks
-        checks += 1
-        if ok:
-            result.passed += 1
-        elif len(result.failures) < 5:
-            result.failures.append(detail)
-
+    result = SuiteResult("oracle-equality")
     # mutual information == relative entropy to the product of marginals
     for i in range(max(count // 4, 10)):
         state_seed = int(rng.integers(0, 2**32))
@@ -148,13 +140,18 @@ def _suite_oracle_equality(rng: np.random.Generator, count: int) -> SuiteResult:
             - core.von_neumann_entropy(rho)
         )
         rel = core.relative_entropy(rho, core.kron(rho_a.matrix, rho_b.matrix))
-        record(abs(info - rel) <= 1e-9, f"mutual-info state_seed={state_seed} I={info} rel={rel}")
+        result.record(
+            abs(info - rel) <= 1e-9,
+            lambda: f"mutual-info state_seed={state_seed} I={info} rel={rel}",
+        )
 
     # closed-form Werner-GHZ discord against the all-z evaluation
     for mu in np.linspace(0.0, 1.0, 21):
         analytic = states.werner_ghz_gqd_analytic(float(mu))
         numeric = correlations.gqd_at_basis(states.werner_ghz(float(mu)), measurement.all_z(3))
-        record(abs(analytic - numeric) <= 1e-10, f"werner-ghz mu={mu} {analytic} vs {numeric}")
+        result.record(
+            abs(analytic - numeric) <= 1e-10, lambda: f"werner-ghz mu={mu} {analytic} vs {numeric}"
+        )
 
     # dephased GHZ spectrum formula against the full channel + eigensolver
     for t2, t3 in ((0.0, 0.0), (0.7, 1.9), (math.pi / 2, math.pi / 2), (2.1, 0.3)):
@@ -163,7 +160,7 @@ def _suite_oracle_equality(rng: np.random.Generator, count: int) -> SuiteResult:
         dephased = measurement.dephase(states.ghz(3), basis)
         computed = core.eig_hermitian(dephased).eigenvalues
         err = np.abs(predicted - computed).max()
-        record(err <= 1e-10, f"ghz-spectrum angles=({t2},{t3}) error={err}")
+        result.record(err <= 1e-10, lambda: f"ghz-spectrum angles=({t2},{t3}) error={err}")
 
     # correlation-loss form == relative-entropy form at random bases
     for i in range(max(count // 4, 10)):
@@ -176,12 +173,12 @@ def _suite_oracle_equality(rng: np.random.Generator, count: int) -> SuiteResult:
         loss_form = correlations.mutual_information(rho, [0]) - correlations.mutual_information(
             dephased, [0]
         )
-        record(
+        result.record(
             abs(relative_form - loss_form) <= 1e-9,
-            f"dual-form state_seed={state_seed} angles={angles} {relative_form} vs {loss_form}",
+            lambda: f"dual-form state_seed={state_seed} angles={angles} "
+            f"{relative_form} vs {loss_form}",
         )
 
-    result.total = checks
     return result
 
 

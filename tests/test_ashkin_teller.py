@@ -296,6 +296,14 @@ class TestGroundState:
         with pytest.raises(ValueError, match=r"^delta=-0.5 is outside the solved domain delta >= 0$"):
             _ground_vector(spec)
 
+    def test_site_budget_is_checked_before_the_orbit_table(self, monkeypatch):
+        def no_orbits(sites):
+            raise AssertionError("the orbit table was built for a chain over budget")
+
+        monkeypatch.setattr(ashkin_teller, "_orbits", no_orbits)
+        with pytest.raises(ValueError, match="^chains beyond 8 sites are out of budget$"):
+            _ground_vector(ChainSpec(sites=9, beta=1.0, delta=1.0))
+
     @pytest.mark.parametrize("sites", [3, 5, 8])
     def test_ground_vector_is_invariant_under_translation_and_swap(self, sites):
         # every block of sites, and sigma or tau alike, sees the same amplitudes:
@@ -470,6 +478,12 @@ class TestReduceToGroup:
         rho = reduce_to_group(vec, CRITICAL, SpinGroup("quartet"))
         assert rho.dims.dims == (2, 2, 2, 2)
         assert abs(rho.matrix.trace() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("group", ["quartet", "octet"])
+    def test_real_ground_state_reduces_to_a_real_state(self, group):
+        spec = ChainSpec(sites=4, beta=1.0, delta=1.0)
+        rho = reduce_to_group(_ground_vector(spec), spec, SpinGroup(group))
+        assert rho.matrix.dtype == np.float64
 
     def test_translation_invariance(self):
         # the quartet on sites (0, 1) equals the one on any pair of neighbours

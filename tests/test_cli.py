@@ -7,7 +7,7 @@ import pytest
 
 import gqd.core
 from gqd import cli, correlations
-from gqd.selftest import run_selftest
+from gqd.selftest import SuiteResult, run_selftest
 
 
 def run_cli(args, capsys):
@@ -248,6 +248,7 @@ class TestAtScan:
     def test_over_sparse_budget(self, capsys):
         code, _, err = run_cli(["at-scan", "--sites", "9"], capsys)
         assert code == 3
+        assert err == "gqd: error: chains beyond 8 sites are out of budget\n"
 
     @pytest.mark.parametrize(
         "flags",
@@ -380,6 +381,17 @@ class TestSelftestCommand:
         assert code == 4
         assert "FAIL" in out
         assert "failing case" in out
+
+    def test_suite_result_keeps_five_failure_details_and_formats_no_passing_case(self):
+        def never():
+            raise AssertionError("a passing case formatted its detail")
+
+        result = SuiteResult("suite")
+        for k in range(8):
+            result.record(True, never)
+            result.record(False, lambda: f"case {k}")
+        assert (result.passed, result.total, result.ok) == (8, 16, False)
+        assert result.failures == [f"case {k}" for k in range(5)]
 
     def test_report_written_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "report.txt"

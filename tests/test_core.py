@@ -120,6 +120,27 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="side"):
             DensityOperator(np.eye(4, dtype=complex) / 4, SubsystemDims((2,)))
 
+    def test_dtype_follows_the_input(self):
+        dims = SubsystemDims((2,))
+        for given, stored in ((np.float32, np.float64), (np.float64, np.float64),
+                              (np.complex64, np.complex128), (np.complex128, np.complex128)):
+            rho = DensityOperator((np.eye(2) / 2).astype(given), dims)
+            assert rho.matrix.dtype == stored
+            assert rho.eigenvalues.dtype == np.float64
+        assert DensityOperator([[1, 0], [0, 0]], dims).matrix.dtype == np.float64
+
+    def test_stores_the_exact_hermitian_part(self):
+        # random_density's G G^dagger for one qubit: Hermitian to rounding, not exactly
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        m = g @ g.conj().T
+        m /= m.trace().real
+        assert 0.0 < np.abs(m - m.conj().T).max() <= 1e-10
+        rho = DensityOperator(m, SubsystemDims((2,)))
+        assert np.array_equal(rho.matrix, 0.5 * (m + m.conj().T))
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        assert np.array_equal(random_density((2,), seed=0).matrix, rho.matrix)
+
 
 class TestPartialTrace:
     def test_product_state(self):

@@ -153,6 +153,27 @@ class TestDiscordAsymmetric:
         with pytest.raises(ValueError):
             discord_asymmetric(random_density((2, 3), seed=0))
 
+    def test_takes_one_spectrum_of_rho_b_and_none_of_rho_a_before_the_search(self, monkeypatch):
+        rho = random_density((2, 2, 2), rank=3, seed=8)
+        eigvalsh, shapes = np.linalg.eigvalsh, []
+
+        class SearchStarted(Exception):
+            pass
+
+        def counting(m):
+            shapes.append(np.shape(m))
+            return eigvalsh(m)
+
+        def search(*args, **kwargs):
+            raise SearchStarted
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(correlations, "_minimize_over_angles", search)
+        with pytest.raises(SearchStarted):
+            discord_asymmetric(rho)
+        # validating rho_B is the only spectrum; S(AB) is read from rho's validated one
+        assert shapes == [(2, 2)]
+
 
 class TestGqdAtBasis:
     def test_ghz_all_z_is_one(self):
