@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from . import measurement
 from .core import DensityOperator, partial_trace, shannon_entropy, von_neumann_entropy
@@ -28,19 +27,20 @@ STRATEGIES = ("fixed-z", "fixed-x", "reduced-eigenbasis", "minimize")
 
 _GRID_POINTS = 9  # theta and phi values per qubit on the coarse grid
 _COARSE_BUDGET = 6561  # coarse rows: the full grid while 81**n fits, else a seeded sample
-_MULTISTARTS = 8  # distinct coarse points refined by L-BFGS
-_GTOL = 1e-8  # L-BFGS gradient tolerance (max-norm)
-_CHUNK_ROWS = 64  # coarse-grid candidates scored per vectorized objective call
-_FD_STEP = 1e-5  # central-difference step of the refinement gradient, in radians
-_FTOL = 1e-15  # L-BFGS relative-decrease floor: refine until no further progress
-# A line-search stop counts as converged when |gradient|_inf <= this.  Where a
-# minimum sits at a vanishing outcome probability (pure states), p log p is not
-# smooth and the central difference reads up to ~2e-7 at the minimum.
+_MULTISTARTS = 8  # distinct coarse points refined in lockstep, one objective call per round
+_GTOL = 1e-8  # a start converges once its gradient's max-norm is at most this ...
+_FTOL = 1e-15  # ... or once an accepted step lowers its value by at most this relative amount
+# A line search that finds no decrease converges only when |gradient|_inf <= this.
+# Where a minimum sits at a vanishing outcome probability (pure states), p log p is
+# not smooth and the central difference reads up to ~2e-7 at the minimum.
 _STALL_GTOL = 1e-6
-
-
-class _BudgetExhausted(Exception):
-    """Raised inside refinement when max_evaluations cannot pay for one more step."""
+_FD_STEP = 1e-5  # central-difference step of the refinement gradient, in radians
+_ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
+_MIN_STEP = 1e-10  # radians: a line search whose step moves no angle further has found no decrease
+# Rows x 4**n_pairs per objective call.  The contraction's intermediates take about
+# 9 bytes per element, so a call stays near 2.3 MB: 16,384 rows at n = 2, 1,024 at
+# n = 4 (the fastest per row measured there) and 4 at n = 8.
+_ELEMENT_BUDGET = 2**18
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,9 @@ class OptimizerConfig:
 
     The coarse stage walks a per-qubit (theta, phi) grid — enumerated in full
     when small enough, otherwise sampled with ``seed`` — and the best distinct
-    points seed L-BFGS refinements.  A run that would score more than
-    ``max_evaluations`` objective rows stops and reports ``converged=False``.
+    points start quasi-Newton refinements that advance in lockstep.  A run that
+    would score more than ``max_evaluations`` objective rows stops and reports
+    ``converged=False``.
     """
 
     max_evaluations: int = 200_000
@@ -211,16 +212,23 @@ def _minimize_over_angles(
     config: OptimizerConfig,
     seeds: Sequence[np.ndarray] = (),
 ) -> tuple[float, np.ndarray, int, bool]:
-    """Coarse grid + multistart L-BFGS over n_pairs (theta, phi) pairs.
+    """Coarse grid + lockstep multistart BFGS over n_pairs (theta, phi) pairs.
 
-    ``objective`` maps angle rows x[B, 2 * n_pairs] to B values; the seeds
-    and grid are scored in chunks of ``_CHUNK_ROWS`` rows.  Each refinement
-    step is one call that scores x and x +- _FD_STEP along every angle, so
-    the value and its central-difference gradient cost ``1 + 4 * n_pairs``
-    rows, all of them counted as evaluations.  The best row seen anywhere,
-    probe rows included, is returned.  Returns (best value, best angles,
-    evaluations, converged).  Deterministic for a fixed config: enumeration
-    order is fixed and the sampled grid uses its seed.
+    ``objective`` maps angle rows x[B, 2 * n_pairs] to B values.  Every row
+    stack, the seeds and grid included, is scored in calls of at most
+    ``_ELEMENT_BUDGET // 4**n_pairs`` rows.  The ``_MULTISTARTS`` best distinct
+    coarse points are refined together: each round scores every live start's
+    trial point and its +-_FD_STEP probes along every angle (``1 + 4 * n_pairs``
+    rows per start, its value and central-difference gradient) in one stack.
+    Every start keeps its own inverse Hessian and backtracking Armijo line
+    search.  A start converges when max|g| <= _GTOL or an accepted step
+    decreases the value by a relative _FTOL or less; a line search that
+    finds no decrease converges only when max|g| <= _STALL_GTOL.  Every row
+    is counted in the evaluations, and a round the budget cannot pay for
+    stops the run unconverged.  The best row seen anywhere, probe rows
+    included, is returned.  Returns (best value, best angles, evaluations,
+    converged).  Deterministic for a fixed config: enumeration order is
+    fixed and the sampled grid uses its seed.
     """
     thetas = np.linspace(0.0, math.pi, _GRID_POINTS, endpoint=False)
     phis = np.linspace(0.0, 2.0 * math.pi, _GRID_POINTS, endpoint=False)
@@ -235,51 +243,96 @@ def _minimize_over_angles(
     candidates = np.concatenate([np.reshape(seeds, (-1, 2 * n_pairs)), grid])
     exhausted = len(candidates) > config.max_evaluations
     candidates = candidates[: config.max_evaluations]
-    scores = np.concatenate(
-        [objective(candidates[k:k + _CHUNK_ROWS]) for k in range(0, len(candidates), _CHUNK_ROWS)]
-    )
-    evaluations = len(scores)
-    best = int(np.argmin(scores))
-    best_value, best_x = float(scores[best]), candidates[best].copy()
 
-    steps = _FD_STEP * np.eye(2 * n_pairs)
-    rows_per_step = 1 + 2 * len(steps)
+    chunk = max(1, _ELEMENT_BUDGET // 4**n_pairs)
+    evaluations, best_value, best_x = 0, math.inf, candidates[0]
 
-    def value_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def score(rows: np.ndarray) -> np.ndarray:
         nonlocal evaluations, best_value, best_x
-        if config.max_evaluations - evaluations < rows_per_step:
-            raise _BudgetExhausted
-        rows = np.concatenate([x[None], x + steps, x - steps])
-        values = objective(rows)
-        evaluations += rows_per_step
+        values = np.concatenate([objective(rows[k:k + chunk]) for k in range(0, len(rows), chunk)])
+        evaluations += len(rows)
         k = int(np.argmin(values))
         if values[k] < best_value:
             best_value, best_x = float(values[k]), rows[k].copy()
-        plus, minus = values[1:1 + len(steps)], values[1 + len(steps):]
-        return float(values[0]), (plus - minus) / (2.0 * _FD_STEP)
+        return values
 
+    scores = score(candidates)
+    if exhausted:
+        return best_value, best_x, evaluations, False
     starts: dict[tuple[float, ...], np.ndarray] = {}  # distinct points, best (value, order) first
     for k in np.argsort(scores, kind="stable"):
         starts.setdefault(tuple(np.round(candidates[k], 12)), candidates[k])
         if len(starts) == _MULTISTARTS:
             break
 
-    refined_ok = True
-    for x0 in starts.values():
-        if exhausted:
-            break
-        try:
-            res = _scipy_minimize(
-                value_and_gradient, x0, jac=True, method="L-BFGS-B",
-                options={"ftol": _FTOL, "gtol": _GTOL},
-            )
-        except _BudgetExhausted:
+    m = 2 * n_pairs
+    steps = _FD_STEP * np.eye(m)
+    rows_per_point = 1 + 2 * m
+
+    def probe(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and central-difference gradients at a (S, m) stack of points."""
+        centre = points[:, None]
+        rows = np.concatenate([centre, centre + steps, centre - steps], axis=1)
+        values = score(rows.reshape(-1, m)).reshape(len(points), rows_per_point)
+        return values[:, 0], (values[:, 1:1 + m] - values[:, 1 + m:]) / (2.0 * _FD_STEP)
+
+    x = np.array(list(starts.values()))
+    if config.max_evaluations - evaluations < len(x) * rows_per_point:
+        return best_value, best_x, evaluations, False
+    f, g = probe(x)
+    h = np.tile(np.eye(m), (len(x), 1, 1))  # inverse Hessian of each start
+    fresh = np.ones(len(x), dtype=bool)  # no curvature pair yet: H is still the identity
+    d, slope, step = np.empty_like(x), np.empty(len(x)), np.empty(len(x))
+    live = np.abs(g).max(axis=1) > _GTOL
+    stalled = np.zeros(len(x), dtype=bool)  # line search ended without a decrease
+
+    def aim(k: np.ndarray) -> None:
+        """Quasi-Newton direction and first trial step of starts k; a fresh start moves 1 rad."""
+        d[k] = -np.einsum("sij,sj->si", h[k], g[k])
+        reset = k[np.einsum("si,si->s", g[k], d[k]) >= 0.0]  # H lost positive definiteness
+        h[reset], fresh[reset], d[reset] = np.eye(m), True, -g[reset]
+        slope[k] = np.einsum("si,si->s", g[k], d[k])
+        step[k] = np.where(fresh[k], 1.0 / np.linalg.norm(d[k], axis=1), 1.0)
+
+    aim(np.flatnonzero(live))
+    while live.any():
+        k = np.flatnonzero(live)
+        if config.max_evaluations - evaluations < len(k) * rows_per_point:
             exhausted = True
             break
-        stalled = res.message.startswith("ABNORMAL") and np.abs(res.jac).max() <= _STALL_GTOL
-        refined_ok = refined_ok and (res.success or stalled)
+        trial = x[k] + step[k, None] * d[k]
+        f_t, g_t = probe(trial)
+        ok = f_t <= f[k] + _ARMIJO * step[k] * slope[k]
 
-    return best_value, best_x, evaluations, (not exhausted) and refined_ok
+        rej, a = k[~ok], step[k[~ok]]
+        # Minimizer of the quadratic through f, slope and the rejected trial, kept in [0.1, 0.5] a.
+        excess = np.maximum(f_t[~ok] - f[rej] - a * slope[rej], 1e-300)
+        step[rej] = a * np.clip(-slope[rej] * a / (2.0 * excess), 0.1, 0.5)
+        gone = rej[step[rej] * np.abs(d[rej]).max(axis=1) < _MIN_STEP]
+        stalled[gone], live[gone] = True, False
+
+        acc = k[ok]
+        s_vec, y_vec = trial[ok] - x[acc], g_t[ok] - g[acc]
+        scale = np.maximum(np.maximum(np.abs(f[acc]), np.abs(f_t[ok])), 1.0)
+        flat = f[acc] - f_t[ok] <= _FTOL * scale
+        x[acc], f[acc], g[acc] = trial[ok], f_t[ok], g_t[ok]
+        sy, yy = np.einsum("si,si->s", s_vec, y_vec), np.einsum("si,si->s", y_vec, y_vec)
+        curved = sy > 1e-12 * np.linalg.norm(s_vec, axis=1) * np.sqrt(yy)
+        upd, s_u, y_u, rho = acc[curved], s_vec[curved], y_vec[curved], 1.0 / sy[curved]
+        # BFGS update; a start's first pair also scales its identity by s.y / y.y.
+        first = (sy[curved] / yy[curved])[:, None, None] * np.eye(m)
+        h[upd] = np.where(fresh[upd, None, None], first, h[upd])
+        fresh[upd] = False
+        v = np.eye(m) - rho[:, None, None] * s_u[:, :, None] * y_u[:, None, :]
+        ss = s_u[:, :, None] * s_u[:, None, :]
+        h[upd] = v @ h[upd] @ v.swapaxes(1, 2) + rho[:, None, None] * ss
+        done = flat | (np.abs(g[acc]).max(axis=1) <= _GTOL)
+        live[acc[done]] = False
+        aim(acc[~done])
+
+    stalled_ok = np.abs(g).max(axis=1) <= _STALL_GTOL
+    converged = not exhausted and bool(np.all(~stalled | stalled_ok))
+    return best_value, best_x, evaluations, converged
 
 
 def _angles_of_qubit_column(v: np.ndarray) -> tuple[float, float]:

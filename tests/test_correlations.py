@@ -1,6 +1,10 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,9 +332,9 @@ class TestGqdMinimize:
         assert result.value >= -1e-9
 
     def test_budget_exhausted_during_refinement(self):
-        # 6561 sampled grid rows + 4 structured seeds, then room for three of
-        # the 13-row gradient steps at three qubits but not a fourth
-        config = OptimizerConfig(max_evaluations=6561 + 4 + 40)
+        # 6561 sampled grid rows + 4 structured seeds, then room for three
+        # lockstep rounds of 8 starts x 13 rows at three qubits but not a fourth
+        config = OptimizerConfig(max_evaluations=6561 + 4 + 3 * 8 * 13 + 40)
         rho = random_density((2, 2, 2), seed=3)
         result = gqd(rho, "minimize", config)
         assert result.converged is False
@@ -551,6 +555,81 @@ class TestMinimizerProperties:
         probs = rng.dirichlet(np.ones(2**n))
         rho = classical_state(probs, unitaries=[haar_unitary(rng) for _ in range(n)])
         assert gqd(rho, "minimize").value <= 1e-6
+
+
+CENTRE = np.array([0.3, 1.1, 2.0, 4.5])  # off the coarse grid
+
+
+def binary_entropy(p):
+    q = 1.0 - p
+    return -(p * np.log2(np.where(p > 0, p, 1.0)) + q * np.log2(np.where(q > 0, q, 1.0)))
+
+
+class TestLockstepRefinement:
+    """``_minimize_over_angles`` on cheap objectives, and its objective calls."""
+
+    def test_smooth_minimum_is_reached_to_the_gradient_tolerance(self):
+        value, x, _, converged = correlations._minimize_over_angles(
+            lambda x: (1.0 - np.cos(x - CENTRE)).sum(axis=1), 2, OptimizerConfig())
+        assert converged
+        assert abs(value) <= 1e-15
+        assert np.abs(np.sin(x - CENTRE)).max() <= 1e-8  # the exact gradient at the returned row
+
+    def test_kinked_minimum_converges_by_the_stall_rule(self, monkeypatch):
+        # The entropy of outcome probabilities sin^2(t / 2) has a kink where they vanish,
+        # as at the minimum for a pure state; the last term is rounding-level noise.
+        def objective(x):
+            entropy = binary_entropy(np.sin(0.5 * (x - CENTRE)) ** 2).sum(axis=1)
+            return 1.0 + entropy + 1e-14 * np.sin(1e7 * x.sum(axis=1))
+
+        value, _, _, converged = correlations._minimize_over_angles(objective, 2, OptimizerConfig())
+        assert converged
+        assert abs(value - 1.0) <= 1e-12
+        monkeypatch.setattr(correlations, "_STALL_GTOL", 0.0)
+        assert not correlations._minimize_over_angles(objective, 2, OptimizerConfig())[3]
+
+    def test_budget_running_out_in_a_line_search(self):
+        calls = []
+
+        def objective(x):
+            calls.append((x.copy(), (1.0 - np.cos(x - CENTRE[:2])).sum(axis=1)))
+            return calls[-1][1]
+
+        # 81 grid rows, a round at the 8 starts (8 x 5 rows), one trial round, and 39
+        # rows: one short of the next round.
+        config = OptimizerConfig(max_evaluations=81 + 2 * 8 * 5 + 39)
+        value, x, evaluations, converged = correlations._minimize_over_angles(objective, 1, config)
+        assert not converged
+        assert evaluations == sum(len(rows) for rows, _ in calls) == 81 + 2 * 8 * 5
+        assert [len(rows) for rows, _ in calls] == [81, 40, 40]
+        # Some trial point (every fifth row) lies above its start: that start is backtracking.
+        assert (calls[2][1][::5] > calls[1][1][::5]).any()
+        best = min(min(values) for _, values in calls)
+        assert value == best
+        assert objective(x[None])[0] == best
+
+    def test_every_objective_call_stays_within_the_element_budget(self, monkeypatch):
+        rows = []
+        values = correlations._GqdContext.values
+
+        def counting(self, unitaries):
+            rows.append(len(unitaries[0]))
+            return values(self, unitaries)
+
+        monkeypatch.setattr(correlations._GqdContext, "values", counting)
+        result = gqd(random_density((2,) * 6, seed=21), "minimize")
+        assert result.converged
+        assert max(rows) * 4**6 <= correlations._ELEMENT_BUDGET
+        assert sum(rows) == result.evaluations
+        assert result.evaluations > 6561 + 4  # refinement rounds were scored too
+
+    def test_import_does_not_load_scipy_optimize(self):
+        src = str(Path(correlations.__file__).resolve().parents[1])
+        code = "import sys, gqd, gqd.cli; print('scipy.optimize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestOptimizerConfig:
