@@ -17,11 +17,10 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh, norm as sparse_norm
+from scipy.sparse.linalg import eigsh
 
 from . import correlations
 from .core import (
-    DEGENERACY_GAP,
     DensityOperator,
     SubsystemDims,
     eig_hermitian,
@@ -29,17 +28,18 @@ from .core import (
 )
 
 DENSE_MAX_SITES = 6      # 4^6 = 4096: limit of the dense reference views
-SPARSE_MAX_SITES = 8     # ground-state solver budget (N = 16 spins)
+FULL_SPACE_MAX_SITES = 8  # 4^8 rows: limit of the full-space reference parts, which no solve uses
+SPARSE_MAX_SITES = 10    # ground-state solver budget (N = 20 spins)
 RESIDUAL_TOL = 1e-8      # bound on ||Hv - Ev|| / max(1, |E|) of every returned ground state
 POSITIVITY_FLOOR = -1e-12  # sector amplitudes in [floor, 0] are rounding of positive ones below 1e-16
-FOLD_BLOCK = 4096        # rows per block of the fold certificate, which bounds its temporaries
+PROBE_TOL = 1e-12        # relative defect the sector build certificate admits
 DENSE_SECTOR_DIM = 128   # sectors up to this size (M <= 6 sites) are solved densely, larger by eigsh
 CRITICAL_WINDOW = (0.85, 1.15)  # coupling window refined around the delta = 1 critical point
 MAX_GRID_POINTS = 100_000  # largest coarse or fine coupling grid that is built
 
 GROUP_SITES = {"quartet": 2, "sextet": 3, "octet": 4}
 PAIR_KINDS = ("same-site", "neighbor-sigma")
-SCAN_STRATEGIES = ("fixed-z", "fixed-x", "reduced-eigenbasis")
+SCAN_STRATEGIES = ("fixed-z", "fixed-x")
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,6 @@ class SpinGroup:
 class GroundState:
     energy: float
     vector: np.ndarray
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -116,50 +115,48 @@ class ScanResult:
             raise ValueError("derivative is defined on interior points only")
 
 
-def _with_flips(diagonal: np.ndarray, masks: Sequence[int], weight: float) -> sparse.csr_matrix:
-    """diag(diagonal) + weight * sum over masks of the bit flip i -> i ^ mask."""
-    dim = len(diagonal)
-    index = np.arange(dim)
+def _with_flips(index: np.ndarray, diagonal: np.ndarray, masks: Sequence[int], weight: float,
+                labels: np.ndarray | None = None) -> sparse.csr_matrix:
+    """Rows ``index`` of diag(diagonal) + weight * sum over masks of the bit flip i -> i ^ mask,
+    square of size len(index); with ``labels`` column j is summed into column labels[j]."""
     cols = np.column_stack([index] + [index ^ m for m in masks])
-    data = np.column_stack([diagonal] + [np.full(dim, weight)] * len(masks))
-    m = sparse.csr_matrix(
-        (data.ravel(), cols.ravel(), np.arange(0, cols.size + 1, cols.shape[1])), shape=(dim, dim)
-    )
+    cols = cols if labels is None else labels[cols]
+    data = np.column_stack([diagonal] + [np.full(index.size, weight)] * len(masks))
+    indptr = np.arange(0, cols.size + 1, cols.shape[1])
+    m = sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(index.size, index.size))
+    m.sum_duplicates()  # flips that land in one orbit; sorts the indices too
     m.eliminate_zeros()  # zero diagonal entries (beta = 0, the parities) are not stored
-    m.sort_indices()
     return m
+
+
+def _terms(index: np.ndarray, sites: int) -> list[tuple[np.ndarray, list[int]]]:
+    """(d, masks) of each part at basis indices: A = -beta d_A - sum of sigma^x over spins and
+    B = -beta d_B - sum of sigma^x tau^x over sites, each string the bit flip i -> i ^ mask.
+
+    Qubit q (kron order: site-major, sigma before tau) is bit 2*sites - 1 - q of the
+    index.  A bond's z product is -1 where x = index ^ (index one site along) has its
+    bit set, and a site's sigma and tau bond products multiply to -1 where its bits differ.
+    """
+    x = index ^ ((index >> 2) | ((index & 3) << (2 * sites - 2)))
+    pairs = 2.0 * sites - 2.0 * np.bitwise_count(x)
+    quads = 1.0 * sites - 2.0 * np.bitwise_count((x ^ (x >> 1)) & (_sigma_mask(sites) >> 1))
+    a_masks, b_masks = [1 << q for q in range(2 * sites)], [3 << (2 * s) for s in range(sites)]
+    return [(pairs, a_masks), (quads, b_masks)]
 
 
 @functools.lru_cache(maxsize=1)
 def _hamiltonian_parts(sites: int, beta: float) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Real parts (A, B) of H(delta) = A + delta * B, built from bit masks.
-
-    Qubit q (kron order: site-major, sigma before tau) is bit 2*sites - 1 - q of
-    the basis index, so sigma^z_q is the diagonal 1 - 2*bit_q(i) and sigma^x_q
-    maps i to i ^ (1 << (2*sites - 1 - q)).  The cache holds one chain, so a
-    scan over delta builds it once; callers only see sums formed from it.
-    """
-    if sites > SPARSE_MAX_SITES:
-        raise ValueError(f"chains beyond {SPARSE_MAX_SITES} sites are out of budget")
-    n = 2 * sites
+    """Full-space parts (A, B) of H(delta) = A + delta * B: a reference for the dense views
+    and the tests, as no solve forms these 4^sites rows.  The cache holds one chain."""
+    if sites > FULL_SPACE_MAX_SITES:
+        raise ValueError(
+            f"full-space parts are built for at most {FULL_SPACE_MAX_SITES} sites, got {sites}")
     index = np.arange(4**sites)
-    bit = [1 << (n - 1 - q) for q in range(n)]
-    z = [1 - 2 * ((index >> (n - 1 - q)) & 1) for q in range(n)]
-    pairs = np.zeros(index.size)
-    quads = np.zeros(index.size)
-    for site in range(sites):
-        s, t = 2 * site, 2 * site + 1
-        s_next = 2 * ((site + 1) % sites)
-        zz_s, zz_t = z[s] * z[s_next], z[t] * z[s_next + 1]
-        pairs += zz_s + zz_t
-        quads += zz_s * zz_t
-    a = _with_flips(-beta * pairs, bit, -1.0)
-    b = _with_flips(-beta * quads, [bit[2 * s] | bit[2 * s + 1] for s in range(sites)], -1.0)
-    return a, b
+    return tuple(_with_flips(index, -beta * d, masks, -1.0) for d, masks in _terms(index, sites))
 
 
 def build_hamiltonian_sparse(spec: ChainSpec) -> sparse.csr_matrix:
-    """Real sparse Ashkin-Teller Hamiltonian for up to 8 sites (16 spins)."""
+    """Real sparse Ashkin-Teller Hamiltonian for up to 8 sites (16 spins), a reference view."""
     a, b = _hamiltonian_parts(spec.sites, spec.beta)
     return (a + spec.delta * b).tocsr()
 
@@ -184,20 +181,15 @@ def parity_operators(sites: int) -> tuple[np.ndarray, np.ndarray]:
     if sites > DENSE_MAX_SITES:
         raise ValueError(f"dense parity operators support at most {DENSE_MAX_SITES} sites")
     sigma = _sigma_mask(sites)
-    zero = np.zeros(4**sites)
-    p1, p2 = _with_flips(zero, [sigma], 1.0), _with_flips(zero, [sigma >> 1], 1.0)
+    index = np.arange(4**sites)
+    p1, p2 = (_with_flips(index, 0.0 * index, [mask], 1.0) for mask in (sigma, sigma >> 1))
     return p1.toarray(), p2.toarray()
 
 
 def ground_state(h: np.ndarray) -> GroundState:
-    """Lowest eigenpair of a dense Hermitian matrix, with a degeneracy flag (test reference)."""
+    """Lowest eigenpair of a dense Hermitian matrix (test reference)."""
     spec = eig_hermitian(h)
-    e = spec.eigenvalues
-    return GroundState(
-        energy=float(e[0]),
-        vector=spec.eigenvectors[:, 0],
-        degenerate=len(e) > 1 and bool(e[1] - e[0] < DEGENERACY_GAP),
-    )
+    return GroundState(energy=float(spec.eigenvalues[0]), vector=spec.eigenvectors[:, 0])
 
 
 def _orbits(sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,45 +215,56 @@ def _orbits(sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.flatnonzero(is_rep), labels, np.bincount(labels)
 
 
-def _fold_defect(m: sparse.csr_matrix, m_sec: sparse.csr_matrix, embed) -> float:
-    """||m E - E m_sec||_F for the sector embedding E, accumulated over row blocks."""
-    blocks = (slice(r, r + FOLD_BLOCK) for r in range(0, embed.shape[0], FOLD_BLOCK))
-    return math.sqrt(sum(sparse_norm(m[s] @ embed - embed[s] @ m_sec) ** 2 for s in blocks))
+def _certify_build(sites: int, beta: float, parts, labels: np.ndarray, root: np.ndarray) -> None:
+    """Freivalds check of the sector build, for every delta, on one seeded random sector probe p.
+
+    E p = (p / root)[labels] embeds p, and A and B act on it by bit flips, so no
+    4^sites-row matrix is formed.  Raises RuntimeError unless |E p| = |p|,
+    A E p = E A_sec p and B E p = E B_sec p hold within PROBE_TOL relative.
+    """
+    probe = np.random.default_rng(0).standard_normal(root.size)
+    v = (probe / root)[labels]
+    defects = [abs(v @ v / (probe @ probe) - 1.0)]
+    index = np.arange(labels.size)
+    for (diagonal, masks), part in zip(_terms(index, sites), parts):
+        full = -beta * diagonal * v - sum(v[index ^ m] for m in masks)
+        defect = np.linalg.norm(full - ((part @ probe) / root)[labels])
+        defects.append(defect / np.linalg.norm(full))
+    if not max(defects) <= PROBE_TOL:
+        raise RuntimeError(f"sector build at {sites} sites fails its certificate: relative defects "
+                           f"(norm, A, B) {[f'{d:.1e}' for d in defects]} exceed {PROBE_TOL:.0e}")
 
 
 @functools.lru_cache(maxsize=1)
 def _sector_parts(sites: int, beta: float) -> tuple:
-    """A and B folded into the fully symmetric sector, with its embedding and fold certificate.
+    """A and B in the fully symmetric sector, built from the orbit representatives alone.
 
     The sector is spanned by the normalized orbit sums |O> = sum_{i in O} |i> / sqrt|O|.
     Because H commutes with the group, <O|H|O'> = sqrt(|O|/|O'|) * sum_{j in O'} H[r_O, j]
-    with r_O the representative of O: the representatives' rows times the orbit
-    indicator matrix, scaled on both sides.  Returns (A_sec, B_sec, E, f_A, f_B):
-    E the isometry c -> sum_O c_O |O>, and f_A = ||A E - E A_sec||_F, f_B likewise.
-    A_sec and B_sec are dense arrays up to DENSE_SECTOR_DIM states, sparse above.
+    with r_O the representative of O: its z bits give the diagonal, and each flip
+    r_O ^ mask lands in the orbit its label names.  Returns (A_sec, B_sec, labels,
+    root), so that c -> (c / root)[labels] is the isometry E onto the sector,
+    root = sqrt|O|.  A_sec and B_sec are dense up to DENSE_SECTOR_DIM states.
     """
-    a, b = _hamiltonian_parts(sites, beta)
+    if sites > SPARSE_MAX_SITES:
+        raise ValueError(f"chains beyond {SPARSE_MAX_SITES} sites are out of budget")
     reps, labels, sizes = _orbits(sites)
-    dim = labels.size
-    indicator = sparse.csr_matrix(
-        (np.ones(dim), labels, np.arange(dim + 1)), shape=(dim, reps.size)
-    )
     root = np.sqrt(sizes)
     left, right = sparse.diags(root), sparse.diags(1.0 / root)
-    a_sec, b_sec = ((left @ (m[reps] @ indicator) @ right).tocsr() for m in (a, b))
-    embed = (indicator @ right).tocsr()
-    folds = [_fold_defect(m, m_sec, embed) for m, m_sec in ((a, a_sec), (b, b_sec))]
+    parts = [(left @ _with_flips(reps, -beta * d, masks, -1.0, labels) @ right).tocsr()
+             for d, masks in _terms(reps, sites)]
+    _certify_build(sites, beta, parts, labels, root)
     if reps.size <= DENSE_SECTOR_DIM:
-        a_sec, b_sec = a_sec.toarray(), b_sec.toarray()
-    return (a_sec, b_sec, embed, *folds)
+        parts = [p.toarray() for p in parts]
+    return (*parts, labels, root)
 
 
-def _sector_lowest(h, embed, start: np.ndarray | None) -> np.ndarray:
+def _sector_lowest(h, start: np.ndarray | None, labels, root) -> np.ndarray:
     """Lowest eigenvector of the sector matrix: one dense eigh, which needs no start, or
-    eigsh from the sector part of ``start`` (of the uniform vector when there is none)."""
+    eigsh from E^T start, the sector part of ``start`` (of the uniform vector without one)."""
     if isinstance(h, np.ndarray):
         return eigh(h, subset_by_index=(0, 0))[1][:, 0]
-    v0 = embed.T @ (np.ones(embed.shape[0]) if start is None else start)
+    v0 = root if start is None else np.bincount(labels, weights=start, minlength=root.size) / root
     return eigsh(h, k=1, which="SA", v0=v0 / np.linalg.norm(v0))[1][:, 0]
 
 
@@ -270,9 +273,9 @@ def _sector_ground(spec: ChainSpec, start: np.ndarray | None = None) -> tuple:
 
     A sparse solve starts from the sector part of ``start`` (a ground vector of
     the same chain at a nearby coupling) or of the uniform vector.  Returns (v, E,
-    bound), E the Rayleigh quotient of the unit sector vector c.  As the
-    embedding is an isometry, bound = ||H_sec c - E c|| + f_A + |delta| f_B is at
-    least ||Hv - Ev||, and no full-space product is formed.
+    residual), E the Rayleigh quotient of the unit sector vector c.  E is an
+    isometry with H E = E H_sec (certified), so residual = ||H_sec c - E c|| is
+    the full-space ||Hv - Ev||, and no full-space product is formed.
 
     Raises RuntimeError unless every sector amplitude is positive, up to
     POSITIVITY_FLOOR, once the overall sign is fixed: the Perron-Frobenius
@@ -281,9 +284,9 @@ def _sector_ground(spec: ChainSpec, start: np.ndarray | None = None) -> tuple:
     amplitudes of strongly ordered chains that fall below rounding (about
     1e-17 at 8 sites, |beta| = 32, delta = 0) and so come out as -1e-16.
     """
-    a, b, embed, fold_a, fold_b = _sector_parts(spec.sites, spec.beta)
+    a, b, labels, root = _sector_parts(spec.sites, spec.beta)
     h = a + spec.delta * b
-    c = _sector_lowest(h, embed, start)
+    c = _sector_lowest(h, start, labels, root)
     if c.sum() < 0.0:
         c = -c
     if c.min() < POSITIVITY_FLOOR:
@@ -293,8 +296,8 @@ def _sector_ground(spec: ChainSpec, start: np.ndarray | None = None) -> tuple:
         )
     hc = h @ c
     energy = float(c @ hc)
-    bound = float(np.linalg.norm(hc - energy * c)) + fold_a + abs(spec.delta) * fold_b
-    return embed @ c, energy, bound
+    residual = float(np.linalg.norm(hc - energy * c))
+    return (c / root)[labels], energy, residual
 
 
 def _ground_vector(spec: ChainSpec, start: np.ndarray | None = None) -> np.ndarray:
@@ -303,8 +306,8 @@ def _ground_vector(spec: ChainSpec, start: np.ndarray | None = None) -> np.ndarr
     For delta >= 0 every off-diagonal entry of H is <= 0 and single spin flips
     connect all basis states, so by Perron-Frobenius the ground state is unique,
     positive and fixed by every symmetry that permutes basis states.  Raises
-    ValueError outside that domain, before anything is built, and RuntimeError
-    when the residual bound exceeds RESIDUAL_TOL * max(1, |E|).
+    ValueError outside that domain or over SPARSE_MAX_SITES sites, before anything
+    is built, and RuntimeError when the residual exceeds RESIDUAL_TOL * max(1, |E|).
     """
     if not spec.delta >= 0:
         raise ValueError(f"delta={spec.delta} is outside the solved domain delta >= 0")
@@ -324,11 +327,8 @@ def reduce_to_group(gs_vector: np.ndarray, spec: ChainSpec, group: SpinGroup) ->
 
 
 def central_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 3:
-        return np.empty(0)
-    return (y[2:] - y[:-2]) / (x[2:] - x[:-2])
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return (y[2:] - y[:-2]) / (x[2:] - x[:-2])  # empty below 3 points
 
 
 def zero_crossings(

@@ -246,9 +246,23 @@ class TestAtScan:
         assert [float(r[0]) for r in rows] == [0.9, 0.95, 1.0, 1.05, 1.1]
 
     def test_over_sparse_budget(self, capsys):
-        code, _, err = run_cli(["at-scan", "--sites", "9"], capsys)
+        code, _, err = run_cli(["at-scan", "--sites", "11"], capsys)
         assert code == 3
-        assert err == "gqd: error: chains beyond 8 sites are out of budget\n"
+        assert err == "gqd: error: chains beyond 10 sites are out of budget\n"
+
+    def test_nine_sites_need_no_full_space_parts(self, monkeypatch, capsys):
+        def no_parts(*chain):
+            raise AssertionError("the full-space parts were built on the solve path")
+
+        monkeypatch.setattr("gqd.ashkin_teller._hamiltonian_parts", no_parts)
+        code, out, _ = run_cli(
+            ["at-scan", "--sites", "9", "--delta-min", "0.9", "--delta-max", "1.1",
+             "--grid-step", "0.1", "--fine-step", "0"],
+            capsys,
+        )
+        assert code == 0
+        _, rows = parse_csv(split_summary(out)[0])
+        assert [float(r[0]) for r in rows] == [0.9, 1.0, 1.1]
 
     @pytest.mark.parametrize(
         "flags",
@@ -344,7 +358,7 @@ class TestDiscordCommand:
         assert "delta=-0.5 is outside the solved domain delta >= 0" in err
 
     def test_at_pair_over_sparse_budget(self, capsys):
-        code, out, err = run_cli(["discord", "at-pair:9,1.0,same-site"], capsys)
+        code, out, err = run_cli(["discord", "at-pair:11,1.0,same-site"], capsys)
         assert code == 3
         assert out == ""
         assert err.startswith("gqd: error: ") and err.count("\n") == 1
