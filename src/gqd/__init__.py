@@ -34,7 +34,6 @@ from .measurement import (
 )
 from .correlations import (
     GqdResult,
-    OptimizerConfig,
     discord_asymmetric,
     gqd,
     gqd_at_basis,

@@ -115,9 +115,9 @@ def _cmd_werner_ghz(args) -> int:
         "seed": args.seed,
         "monotone_analytic": bool(np.all(np.diff(analytic) >= -1e-12)),
     }
-    if args.mode in ("numeric", "both"):
-        config = correlations.OptimizerConfig(seed=args.seed)
-        results = [correlations.gqd(states.werner_ghz(float(m)), "minimize", config) for m in mus]
+    if args.mode == "both":
+        results = [correlations.gqd(states.werner_ghz(float(m)), "minimize", seed=args.seed)
+                   for m in mus]
         numeric = [r.value for r in results]
         diffs = [abs(a - b) for a, b in zip(analytic, numeric)]
         header = header + ("gqd_numeric", "abs_difference")
@@ -189,7 +189,10 @@ def _parse_state(spec: str):
         if name == "bell":
             return "bell", states.bell()
         if name == "ghz":
-            return spec, states.ghz(int(rest))
+            n = int(rest)
+            if n > 10:  # dense 2^n x 2^n: ghz:10 takes a minute and 0.8 GB on 2 cores
+                raise BudgetError("GHZ states beyond 10 qubits are out of budget")
+            return spec, states.ghz(n)
         if name == "werner":
             return spec, states.werner(float(rest))
         if name == "werner-ghz":
@@ -215,20 +218,19 @@ def _parse_state(spec: str):
 
 def _cmd_discord(args) -> int:
     label, rho = _parse_state(args.state)
-    config = correlations.OptimizerConfig(seed=args.seed)
     n = rho.n_subsystems
 
     info = correlations.mutual_information(rho, cut=range(n - 1))
-    asym = correlations.discord_asymmetric(rho, config)
+    asym = correlations.discord_asymmetric(rho)
     rows: list[tuple[str, float]] = [
         ("mutual_information", info),
         ("classical_correlation", info - asym),
         ("discord_asymmetric", asym),
     ]
-    result = correlations.gqd(rho, strategy=args.strategy, config=config)
+    result = correlations.gqd(rho, args.strategy, seed=args.seed)
     if n == 2:  # symmetric discord is gqd's two-qubit minimization: reuse it when it ran
         symmetric = (result.value if args.strategy == "minimize"
-                     else correlations.symmetric_discord(rho, config))
+                     else correlations.symmetric_discord(rho))
         rows.append(("discord_symmetric", symmetric))
     rows.append((f"gqd_{args.strategy}", result.value))
 
@@ -268,7 +270,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("werner-ghz", parents=[table],
                        help="global discord of the Werner-GHZ family over mu")
-    p.add_argument("--mode", choices=("analytic", "numeric", "both"), default="analytic")
+    p.add_argument("--mode", choices=("analytic", "both"), default="analytic")
     p.add_argument("--points", type=int, default=101)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_werner_ghz)

@@ -27,6 +27,7 @@ STRATEGIES = ("fixed-z", "fixed-x", "reduced-eigenbasis", "minimize")
 
 _GRID_POINTS = 9  # theta and phi values per qubit on the coarse grid
 _COARSE_BUDGET = 6561  # coarse rows: the full grid while 81**n fits, else a seeded sample
+_MAX_EVALUATIONS = 200_000  # a run that would score more objective rows stops unconverged
 _MULTISTARTS = 8  # distinct coarse points refined in lockstep, one objective call per round
 _GTOL = 1e-8  # a start converges once its gradient's max-norm is at most this ...
 _FTOL = 1e-15  # ... or once an accepted step lowers its value by at most this relative amount
@@ -41,25 +42,9 @@ _MIN_STEP = 1e-10  # radians: a line search whose step moves no angle further ha
 # 9 bytes per element, so a call stays near 2.3 MB: 16,384 rows at n = 2, 1,024 at
 # n = 4 (the fastest per row measured there) and 4 at n = 8.
 _ELEMENT_BUDGET = 2**18
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Settings of the product-basis minimization.
-
-    The coarse stage walks a per-qubit (theta, phi) grid — enumerated in full
-    when small enough, otherwise sampled with ``seed`` — and the best distinct
-    points start quasi-Newton refinements that advance in lockstep.  A run that
-    would score more than ``max_evaluations`` objective rows stops and reports
-    ``converged=False``.
-    """
-
-    max_evaluations: int = 200_000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_evaluations <= 0:
-            raise ValueError("max_evaluations must be positive")
+# (theta, phi) of the z, x and y bases: the first starts of every minimization, in
+# this order, which breaks ties between equal values.
+_AXIS_ANGLES = ((0.0, 0.0), (0.5 * math.pi, 0.0), (0.5 * math.pi, 0.5 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -209,26 +194,27 @@ def measured_conditional_entropy(rho_ab: DensityOperator, basis_b: LocalBasis) -
 def _minimize_over_angles(
     objective: Callable[[np.ndarray], np.ndarray],
     n_pairs: int,
-    config: OptimizerConfig,
-    seeds: Sequence[np.ndarray] = (),
+    starts: Sequence[np.ndarray] = (),
+    seed: int = 0,
 ) -> tuple[float, np.ndarray, int, bool]:
     """Coarse grid + lockstep multistart BFGS over n_pairs (theta, phi) pairs.
 
     ``objective`` maps angle rows x[B, 2 * n_pairs] to B values.  Every row
-    stack, the seeds and grid included, is scored in calls of at most
+    stack, the starts and grid included, is scored in calls of at most
     ``_ELEMENT_BUDGET // 4**n_pairs`` rows.  The ``_MULTISTARTS`` best distinct
-    coarse points are refined together: each round scores every live start's
-    trial point and its +-_FD_STEP probes along every angle (``1 + 4 * n_pairs``
-    rows per start, its value and central-difference gradient) in one stack.
-    Every start keeps its own inverse Hessian and backtracking Armijo line
-    search.  A start converges when max|g| <= _GTOL or an accepted step
-    decreases the value by a relative _FTOL or less; a line search that
-    finds no decrease converges only when max|g| <= _STALL_GTOL.  Every row
-    is counted in the evaluations, and a round the budget cannot pay for
+    candidates (``starts``, then the coarse grid) are refined together: each
+    round scores every live start's trial point and its +-_FD_STEP probes
+    along every angle (``1 + 4 * n_pairs`` rows per start, its value and
+    central-difference gradient) in one stack.  Every start keeps its own
+    inverse Hessian and backtracking Armijo line search.  A start converges
+    when max|g| <= _GTOL or an accepted step decreases the value by a
+    relative _FTOL or less; a line search that finds no decrease converges
+    only when max|g| <= _STALL_GTOL.  Every row is counted in the
+    evaluations, and a round that would take them past _MAX_EVALUATIONS
     stops the run unconverged.  The best row seen anywhere, probe rows
     included, is returned.  Returns (best value, best angles, evaluations,
-    converged).  Deterministic for a fixed config: enumeration order is
-    fixed and the sampled grid uses its seed.
+    converged).  Deterministic for a fixed ``seed``: enumeration order is
+    fixed and only the sampled grid draws, with that seed.
     """
     thetas = np.linspace(0.0, math.pi, _GRID_POINTS, endpoint=False)
     phis = np.linspace(0.0, 2.0 * math.pi, _GRID_POINTS, endpoint=False)
@@ -237,12 +223,12 @@ def _minimize_over_angles(
     if n_combo**n_pairs <= _COARSE_BUDGET:
         idx = np.indices((n_combo,) * n_pairs).reshape(n_pairs, -1).T
     else:
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(seed)
         idx = rng.integers(0, n_combo, size=(_COARSE_BUDGET, n_pairs))
     grid = pairs[idx].reshape(len(idx), -1)
-    candidates = np.concatenate([np.reshape(seeds, (-1, 2 * n_pairs)), grid])
-    exhausted = len(candidates) > config.max_evaluations
-    candidates = candidates[: config.max_evaluations]
+    candidates = np.concatenate([np.reshape(starts, (-1, 2 * n_pairs)), grid])
+    exhausted = len(candidates) > _MAX_EVALUATIONS
+    candidates = candidates[:_MAX_EVALUATIONS]
 
     chunk = max(1, _ELEMENT_BUDGET // 4**n_pairs)
     evaluations, best_value, best_x = 0, math.inf, candidates[0]
@@ -259,10 +245,10 @@ def _minimize_over_angles(
     scores = score(candidates)
     if exhausted:
         return best_value, best_x, evaluations, False
-    starts: dict[tuple[float, ...], np.ndarray] = {}  # distinct points, best (value, order) first
+    distinct: dict[tuple[float, ...], np.ndarray] = {}  # best (value, order) first
     for k in np.argsort(scores, kind="stable"):
-        starts.setdefault(tuple(np.round(candidates[k], 12)), candidates[k])
-        if len(starts) == _MULTISTARTS:
+        distinct.setdefault(tuple(np.round(candidates[k], 12)), candidates[k])
+        if len(distinct) == _MULTISTARTS:
             break
 
     m = 2 * n_pairs
@@ -276,8 +262,8 @@ def _minimize_over_angles(
         values = score(rows.reshape(-1, m)).reshape(len(points), rows_per_point)
         return values[:, 0], (values[:, 1:1 + m] - values[:, 1 + m:]) / (2.0 * _FD_STEP)
 
-    x = np.array(list(starts.values()))
-    if config.max_evaluations - evaluations < len(x) * rows_per_point:
+    x = np.array(list(distinct.values()))
+    if _MAX_EVALUATIONS - evaluations < len(x) * rows_per_point:
         return best_value, best_x, evaluations, False
     f, g = probe(x)
     h = np.tile(np.eye(m), (len(x), 1, 1))  # inverse Hessian of each start
@@ -297,7 +283,7 @@ def _minimize_over_angles(
     aim(np.flatnonzero(live))
     while live.any():
         k = np.flatnonzero(live)
-        if config.max_evaluations - evaluations < len(k) * rows_per_point:
+        if _MAX_EVALUATIONS - evaluations < len(k) * rows_per_point:
             exhausted = True
             break
         trial = x[k] + step[k, None] * d[k]
@@ -364,34 +350,26 @@ def _strategy_basis(rho: DensityOperator, strategy: str) -> ProductBasis:
     raise ValueError(f"unknown fixed strategy {strategy!r}")
 
 
-def _structured_seeds(rho: DensityOperator) -> list[np.ndarray]:
+def _structured_starts(rho: DensityOperator) -> list[np.ndarray]:
     """All-z, all-x, all-y, and the reduced-eigenbasis angles."""
     n = rho.n_subsystems
-    half_pi = 0.5 * math.pi
-    seeds = [
-        np.zeros(2 * n),
-        np.array([half_pi, 0.0] * n),
-        np.array([half_pi, half_pi] * n),
-    ]
+    starts = [np.array(pair * n) for pair in _AXIS_ANGLES]
     reduced = []
     for j in range(n):
         local = measurement.reduced_eigenbasis(rho, j)
         reduced.extend(_angles_of_qubit_column(local.vectors[:, 0]))
-    seeds.append(np.array(reduced))
-    return seeds
+    starts.append(np.array(reduced))
+    return starts
 
 
-def gqd(
-    rho: DensityOperator,
-    strategy: str = "minimize",
-    config: OptimizerConfig | None = None,
-) -> GqdResult:
+def gqd(rho: DensityOperator, strategy: str = "minimize", seed: int = 0) -> GqdResult:
     """Global quantum discord of a multipartite state.
 
     ``minimize`` searches over per-qubit projective bases (two angles per
-    qubit); the fixed strategies evaluate a single prescribed basis, and
-    ``reduced-eigenbasis`` measures each subsystem in the eigenbasis of its
-    reduced operator.
+    qubit); ``seed`` draws its coarse sample, which only 3 or more qubits
+    take (fewer enumerate the full grid).  The fixed strategies evaluate a
+    single prescribed basis, and ``reduced-eigenbasis`` measures each
+    subsystem in the eigenbasis of its reduced operator.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
@@ -405,18 +383,17 @@ def gqd(
                          converged=True, evaluations=1)
 
     _require_qubits(rho, "minimize strategy")
-    config = config or OptimizerConfig()
     ctx = _GqdContext(rho)
     value, x, evaluations, converged = _minimize_over_angles(
         lambda rows: ctx.values(_qubit_unitaries(rows).swapaxes(0, 1)),
-        rho.n_subsystems, config, seeds=_structured_seeds(rho),
+        rho.n_subsystems, _structured_starts(rho), seed,
     )
     basis = ProductBasis(tuple(LocalBasis(u) for u in _qubit_unitaries(x[None])[0]))
     return GqdResult(value=value, basis=basis, strategy="minimize",
                      converged=converged, evaluations=evaluations)
 
 
-def discord_asymmetric(rho_ab: DensityOperator, config: OptimizerConfig | None = None) -> float:
+def discord_asymmetric(rho_ab: DensityOperator) -> float:
     """Bipartite quantum discord with the measurement on the last subsystem.
 
     Minimizes I - [S(A) - S(AB|{Pi_B})] = S(B) - S(AB) + S(AB|{Pi_B}) over
@@ -425,7 +402,6 @@ def discord_asymmetric(rho_ab: DensityOperator, config: OptimizerConfig | None =
     dims = rho_ab.dims.dims
     if len(dims) < 2 or dims[-1] != 2:
         raise ValueError("the measured subsystem must be a qubit")
-    config = config or OptimizerConfig()
 
     d_b = dims[-1]
     d_a = rho_ab.total_dim // d_b
@@ -436,13 +412,11 @@ def discord_asymmetric(rho_ab: DensityOperator, config: OptimizerConfig | None =
     def objective(x: np.ndarray) -> np.ndarray:
         return offset + _conditional_entropy_tensor(t, _qubit_unitaries(x)[:, 0])
 
-    half_pi = 0.5 * math.pi
-    seeds = [np.array([0.0, 0.0]), np.array([half_pi, 0.0]), np.array([half_pi, half_pi])]
-    value, _, _, _ = _minimize_over_angles(objective, 1, config, seeds=seeds)
+    value, _, _, _ = _minimize_over_angles(objective, 1, _AXIS_ANGLES)
     return value
 
 
-def symmetric_discord(rho_ab: DensityOperator, config: OptimizerConfig | None = None) -> float:
+def symmetric_discord(rho_ab: DensityOperator) -> float:
     """Two-qubit symmetric discord: min over product bases of I(rho) - I(Phi(rho)).
 
     I(rho) - I(Phi(rho)) is the global discord integrand for two subsystems, so
@@ -451,4 +425,4 @@ def symmetric_discord(rho_ab: DensityOperator, config: OptimizerConfig | None = 
     dims = rho_ab.dims.dims
     if len(dims) != 2 or any(d != 2 for d in dims):
         raise ValueError("symmetric discord is implemented for two qubits")
-    return gqd(rho_ab, "minimize", config).value
+    return gqd(rho_ab, "minimize").value

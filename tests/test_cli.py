@@ -100,8 +100,7 @@ class TestWernerGhz:
 
     def test_numeric_summary_reports_convergence(self, tmp_path, capsys):
         code, out, _ = run_cli(
-            ["werner-ghz", "--points", "2", "--mode", "numeric",
-             "--out", str(tmp_path / "w.csv")],
+            ["werner-ghz", "--points", "2", "--mode", "both", "--out", str(tmp_path / "w.csv")],
             capsys,
         )
         assert code == 0
@@ -110,7 +109,7 @@ class TestWernerGhz:
         assert summary["evaluations"] >= 2 * 6561
 
     def test_numeric_csv_on_stdout_reports_convergence(self, capsys):
-        code, out, _ = run_cli(["werner-ghz", "--points", "2", "--mode", "numeric"], capsys)
+        code, out, _ = run_cli(["werner-ghz", "--points", "2", "--mode", "both"], capsys)
         assert code == 0
         body, summary = split_summary(out)
         assert summary["all_converged"] is True
@@ -118,6 +117,12 @@ class TestWernerGhz:
         header, rows = parse_csv(body)
         assert header == ["mu", "gqd_analytic", "gqd_numeric", "abs_difference"]
         assert len(rows) == 2
+
+    def test_numeric_mode_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["werner-ghz", "--points", "2", "--mode", "numeric"])
+        assert exc.value.code == 1
+        assert "invalid choice: 'numeric'" in capsys.readouterr().err
 
 
 class TestAtScan:
@@ -362,6 +367,16 @@ class TestDiscordCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("gqd: error: ") and err.count("\n") == 1
+
+    def test_ghz_over_budget_is_rejected_before_it_is_built(self, capsys, monkeypatch):
+        def no_state(n):
+            raise AssertionError(f"ghz({n}) was built")
+
+        monkeypatch.setattr("gqd.states.ghz", no_state)
+        code, out, err = run_cli(["discord", "ghz:11"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "gqd: error: GHZ states beyond 10 qubits are out of budget\n"
 
     def test_unknown_state(self, capsys):
         code, _, err = run_cli(["discord", "cat-state"], capsys)

@@ -22,7 +22,6 @@ from gqd.core import (
 )
 from gqd.correlations import (
     GqdResult,
-    OptimizerConfig,
     discord_asymmetric,
     gqd,
     gqd_at_basis,
@@ -309,9 +308,9 @@ class TestGqdMinimize:
             rotated = DensityOperator(u @ rho.matrix @ u.conj().T, rho.dims)
             assert abs(gqd(rho, "minimize").value - gqd(rotated, "minimize").value) <= 1e-6
 
-    def test_budget_below_structured_seeds(self):
-        config = OptimizerConfig(max_evaluations=3)  # fewer than the four structured seeds
-        result = gqd(random_density((2, 2, 2), seed=3), "minimize", config)
+    def test_budget_below_structured_seeds(self, monkeypatch):
+        monkeypatch.setattr(correlations, "_MAX_EVALUATIONS", 3)  # fewer than the four starts
+        result = gqd(random_density((2, 2, 2), seed=3), "minimize")
         assert result.evaluations == 3
         assert not result.converged
         assert result.value >= -1e-9
@@ -324,21 +323,51 @@ class TestGqdMinimize:
         for a, b in zip(first.basis.locals, second.basis.locals):
             assert np.array_equal(a.vectors, b.vectors)
 
-    def test_budget_exhaustion_returns_best_so_far(self):
-        config = OptimizerConfig(max_evaluations=50)
-        result = gqd(ghz(3), "minimize", config)
+    def test_one_measured_qubit_and_two_qubits_never_draw(self, monkeypatch):
+        # One angle pair (81 rows) and two (81**2 = 6,561) fit the coarse budget, so
+        # the full grid is enumerated and no seed reaches these outputs.
+        pairs = [bell(), werner(0.3), random_density((2, 2), seed=8)]
+        triple = random_density((2, 2, 2), seed=3)
+        calls = []
+        draw = np.random.default_rng
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)  # after the states are built
+        for rho in pairs:
+            discord_asymmetric(rho)
+            symmetric_discord(rho)
+            gqd(rho, "minimize", seed=5)
+        discord_asymmetric(triple)
+        assert calls == []
+        gqd(triple, "minimize", seed=5)
+        assert calls == [(5,)]
+
+    def test_seed_draws_the_three_qubit_coarse_sample(self):
+        rho = random_density((2, 2, 2), seed=3)
+        first, second = gqd(rho, "minimize", seed=0), gqd(rho, "minimize", seed=1)
+        assert (first.evaluations, second.evaluations) == (8840, 8684)
+        assert first.converged and second.converged
+        assert abs(first.value - second.value) <= 1e-12
+
+    def test_budget_exhaustion_returns_best_so_far(self, monkeypatch):
+        monkeypatch.setattr(correlations, "_MAX_EVALUATIONS", 50)
+        result = gqd(ghz(3), "minimize")
         assert not result.converged
         assert result.evaluations <= 50
         assert result.value >= -1e-9
 
-    def test_budget_exhausted_during_refinement(self):
-        # 6561 sampled grid rows + 4 structured seeds, then room for three
+    def test_budget_exhausted_during_refinement(self, monkeypatch):
+        # 6561 sampled grid rows + 4 structured starts, then room for three
         # lockstep rounds of 8 starts x 13 rows at three qubits but not a fourth
-        config = OptimizerConfig(max_evaluations=6561 + 4 + 3 * 8 * 13 + 40)
+        budget = 6561 + 4 + 3 * 8 * 13 + 40
+        monkeypatch.setattr(correlations, "_MAX_EVALUATIONS", budget)
         rho = random_density((2, 2, 2), seed=3)
-        result = gqd(rho, "minimize", config)
+        result = gqd(rho, "minimize")
         assert result.converged is False
-        assert 6561 + 4 < result.evaluations <= config.max_evaluations
+        assert 6561 + 4 < result.evaluations <= budget
         assert abs(gqd_at_basis(rho, result.basis) - result.value) <= 1e-9
 
     def test_result_basis_matches_value(self):
@@ -570,7 +599,7 @@ class TestLockstepRefinement:
 
     def test_smooth_minimum_is_reached_to_the_gradient_tolerance(self):
         value, x, _, converged = correlations._minimize_over_angles(
-            lambda x: (1.0 - np.cos(x - CENTRE)).sum(axis=1), 2, OptimizerConfig())
+            lambda x: (1.0 - np.cos(x - CENTRE)).sum(axis=1), 2)
         assert converged
         assert abs(value) <= 1e-15
         assert np.abs(np.sin(x - CENTRE)).max() <= 1e-8  # the exact gradient at the returned row
@@ -582,13 +611,13 @@ class TestLockstepRefinement:
             entropy = binary_entropy(np.sin(0.5 * (x - CENTRE)) ** 2).sum(axis=1)
             return 1.0 + entropy + 1e-14 * np.sin(1e7 * x.sum(axis=1))
 
-        value, _, _, converged = correlations._minimize_over_angles(objective, 2, OptimizerConfig())
+        value, _, _, converged = correlations._minimize_over_angles(objective, 2)
         assert converged
         assert abs(value - 1.0) <= 1e-12
         monkeypatch.setattr(correlations, "_STALL_GTOL", 0.0)
-        assert not correlations._minimize_over_angles(objective, 2, OptimizerConfig())[3]
+        assert not correlations._minimize_over_angles(objective, 2)[3]
 
-    def test_budget_running_out_in_a_line_search(self):
+    def test_budget_running_out_in_a_line_search(self, monkeypatch):
         calls = []
 
         def objective(x):
@@ -597,8 +626,8 @@ class TestLockstepRefinement:
 
         # 81 grid rows, a round at the 8 starts (8 x 5 rows), one trial round, and 39
         # rows: one short of the next round.
-        config = OptimizerConfig(max_evaluations=81 + 2 * 8 * 5 + 39)
-        value, x, evaluations, converged = correlations._minimize_over_angles(objective, 1, config)
+        monkeypatch.setattr(correlations, "_MAX_EVALUATIONS", 81 + 2 * 8 * 5 + 39)
+        value, x, evaluations, converged = correlations._minimize_over_angles(objective, 1)
         assert not converged
         assert evaluations == sum(len(rows) for rows, _ in calls) == 81 + 2 * 8 * 5
         assert [len(rows) for rows, _ in calls] == [81, 40, 40]
@@ -632,11 +661,7 @@ class TestLockstepRefinement:
         assert out.stdout.strip() == "False"
 
 
-class TestOptimizerConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(max_evaluations=0)
-
+class TestGqdResult:
     def test_gqd_result_validation(self):
         with pytest.raises(ValueError):
             GqdResult(value=-1.0, basis=all_z(2), strategy="fixed-z",
