@@ -16,8 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from . import correlations
 from .core import (
@@ -33,7 +32,11 @@ SPARSE_MAX_SITES = 10    # ground-state solver budget (N = 20 spins)
 RESIDUAL_TOL = 1e-8      # bound on ||Hv - Ev|| / max(1, |E|) of every returned ground state
 POSITIVITY_FLOOR = -1e-12  # sector amplitudes in [floor, 0] are rounding of positive ones below 1e-16
 PROBE_TOL = 1e-12        # relative defect the sector build certificate admits
-DENSE_SECTOR_DIM = 128   # sectors up to this size (M <= 6 sites) are solved densely, larger by eigsh
+DENSE_SECTOR_DIM = 128   # sectors up to this size (M <= 6 sites) are solved densely, larger by Lanczos
+LANCZOS_TOL = 1e-14      # a Lanczos solve stops once its Ritz residual is at most this * max(1, |E|)
+LANCZOS_BASIS = 64       # Lanczos vectors held before a restart from the Ritz vector
+LANCZOS_CHECK = 4        # Lanczos steps between tests of the lowest Ritz pair
+LANCZOS_RESTARTS = 20    # restarts before the last Ritz vector is returned to the residual check
 CRITICAL_WINDOW = (0.85, 1.15)  # coupling window refined around the delta = 1 critical point
 MAX_GRID_POINTS = 100_000  # largest coarse or fine coupling grid that is built
 
@@ -101,11 +104,14 @@ class GroundState:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Coupling sweep of a correlation measure plus its central-difference derivative."""
+    """Coupling sweep of a correlation measure plus its central-difference derivative,
+    with the largest relative ground-state residual of the sweep and the sector size."""
 
     deltas: np.ndarray
     values: np.ndarray
     derivative: np.ndarray
+    max_residual: float
+    sector_dim: int
 
     def __post_init__(self) -> None:
         n = len(self.deltas)
@@ -244,7 +250,9 @@ def _sector_parts(sites: int, beta: float) -> tuple:
     with r_O the representative of O: its z bits give the diagonal, and each flip
     r_O ^ mask lands in the orbit its label names.  Returns (A_sec, B_sec, labels,
     root), so that c -> (c / root)[labels] is the isometry E onto the sector,
-    root = sqrt|O|.  A_sec and B_sec are dense up to DENSE_SECTOR_DIM states.
+    root = sqrt|O|.  A_sec and B_sec are dense up to DENSE_SECTOR_DIM states; larger,
+    they are CSR matrices on one pattern (the union of their entries, read back as the
+    real and imaginary parts of A + iB), so that H(delta) sums their data alone.
     """
     if sites > SPARSE_MAX_SITES:
         raise ValueError(f"chains beyond {SPARSE_MAX_SITES} sites are out of budget")
@@ -256,37 +264,84 @@ def _sector_parts(sites: int, beta: float) -> tuple:
     _certify_build(sites, beta, parts, labels, root)
     if reps.size <= DENSE_SECTOR_DIM:
         parts = [p.toarray() for p in parts]
+    else:
+        union = (parts[0] + 1j * parts[1]).tocsr()
+        parts = [union.real, union.imag]
     return (*parts, labels, root)
 
 
-def _sector_lowest(h, start: np.ndarray | None, labels, root) -> np.ndarray:
+def _lanczos(h: sparse.csr_matrix, start: np.ndarray) -> np.ndarray:
+    """Lowest eigenvector of the symmetric h: Lanczos from ``start`` with full
+    reorthogonalization (two Gram-Schmidt passes), restarted from the Ritz vector when
+    LANCZOS_BASIS vectors fill, at most LANCZOS_RESTARTS times (the caller's residual
+    check judges what it returns).  Every LANCZOS_CHECK steps it stops once the lowest
+    Ritz pair (theta, y) of T_j has ||h y - theta y|| = |beta_j s_j| <= LANCZOS_TOL *
+    max(1, |theta|), s the eigenvector of T_j.  At a breakdown (beta_j negligible) the
+    Krylov space is invariant and its Ritz vector exact.
+    """
+    q = np.empty((LANCZOS_BASIS, start.size))
+    alpha, beta = np.empty(LANCZOS_BASIS), np.empty(LANCZOS_BASIS)
+    ritz = start
+    for _ in range(LANCZOS_RESTARTS + 1):
+        q[0] = ritz / np.linalg.norm(ritz)
+        for j in range(LANCZOS_BASIS):
+            w = h @ q[j]
+            alpha[j] = q[j] @ w
+            for _ in range(2):
+                w -= (q[: j + 1] @ w) @ q[: j + 1]
+            beta[j] = np.linalg.norm(w)
+            breakdown = beta[j] <= LANCZOS_TOL * max(1.0, abs(alpha[j]))
+            full = j + 1 == LANCZOS_BASIS
+            if breakdown or full or j % LANCZOS_CHECK == LANCZOS_CHECK - 1:
+                theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i",
+                                            select_range=(0, 0))
+                converged = beta[j] * abs(s[-1, 0]) <= LANCZOS_TOL * max(1.0, abs(theta[0]))
+                if breakdown or converged or full:  # the Ritz vector is returned or restarts
+                    ritz = s[:, 0] @ q[: j + 1]
+                if breakdown or converged:
+                    return ritz
+            if not full:
+                q[j + 1] = w / beta[j]
+    return ritz
+
+
+def _sector_lowest(h, start: np.ndarray) -> np.ndarray:
     """Lowest eigenvector of the sector matrix: one dense eigh, which needs no start, or
-    eigsh from E^T start, the sector part of ``start`` (of the uniform vector without one)."""
+    a Lanczos solve from ``start``."""
     if isinstance(h, np.ndarray):
         return eigh(h, subset_by_index=(0, 0))[1][:, 0]
-    v0 = root if start is None else np.bincount(labels, weights=start, minlength=root.size) / root
-    return eigsh(h, k=1, which="SA", v0=v0 / np.linalg.norm(v0))[1][:, 0]
+    return _lanczos(h, start)
 
 
 def _sector_ground(spec: ChainSpec, start: np.ndarray | None = None) -> tuple:
-    """Ground state solved in the fully symmetric sector and embedded in the full space.
+    """Ground state of the chain, solved and certified in the fully symmetric sector.
 
-    A sparse solve starts from the sector part of ``start`` (a ground vector of
-    the same chain at a nearby coupling) or of the uniform vector.  Returns (v, E,
-    residual), E the Rayleigh quotient of the unit sector vector c.  E is an
-    isometry with H E = E H_sec (certified), so residual = ||H_sec c - E c|| is
-    the full-space ||Hv - Ev||, and no full-space product is formed.
+    For delta >= 0 every off-diagonal entry of H is <= 0 and single spin flips
+    connect all basis states, so by Perron-Frobenius the ground state is unique,
+    positive and fixed by every symmetry that permutes basis states.  A sparse solve
+    starts from the sector vector ``start`` (the ground vector of the same chain at a
+    nearby coupling) or from the uniform vector.  Returns (c, E, residual): the unit
+    sector vector, its Rayleigh quotient and ||H_sec c - E c||.  The embedding E is
+    an isometry with H E = E H_sec (certified), so the residual is the full-space
+    ||Hv - Ev|| of v = E c, and no full-space product is formed.
 
-    Raises RuntimeError unless every sector amplitude is positive, up to
+    Raises ValueError outside delta >= 0 or over SPARSE_MAX_SITES sites, before
+    anything is built.  Raises RuntimeError when the residual exceeds RESIDUAL_TOL *
+    max(1, |E|), or unless every sector amplitude is positive, up to
     POSITIVITY_FLOOR, once the overall sign is fixed: the Perron-Frobenius
     certificate of the solve.  An excited state of the sector is orthogonal to
     the positive ground state and fails it.  The floor admits the exact
     amplitudes of strongly ordered chains that fall below rounding (about
     1e-17 at 8 sites, |beta| = 32, delta = 0) and so come out as -1e-16.
     """
-    a, b, labels, root = _sector_parts(spec.sites, spec.beta)
-    h = a + spec.delta * b
-    c = _sector_lowest(h, start, labels, root)
+    if not spec.delta >= 0:
+        raise ValueError(f"delta={spec.delta} is outside the solved domain delta >= 0")
+    a, b, _, root = _sector_parts(spec.sites, spec.beta)
+    if isinstance(a, np.ndarray):
+        h = a + spec.delta * b
+    else:  # one shared pattern: only the data is summed
+        h = sparse.csr_matrix((a.data + spec.delta * b.data, a.indices, a.indptr), shape=a.shape)
+    c = _sector_lowest(h, root if start is None else start)
     if c.sum() < 0.0:
         c = -c
     if c.min() < POSITIVITY_FLOOR:
@@ -297,27 +352,23 @@ def _sector_ground(spec: ChainSpec, start: np.ndarray | None = None) -> tuple:
     hc = h @ c
     energy = float(c @ hc)
     residual = float(np.linalg.norm(hc - energy * c))
-    return (c / root)[labels], energy, residual
-
-
-def _ground_vector(spec: ChainSpec, start: np.ndarray | None = None) -> np.ndarray:
-    """Ground state vector of the chain, solved in the fully symmetric sector from ``start``.
-
-    For delta >= 0 every off-diagonal entry of H is <= 0 and single spin flips
-    connect all basis states, so by Perron-Frobenius the ground state is unique,
-    positive and fixed by every symmetry that permutes basis states.  Raises
-    ValueError outside that domain or over SPARSE_MAX_SITES sites, before anything
-    is built, and RuntimeError when the residual exceeds RESIDUAL_TOL * max(1, |E|).
-    """
-    if not spec.delta >= 0:
-        raise ValueError(f"delta={spec.delta} is outside the solved domain delta >= 0")
-    vector, energy, residual = _sector_ground(spec, start)
     if residual > RESIDUAL_TOL * max(1.0, abs(energy)):
         raise RuntimeError(
             f"ground state residual {residual:.3e} at delta={spec.delta} exceeds the bound "
             f"{RESIDUAL_TOL:.0e} * max(1, |E|), E = {energy:.12g}"
         )
-    return vector
+    return c, energy, residual
+
+
+def _embed(spec: ChainSpec, c: np.ndarray) -> np.ndarray:
+    """Full-space vector E c of the sector vector c, by one gather."""
+    _, _, labels, root = _sector_parts(spec.sites, spec.beta)
+    return (c / root)[labels]
+
+
+def _ground_vector(spec: ChainSpec) -> np.ndarray:
+    """Ground state vector of the chain in the full space (see _sector_ground)."""
+    return _embed(spec, _sector_ground(spec)[0])
 
 
 def reduce_to_group(gs_vector: np.ndarray, spec: ChainSpec, group: SpinGroup) -> DensityOperator:
@@ -390,16 +441,19 @@ def _scan(
     deltas = np.asarray(list(deltas), dtype=float)
     if deltas.size == 0:
         raise ValueError("empty coupling grid")
-    values, vector = [], None
+    values, residuals, c = [], [], None
     for delta in deltas:
         spec = replace(template, delta=float(delta))
-        vector = _ground_vector(spec, start=vector)  # warm start from the last point
-        values.append(measure(vector, spec))
+        c, energy, residual = _sector_ground(spec, start=c)  # warm start from the last point
+        residuals.append(residual / max(1.0, abs(energy)))
+        values.append(measure(_embed(spec, c), spec))
     values = np.array(values)
     return ScanResult(
         deltas=deltas,
         values=values,
         derivative=central_difference(deltas, values),
+        max_residual=max(residuals),
+        sector_dim=c.size,
     )
 
 

@@ -167,6 +167,8 @@ def _cmd_at_scan(args) -> int:
         "zero_crossings": [round(c, 9) for c in crossings],
         "window_crossings": [round(c, 9) for c in crossings if lo < c < hi],
         "extremum": [_extremum(interior, result.derivative, c) for c in crossings],
+        "max_residual": result.max_residual,
+        "sector_dim": result.sector_dim,
     }
     meta = {
         "command": "at-scan",

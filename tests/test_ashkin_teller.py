@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh, norm as sparse_norm
 
 from gqd import ashkin_teller
@@ -26,7 +27,9 @@ from gqd.ashkin_teller import (
 )
 from gqd.core import (
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
+    DensityOperator,
     SubsystemDims,
     eig_hermitian,
     kron,
@@ -38,7 +41,7 @@ from gqd.measurement import all_x, dephase
 from gqd.states import random_density
 
 CRITICAL = ChainSpec(sites=3, beta=1.0, delta=1.0)
-SOLVER_SIZES = (4, 7)  # sector of 14 states, solved densely; of 298 states, solved by eigsh
+SOLVER_SIZES = (4, 7)  # sector of 14 states, solved densely; of 298 states, solved by Lanczos
 
 
 def assert_z_basis_minimizes(spec, group):
@@ -413,9 +416,12 @@ class TestSectorCertificate:
 
         for solver in (solve, noisy_solve):
             monkeypatch.setattr(ashkin_teller, "_sector_lowest", solver)
+            if solver is noisy_solve:  # let the noisy vectors past the check, to measure them
+                monkeypatch.setattr(ashkin_teller, "RESIDUAL_TOL", np.inf)
             for delta in (0.4, 1.0, 1.6):
                 spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
-                vector, energy, bound = ashkin_teller._sector_ground(spec)
+                c, energy, bound = ashkin_teller._sector_ground(spec)
+                vector = ashkin_teller._embed(spec, c)
                 hv = build_hamiltonian_sparse(spec) @ vector
                 residual = np.linalg.norm(hv - (vector @ hv) * vector)
                 rounding = 1e-14 * max(1.0, abs(energy))
@@ -433,7 +439,8 @@ class TestSectorCertificate:
         assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
         specs = [ChainSpec(sites=sites, beta=1.0, delta=delta) for delta in (0.4, 1.0, 1.6)]
         dense = [_ground_vector(spec) for spec in specs]
-        parts = (sparse.csr_matrix(a), sparse.csr_matrix(b), labels, root)
+        union = sparse.csr_matrix(a + 1j * b)  # the one pattern that sparse parts share
+        parts = (union.real, union.imag, labels, root)
         monkeypatch.setattr(ashkin_teller, "_sector_parts", lambda *chain: parts)
         for spec, expected in zip(specs, dense):
             assert np.abs(_ground_vector(spec) - expected).max() <= 1e-12
@@ -443,11 +450,18 @@ class TestSectorCertificate:
             a, b, *_ = ashkin_teller._sector_parts(sites, 1.0)
             assert isinstance(a, np.ndarray) == isinstance(b, np.ndarray) == dense
             assert sparse.issparse(a) == sparse.issparse(b) == (not dense)
+        # sparse parts share one pattern, so that H(delta) sums their data alone
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
         # the dense solve needs no start vector and takes none
         spec = ChainSpec(sites=4, beta=1.0, delta=0.9)
-        start = np.random.default_rng(0).random(spec.dim)
+        start = np.random.default_rng(0).random(14)
         cold, warm = ashkin_teller._sector_ground(spec), ashkin_teller._sector_ground(spec, start)
         assert np.array_equal(cold[0], warm[0]) and cold[1:] == warm[1:]
+        # a sparse solve starts from the given sector vector
+        spec = ChainSpec(sites=8, beta=1.0, delta=0.9)
+        cold = ashkin_teller._sector_ground(spec)
+        warm = ashkin_teller._sector_ground(spec, np.random.default_rng(0).random(1062))
+        assert np.abs(cold[0] - warm[0]).max() <= 1e-12
 
     @pytest.mark.parametrize(
         "sites, deltas", [(4, default_delta_grid()), (8, default_delta_grid(0.9, 1.1, 0.05, 0.05))]
@@ -463,6 +477,122 @@ class TestSectorCertificate:
             cold = _ground_vector(spec)
             assert np.abs(vector - cold).max() <= 1e-12
             assert abs(value - gqd(reduce_to_group(cold, spec, group), "fixed-x").value) <= 1e-12
+
+
+class CountingProducts:
+    """Wraps a sparse matrix and counts its matrix-vector products."""
+
+    def __init__(self, h):
+        self.h, self.products = h, 0
+
+    def __matmul__(self, vector):
+        self.products += 1
+        return self.h @ vector
+
+
+def dense_lowest(h):
+    """Lowest eigenvector of a sparse symmetric matrix by dense LAPACK, sign fixed to a positive sum."""
+    c = eigh(h.toarray(), subset_by_index=(0, 0))[1][:, 0]
+    return c if c.sum() > 0 else -c
+
+
+def sector_matrix(sites, beta, delta):
+    a, b, _, root = ashkin_teller._sector_parts(sites, beta)
+    return a + delta * b, root
+
+
+class TestLanczos:
+    @pytest.mark.parametrize("sites", [7, 8])
+    def test_matches_dense_eigh_of_the_sector(self, sites):
+        for beta in (0.0, 1.0, 2.5, 1000.0):
+            for delta in (0.0, 0.3, 1.0, 1.8, 5.0):
+                h, root = sector_matrix(sites, beta, delta)
+                c = ashkin_teller._lanczos(h, root)
+                c *= np.sign(c.sum())
+                assert abs(np.linalg.norm(c) - 1.0) <= 1e-13
+                assert np.abs(c - dense_lowest(h)).max() <= 1e-12, (beta, delta)
+
+    def test_restarts_from_the_ritz_vector_when_the_basis_fills(self, monkeypatch):
+        monkeypatch.setattr(ashkin_teller, "LANCZOS_BASIS", 6)
+        h, root = sector_matrix(8, 1.0, 1.0)
+        counting = CountingProducts(h)
+        c = ashkin_teller._lanczos(counting, root)
+        assert counting.products > 2 * 6  # at least two restarts
+        assert np.abs(c * np.sign(c.sum()) - dense_lowest(h)).max() <= 1e-12
+
+    def test_restarts_are_bounded(self, monkeypatch):
+        # a tolerance no Ritz pair meets: the last Ritz vector is returned, not a hang
+        monkeypatch.setattr(ashkin_teller, "LANCZOS_TOL", -1.0)
+        monkeypatch.setattr(ashkin_teller, "LANCZOS_BASIS", 8)
+        h, root = sector_matrix(7, 1.0, 1.0)
+        counting = CountingProducts(h)
+        c = ashkin_teller._lanczos(counting, root)
+        assert counting.products == 8 * (ashkin_teller.LANCZOS_RESTARTS + 1)
+        assert np.abs(c * np.sign(c.sum()) - dense_lowest(h)).max() <= 1e-12
+
+    def test_breakdown_returns_the_exact_ritz_vector(self):
+        # from an exact eigenvector the first step leaves nothing to orthogonalize
+        h, _ = sector_matrix(7, 1.0, 0.9)
+        exact = dense_lowest(h)
+        counting = CountingProducts(h)
+        c = ashkin_teller._lanczos(counting, exact)
+        assert counting.products == 1
+        assert np.abs(c * np.sign(c.sum()) - exact).max() <= 1e-15
+
+    def test_warm_start_takes_fewer_products(self):
+        h, root = sector_matrix(8, 1.0, 1.0)
+        near = dense_lowest(sector_matrix(8, 1.0, 0.95)[0])
+        cold, warm = CountingProducts(h), CountingProducts(h)
+        ashkin_teller._lanczos(cold, root)
+        ashkin_teller._lanczos(warm, near)
+        assert warm.products < cold.products
+
+
+def free_fermion_pair(sites, beta):
+    """Neighbour sigma pair of the decoupled chain (delta = 0), in closed form.
+
+    At delta = 0 each species is a transverse-field Ising ring, solved by
+    Jordan-Wigner in its even-parity sector (momenta k = pi (2m - 1) / M); the
+    correlators follow from G(r) = (1/M) sum_k (cos kr - beta cos k(r+1)) / Lambda_k,
+    Lambda_k = sqrt(1 + beta^2 - 2 beta cos k) (Pfeuty, Ann. Phys. 57, 79 (1970)).
+    """
+    k = np.pi * (2 * np.arange(1, sites + 1) - 1) / sites
+    lam = np.sqrt(1.0 + beta**2 - 2.0 * beta * np.cos(k))
+    g = {r: np.mean((np.cos(k * r) - beta * np.cos(k * (r + 1))) / lam) for r in (-1, 0, 1)}
+    x, zz, yy, xx = g[0], -g[-1], -g[1], g[0] ** 2 - g[1] * g[-1]
+    one = np.eye(2)
+    m = (kron(one, one) + x * (kron(SIGMA_X, one) + kron(one, SIGMA_X))
+         + xx * kron(SIGMA_X, SIGMA_X) + yy * kron(SIGMA_Y, SIGMA_Y) + zz * kron(SIGMA_Z, SIGMA_Z))
+    return DensityOperator(m.real / 4.0, SubsystemDims.qubits(2))
+
+
+class TestFreeFermions:
+    CASES = [(sites, beta) for sites in range(2, 9) for beta in (0.5, 1.0, 1.7)]
+    CASES += [(9, 1.0), (10, 1.0)]
+
+    @pytest.mark.parametrize("sites, beta", CASES)
+    def test_neighbor_pair_matches_the_closed_form(self, sites, beta):
+        spec = ChainSpec(sites=sites, beta=beta, delta=0.0)
+        keep = pair_qubits("neighbor-sigma")
+        rho = reduced_from_vector(_ground_vector(spec), SubsystemDims.qubits(spec.n_spins), keep)
+        assert np.abs(rho.matrix - free_fermion_pair(sites, beta).matrix).max() <= 1e-12
+
+    @pytest.mark.parametrize("sites", [3, 4, 8])
+    def test_quartet_discord_is_twice_the_pair(self, sites):
+        # the decoupled ground state is a product of the two species, so the quartet
+        # state is the product of two neighbour pairs and product-basis GQD adds up
+        spec = ChainSpec(sites=sites, beta=1.0, delta=0.0)
+        quartet = reduce_to_group(_ground_vector(spec), spec, SpinGroup("quartet"))
+        pair = free_fermion_pair(sites, 1.0)
+        for strategy in ("fixed-z", "fixed-x"):
+            assert abs(gqd(quartet, strategy).value - 2 * gqd(pair, strategy).value) <= 1e-12
+        minimized = [gqd(quartet, "minimize"), gqd(pair, "minimize")]
+        assert all(result.converged for result in minimized)
+        assert abs(minimized[0].value - 2 * minimized[1].value) <= 1e-9
+
+    def test_finite_size_error_at_the_ising_point(self):
+        values = [2 * gqd(free_fermion_pair(sites, 1.0), "fixed-z").value for sites in (8, 1024)]
+        assert np.round(values, 5).tolist() == [0.41102, 0.39035]
 
 
 def apply_hamiltonian(spec, vector):
@@ -628,6 +758,12 @@ class TestScans:
         result = gqd_scan(CRITICAL, deltas, SpinGroup("quartet"), "fixed-x")
         assert len(result.values) == 3
         assert len(result.derivative) == 1
+        assert result.sector_dim == 4
+        residuals = []
+        for delta in deltas:
+            _, energy, residual = ashkin_teller._sector_ground(replace(CRITICAL, delta=delta))
+            residuals.append(residual / max(1.0, abs(energy)))
+        assert result.max_residual == max(residuals) <= ashkin_teller.RESIDUAL_TOL
 
     def test_crossing_stable_under_grid_refinement(self):
         group = SpinGroup("quartet")
@@ -748,4 +884,6 @@ class TestScanResultValidation:
                 deltas=np.array([1.0, 2.0]),
                 values=np.array([0.1]),
                 derivative=np.empty(0),
+                max_residual=0.0,
+                sector_dim=3,
             )

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,9 +142,13 @@ class TestAtScan:
         assert code == 0
         body, _, summary_line = out.rpartition("\n{")
         summary = json.loads("{" + summary_line)
+        assert sorted(summary["summary"]) == [
+            "extremum", "max_residual", "sector_dim", "window_crossings", "zero_crossings"]
         assert summary["summary"]["zero_crossings"] == []
         assert summary["summary"]["window_crossings"] == []
         assert summary["summary"]["extremum"] == []
+        assert summary["summary"]["sector_dim"] == 3
+        assert 0.0 <= summary["summary"]["max_residual"] <= 1e-8
         header, rows = parse_csv(body + "\n")
         assert header == ["delta", "gqd", "dgqd_ddelta"]
         assert len(rows) == 3
@@ -179,7 +187,10 @@ class TestAtScan:
         )
         assert code == 0
         payload = json.loads(out_file.read_text())
-        assert "summary" in payload["meta"]
+        summary = payload["meta"]["summary"]
+        assert json.loads(out)["summary"] == summary  # the stdout line repeats it
+        assert summary["sector_dim"] == 3
+        assert 0.0 <= summary["max_residual"] <= 1e-8
         assert payload["rows"][0]["dgqd_ddelta"] is None
 
     def test_empty_range_usage_error(self, capsys):
@@ -441,6 +452,14 @@ class TestIoAndUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["fix-everything"])
         assert exc.value.code == 1
+
+    def test_package_runs_as_a_module(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-m", "gqd", "--help"], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0
+        assert out.stdout.startswith("usage: gqd ")
 
     @pytest.mark.parametrize(
         "argv",

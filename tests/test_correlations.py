@@ -660,6 +660,15 @@ class TestLockstepRefinement:
                              text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_import_does_not_load_scipy_sparse_linalg(self):
+        # the ground states are solved by the package's own Lanczos, not by ARPACK
+        src = str(Path(correlations.__file__).resolve().parents[1])
+        code = "import sys, gqd, gqd.cli; print('scipy.sparse.linalg' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestGqdResult:
     def test_gqd_result_validation(self):
