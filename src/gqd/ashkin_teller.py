@@ -31,7 +31,6 @@ FULL_SPACE_MAX_SITES = 8  # 4^8 rows: limit of the full-space reference parts, w
 SPARSE_MAX_SITES = 10    # ground-state solver budget (N = 20 spins)
 RESIDUAL_TOL = 1e-8      # bound on ||Hv - Ev|| / max(1, |E|) of every returned ground state
 POSITIVITY_FLOOR = -1e-12  # sector amplitudes in [floor, 0] are rounding of positive ones below 1e-16
-PROBE_TOL = 1e-12        # relative defect the sector build certificate admits
 DENSE_SECTOR_DIM = 128   # sectors up to this size (M <= 6 sites) are solved densely, larger by Lanczos
 LANCZOS_TOL = 1e-14      # a Lanczos solve stops once its Ritz residual is at most this * max(1, |E|)
 LANCZOS_BASIS = 64       # Lanczos vectors held before a restart from the Ritz vector
@@ -105,12 +104,14 @@ class GroundState:
 @dataclass(frozen=True)
 class ScanResult:
     """Coupling sweep of a correlation measure plus its central-difference derivative,
-    with the largest relative ground-state residual of the sweep and the sector size."""
+    with the largest relative ground-state residual of the sweep, the smallest sector
+    amplitude of its ground states (the Perron-Frobenius margin) and the sector size."""
 
     deltas: np.ndarray
     values: np.ndarray
     derivative: np.ndarray
     max_residual: float
+    min_amplitude: float
     sector_dim: int
 
     def __post_init__(self) -> None:
@@ -221,26 +222,6 @@ def _orbits(sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.flatnonzero(is_rep), labels, np.bincount(labels)
 
 
-def _certify_build(sites: int, beta: float, parts, labels: np.ndarray, root: np.ndarray) -> None:
-    """Freivalds check of the sector build, for every delta, on one seeded random sector probe p.
-
-    E p = (p / root)[labels] embeds p, and A and B act on it by bit flips, so no
-    4^sites-row matrix is formed.  Raises RuntimeError unless |E p| = |p|,
-    A E p = E A_sec p and B E p = E B_sec p hold within PROBE_TOL relative.
-    """
-    probe = np.random.default_rng(0).standard_normal(root.size)
-    v = (probe / root)[labels]
-    defects = [abs(v @ v / (probe @ probe) - 1.0)]
-    index = np.arange(labels.size)
-    for (diagonal, masks), part in zip(_terms(index, sites), parts):
-        full = -beta * diagonal * v - sum(v[index ^ m] for m in masks)
-        defect = np.linalg.norm(full - ((part @ probe) / root)[labels])
-        defects.append(defect / np.linalg.norm(full))
-    if not max(defects) <= PROBE_TOL:
-        raise RuntimeError(f"sector build at {sites} sites fails its certificate: relative defects "
-                           f"(norm, A, B) {[f'{d:.1e}' for d in defects]} exceed {PROBE_TOL:.0e}")
-
-
 @functools.lru_cache(maxsize=1)
 def _sector_parts(sites: int, beta: float) -> tuple:
     """A and B in the fully symmetric sector, built from the orbit representatives alone.
@@ -261,7 +242,6 @@ def _sector_parts(sites: int, beta: float) -> tuple:
     left, right = sparse.diags(root), sparse.diags(1.0 / root)
     parts = [(left @ _with_flips(reps, -beta * d, masks, -1.0, labels) @ right).tocsr()
              for d, masks in _terms(reps, sites)]
-    _certify_build(sites, beta, parts, labels, root)
     if reps.size <= DENSE_SECTOR_DIM:
         parts = [p.toarray() for p in parts]
     else:
@@ -322,7 +302,7 @@ def _sector_ground(spec: ChainSpec, start: np.ndarray | None = None) -> tuple:
     starts from the sector vector ``start`` (the ground vector of the same chain at a
     nearby coupling) or from the uniform vector.  Returns (c, E, residual): the unit
     sector vector, its Rayleigh quotient and ||H_sec c - E c||.  The embedding E is
-    an isometry with H E = E H_sec (certified), so the residual is the full-space
+    an isometry with H E = E H_sec, so the residual is the full-space
     ||Hv - Ev|| of v = E c, and no full-space product is formed.
 
     Raises ValueError outside delta >= 0 or over SPARSE_MAX_SITES sites, before
@@ -441,11 +421,12 @@ def _scan(
     deltas = np.asarray(list(deltas), dtype=float)
     if deltas.size == 0:
         raise ValueError("empty coupling grid")
-    values, residuals, c = [], [], None
+    values, residuals, amplitudes, c = [], [], [], None
     for delta in deltas:
         spec = replace(template, delta=float(delta))
         c, energy, residual = _sector_ground(spec, start=c)  # warm start from the last point
         residuals.append(residual / max(1.0, abs(energy)))
+        amplitudes.append(c.min())
         values.append(measure(_embed(spec, c), spec))
     values = np.array(values)
     return ScanResult(
@@ -453,6 +434,7 @@ def _scan(
         values=values,
         derivative=central_difference(deltas, values),
         max_residual=max(residuals),
+        min_amplitude=float(min(amplitudes)),
         sector_dim=c.size,
     )
 

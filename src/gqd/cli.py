@@ -89,6 +89,8 @@ def _emit_summary(args, summary: dict) -> None:
 def _cmd_ghz_surface(args) -> int:
     if args.resolution < 2:
         raise UsageError("resolution must be at least 2")
+    if args.resolution > 1024:  # about 285 B a grid point: 1,024 peaks at 360 MB, 5,000 past 8 GB
+        raise BudgetError("GHZ surfaces beyond 1024 points per axis are out of budget")
     t2, t3, values = states.ghz_surface(args.resolution)
     rows = [
         (float(a), float(b), float(values[i, j]))
@@ -168,6 +170,7 @@ def _cmd_at_scan(args) -> int:
         "window_crossings": [round(c, 9) for c in crossings if lo < c < hi],
         "extremum": [_extremum(interior, result.derivative, c) for c in crossings],
         "max_residual": result.max_residual,
+        "min_amplitude": result.min_amplitude,
         "sector_dim": result.sector_dim,
     }
     meta = {

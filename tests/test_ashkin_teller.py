@@ -367,6 +367,22 @@ def orbit_indicator(labels, root):
     )
 
 
+def build_defects(spec, parts):
+    """Relative defects of the sector build (A_sec, B_sec, labels, root) at spec, on a seeded
+    random sector probe p: (| |E p| / |p| - 1 |, |H E p - E H_sec p| / |H E p|).
+
+    E p = (p / root)[labels] embeds p, and H acts on E p through apply_hamiltonian,
+    which writes the Pauli terms as bit flips independently of the build.
+    """
+    a_sec, b_sec, labels, root = parts
+    probe = np.random.default_rng(0).standard_normal(root.size)
+    embedded = (probe / root)[labels]
+    full = apply_hamiltonian(spec, embedded)
+    folded = (((a_sec + spec.delta * b_sec) @ probe) / root)[labels]
+    return (abs(np.linalg.norm(embedded) / np.linalg.norm(probe) - 1.0),
+            np.linalg.norm(full - folded) / np.linalg.norm(full))
+
+
 class TestSectorCertificate:
     @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6, 7, 8])
     def test_fold_certificate_vanishes(self, sites):
@@ -382,25 +398,35 @@ class TestSectorCertificate:
             assert np.abs(folded - dense_part).max() <= 1e-14
             assert sparse_norm(full @ embed - embed @ sparse.csr_matrix(part)) <= 1e-12
 
+    @pytest.mark.parametrize("sites", range(2, 11))
+    def test_sector_build_embeds_exactly(self, sites):
+        # the build is bilinear in (beta, delta), so an identity that holds on this
+        # 2 x 2 grid holds at every beta and delta
+        for beta in (0.37, 2.5):
+            parts = ashkin_teller._sector_parts(sites, beta)
+            for delta in (0.0, 1.3):
+                defects = build_defects(ChainSpec(sites=sites, beta=beta, delta=delta), parts)
+                assert max(defects) <= 1e-12, (beta, delta, defects)
+
     def test_perturbed_sector_matrix_is_rejected(self):
         for sites in SOLVER_SIZES:
-            a_sec, b_sec, labels, root = ashkin_teller._sector_parts.__wrapped__(sites, 1.0)
-            ashkin_teller._certify_build(sites, 1.0, (a_sec, b_sec), labels, root)
+            a_sec, b_sec, labels, root = ashkin_teller._sector_parts(sites, 1.0)
             for k in range(2):
                 parts = [sparse.lil_matrix(a_sec), sparse.lil_matrix(b_sec)]
-                parts[k][3, 5] += 1e-6  # one entry, dense or sparse alike
-                if isinstance(a_sec, np.ndarray):
-                    parts = [p.toarray() for p in parts]
-                with pytest.raises(RuntimeError, match=f"sector build at {sites} sites fails"):
-                    ashkin_teller._certify_build(sites, 1.0, parts, labels, root)
+                parts[k][3, 5] += 1e-3  # one entry, dense or sparse alike
+                defects = [max(build_defects(ChainSpec(sites=sites, beta=1.0, delta=delta),
+                                             (*parts, labels, root)))
+                           for delta in (0.0, 1.3)]
+                assert max(defects) > 1e-6, (sites, k, defects)
 
     def test_wrong_orbit_sizes_are_rejected(self, monkeypatch):
         # orbit sizes enter E only through sqrt|O|, which a similarity transform hides
         # from the product check: the norm of the embedded probe catches them
         reps, labels, sizes = _orbits(7)
         monkeypatch.setattr(ashkin_teller, "_orbits", lambda _: (reps, labels, sizes[::-1]))
-        with pytest.raises(RuntimeError, match="fails its certificate"):
-            ashkin_teller._sector_parts.__wrapped__(7, 1.0)
+        parts = ashkin_teller._sector_parts.__wrapped__(7, 1.0)
+        norm, _ = build_defects(ChainSpec(sites=7, beta=1.0, delta=1.3), parts)
+        assert norm > 1e-6
 
     @pytest.mark.parametrize("sites", [3, 4, 5, 6, 7])
     def test_sector_bound_covers_full_space_residual(self, sites, monkeypatch):
@@ -759,11 +785,15 @@ class TestScans:
         assert len(result.values) == 3
         assert len(result.derivative) == 1
         assert result.sector_dim == 4
-        residuals = []
+        residuals, amplitudes = [], []
         for delta in deltas:
-            _, energy, residual = ashkin_teller._sector_ground(replace(CRITICAL, delta=delta))
+            c, energy, residual = ashkin_teller._sector_ground(replace(CRITICAL, delta=delta))
             residuals.append(residual / max(1.0, abs(energy)))
+            amplitudes.append(c.min())
         assert result.max_residual == max(residuals) <= ashkin_teller.RESIDUAL_TOL
+        # the Perron-Frobenius margin: positive, and at most the uniform amplitude
+        assert result.min_amplitude == min(amplitudes)
+        assert 0.0 < result.min_amplitude <= result.sector_dim**-0.5
 
     def test_crossing_stable_under_grid_refinement(self):
         group = SpinGroup("quartet")
@@ -885,5 +915,6 @@ class TestScanResultValidation:
                 values=np.array([0.1]),
                 derivative=np.empty(0),
                 max_residual=0.0,
+                min_amplitude=0.5,
                 sector_dim=3,
             )

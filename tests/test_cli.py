@@ -57,6 +57,22 @@ class TestGhzSurface:
         assert code == 1
         assert "resolution" in err
 
+    def test_over_budget_is_rejected_before_it_is_built(self, capsys, monkeypatch):
+        def no_surface(resolution):
+            raise AssertionError(f"ghz_surface({resolution}) was built")
+
+        monkeypatch.setattr("gqd.states.ghz_surface", no_surface)
+        code, out, err = run_cli(["ghz-surface", "--resolution", "1025"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "gqd: error: GHZ surfaces beyond 1024 points per axis are out of budget\n"
+        # the limit itself is in budget: it reaches the build
+        built = []
+        monkeypatch.setattr("gqd.states.ghz_surface",
+                            lambda r: built.append(r) or (np.zeros(1), np.zeros(1), np.zeros((1, 1))))
+        assert run_cli(["ghz-surface", "--resolution", "1024"], capsys)[0] == 0
+        assert built == [1024]
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(["ghz-surface", "--resolution", "4", "--format", "json"], capsys)
         assert code == 0
@@ -143,12 +159,15 @@ class TestAtScan:
         body, _, summary_line = out.rpartition("\n{")
         summary = json.loads("{" + summary_line)
         assert sorted(summary["summary"]) == [
-            "extremum", "max_residual", "sector_dim", "window_crossings", "zero_crossings"]
+            "extremum", "max_residual", "min_amplitude", "sector_dim", "window_crossings",
+            "zero_crossings"]
         assert summary["summary"]["zero_crossings"] == []
         assert summary["summary"]["window_crossings"] == []
         assert summary["summary"]["extremum"] == []
         assert summary["summary"]["sector_dim"] == 3
         assert 0.0 <= summary["summary"]["max_residual"] <= 1e-8
+        # a positive unit vector of 3 amplitudes has its smallest at most 3^-1/2
+        assert 0.0 < summary["summary"]["min_amplitude"] <= 3**-0.5
         header, rows = parse_csv(body + "\n")
         assert header == ["delta", "gqd", "dgqd_ddelta"]
         assert len(rows) == 3
@@ -191,6 +210,7 @@ class TestAtScan:
         assert json.loads(out)["summary"] == summary  # the stdout line repeats it
         assert summary["sector_dim"] == 3
         assert 0.0 <= summary["max_residual"] <= 1e-8
+        assert 0.0 < summary["min_amplitude"] <= 3**-0.5
         assert payload["rows"][0]["dgqd_ddelta"] is None
 
     def test_empty_range_usage_error(self, capsys):

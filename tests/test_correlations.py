@@ -66,6 +66,13 @@ def classical_state(probs, unitaries=None):
     return DensityOperator(m, SubsystemDims.qubits(n))
 
 
+def permute_qubits(rho, perm):
+    """The state with qubit q moved to position perm[q]."""
+    n = len(perm)
+    t = np.transpose(rho.matrix.reshape((2,) * (2 * n)), perm + [n + q for q in perm])
+    return DensityOperator(t.reshape(2**n, 2**n), rho.dims)
+
+
 def brute_force_symmetric_discord(rho, n_theta=7, n_phi=5):
     """Independent oracle: coarse grid over both qubit bases using the dephasing route."""
     thetas = np.linspace(0, math.pi, n_theta, endpoint=False)
@@ -222,10 +229,9 @@ class TestGqdAtBasis:
         rho = random_density((2,) * n, seed=seed, rank=min(rank, 2**n))
         basis = random_basis(rng, n)
         perm = [int(q) for q in rng.permutation(n)]
-        t = np.transpose(rho.matrix.reshape((2,) * (2 * n)), perm + [n + q for q in perm])
-        permuted = DensityOperator(t.reshape(2**n, 2**n), rho.dims)
         permuted_basis = ProductBasis(tuple(basis.locals[q] for q in perm))
-        assert abs(gqd_at_basis(rho, basis) - gqd_at_basis(permuted, permuted_basis)) <= 1e-12
+        value = gqd_at_basis(permute_qubits(rho, perm), permuted_basis)
+        assert abs(gqd_at_basis(rho, basis) - value) <= 1e-12
 
     def test_additive_on_product_states(self):
         rng = np.random.default_rng(37)
@@ -245,6 +251,19 @@ class TestGqdMinimize:
         assert abs(result.value - 1.0) <= 1e-6
         assert result.converged
         assert result.strategy == "minimize"
+
+    @pytest.mark.parametrize("n, seeds", [(2, range(12)), (3, range(12)), (4, range(6))])
+    def test_symmetric_under_qubit_exchange(self, n, seeds):
+        # the paper's claim: GQD is symmetric under the exchange of subsystems
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            rho = random_density((2,) * n, seed=seed, rank=1 + seed % 2**n)
+            perm = [int(q) for q in rng.permutation(n)]
+            if perm == sorted(perm):
+                perm.reverse()
+            results = [gqd(rho, "minimize"), gqd(permute_qubits(rho, perm), "minimize")]
+            assert all(result.converged for result in results)
+            assert abs(results[0].value - results[1].value) <= 1e-9, (seed, perm)
 
     def test_maximally_mixed_is_zero(self):
         for strategy in ("fixed-z", "fixed-x", "reduced-eigenbasis", "minimize"):
