@@ -226,7 +226,7 @@ def _cmd_discord(args) -> int:
     n = rho.n_subsystems
 
     info = correlations.mutual_information(rho, cut=range(n - 1))
-    asym = correlations.discord_asymmetric(rho)
+    asym, asym_converged = correlations._discord_asymmetric(rho)
     rows: list[tuple[str, float]] = [
         ("mutual_information", info),
         ("classical_correlation", info - asym),
@@ -239,7 +239,8 @@ def _cmd_discord(args) -> int:
         rows.append(("discord_symmetric", symmetric))
     rows.append((f"gqd_{args.strategy}", result.value))
 
-    summary = {"gqd_converged": result.converged, "gqd_evaluations": result.evaluations}
+    summary = {"asymmetric_converged": asym_converged, "gqd_converged": result.converged,
+               "gqd_evaluations": result.evaluations}
     meta = {"command": "discord", "state": label, "strategy": args.strategy, "seed": args.seed,
             **summary}
     _emit(args, meta, ("measure", "value"), rows)

@@ -102,6 +102,18 @@ def _outcome_coefficients(u: np.ndarray) -> np.ndarray:
     return np.concatenate([u.real**2 + u.imag**2, z.real, z.imag], axis=-2)
 
 
+@functools.cache
+def _grid_table() -> tuple[np.ndarray, np.ndarray]:
+    """The coarse grid's 81 (theta, phi) pairs and their (81, 4, 2) outcome coefficients,
+    built on first use by the calls that score an angle row (``_qubit_unitaries``)."""
+    thetas = np.linspace(0.0, math.pi, _GRID_POINTS, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * math.pi, _GRID_POINTS, endpoint=False)
+    pairs = np.array([(t, p) for t in thetas for p in phis])
+    coeffs = _outcome_coefficients(measurement.qubit_unitary(pairs[:, 0], pairs[:, 1]))
+    pairs.flags.writeable = coeffs.flags.writeable = False
+    return pairs, coeffs
+
+
 class _GqdContext:
     """Per-state precomputation so basis sweeps only pay for the basis change: rho as
     its real coordinates T[mu_1..mu_n] = Tr(rho G_mu_1 x ... x G_mu_n), rho = sum_mu T_mu G_mu."""
@@ -141,8 +153,35 @@ class _GqdContext:
             stack = np.stack([unitaries[q] for q in members])
             coeffs.update(zip(members, _outcome_coefficients(stack)))
         p = self.coords.reshape(1, -1)
-        for q, d in enumerate(self.dims):
-            p = p.reshape(len(p), d * d, -1).swapaxes(1, 2) @ coeffs[q]
+        return self._integrand(self._contract(p, [coeffs[q] for q in range(len(self.dims))]))
+
+    def grid_values(self, idx: np.ndarray) -> np.ndarray:
+        """``values`` at B coarse-grid qubit bases, idx[B, n] index rows into ``_grid_table()``.
+
+        The coefficients are gathered from the table, bitwise those ``values`` computes.
+        Qubit 0 is contracted once per run of rows with the same first basis, and the run's
+        qubit-1 step broadcasts that result: rows sorted by first basis share it most.
+        """
+        table = _grid_table()[1]
+        ends = np.flatnonzero(np.diff(idx[:, 0])) + 1
+        lo, hi = [0, *ends.tolist()], [*ends.tolist(), len(idx)]
+        shared = self._contract(self.coords.reshape(1, -1), [table[idx[lo, 0]]])
+        shared = shared.reshape(len(lo), 4, -1).swapaxes(1, 2)  # as qubit 1's step reshapes p
+        second = table[idx[:, 1]]
+        p = np.empty((len(idx), shared.shape[1], 2))
+        for run, a, b in zip(shared, lo, hi):
+            np.matmul(run, second[a:b], out=p[a:b])
+        return self._integrand(self._contract(p, [table[q] for q in idx[:, 2:].T]))
+
+    @staticmethod
+    def _contract(p: np.ndarray, coeffs: Sequence[np.ndarray]) -> np.ndarray:
+        """Contract the next subsystems' coordinate axes, leading first, into outcome axes."""
+        for c in coeffs:
+            d = c.shape[-1]
+            p = p.reshape(len(p), d * d, -1).swapaxes(1, 2) @ c
+        return p
+
+    def _integrand(self, p: np.ndarray) -> np.ndarray:
         p = np.maximum(p.reshape(len(p), -1), 0.0)
         return shannon_entropy(p) - shannon_entropy(p @ self.marginals) + self.offset
 
@@ -196,10 +235,16 @@ def _minimize_over_angles(
     n_pairs: int,
     starts: Sequence[np.ndarray] = (),
     seed: int = 0,
+    on_grid: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray, int, bool]:
     """Coarse grid + lockstep multistart BFGS over n_pairs (theta, phi) pairs.
 
-    ``objective`` maps angle rows x[B, 2 * n_pairs] to B values.  Every row
+    ``objective`` maps angle rows x[B, 2 * n_pairs] to B values.  ``on_grid``
+    maps coarse-grid index rows idx[B, n_pairs] into ``_grid_table()``'s pairs
+    to the values ``objective`` gives their angles; by default it gathers the
+    angles and calls ``objective``.  Grid rows reach it sorted stably by their
+    first index, so that each call holds few first bases, and their scores
+    return to drawn order.  Every row
     stack, the starts and grid included, is scored in calls of at most
     ``_ELEMENT_BUDGET // 4**n_pairs`` rows.  The ``_MULTISTARTS`` best distinct
     candidates (``starts``, then the coarse grid) are refined together: each
@@ -216,33 +261,43 @@ def _minimize_over_angles(
     converged).  Deterministic for a fixed ``seed``: enumeration order is
     fixed and only the sampled grid draws, with that seed.
     """
-    thetas = np.linspace(0.0, math.pi, _GRID_POINTS, endpoint=False)
-    phis = np.linspace(0.0, 2.0 * math.pi, _GRID_POINTS, endpoint=False)
-    pairs = np.array([(t, p) for t in thetas for p in phis])
+    pairs = _grid_table()[0]
     n_combo = len(pairs)
     if n_combo**n_pairs <= _COARSE_BUDGET:
         idx = np.indices((n_combo,) * n_pairs).reshape(n_pairs, -1).T
     else:
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, n_combo, size=(_COARSE_BUDGET, n_pairs))
-    grid = pairs[idx].reshape(len(idx), -1)
-    candidates = np.concatenate([np.reshape(starts, (-1, 2 * n_pairs)), grid])
-    exhausted = len(candidates) > _MAX_EVALUATIONS
-    candidates = candidates[:_MAX_EVALUATIONS]
+    starts = np.reshape(starts, (-1, 2 * n_pairs))[:_MAX_EVALUATIONS]
+    exhausted = len(starts) + len(idx) > _MAX_EVALUATIONS
+    idx = idx[:_MAX_EVALUATIONS - len(starts)]
+    candidates = np.concatenate([starts, pairs[idx].reshape(len(idx), 2 * n_pairs)])
+    if on_grid is None:
+        def on_grid(rows: np.ndarray) -> np.ndarray:
+            return objective(pairs[rows].reshape(len(rows), -1))
 
     chunk = max(1, _ELEMENT_BUDGET // 4**n_pairs)
     evaluations, best_value, best_x = 0, math.inf, candidates[0]
 
-    def score(rows: np.ndarray) -> np.ndarray:
+    def in_calls(f: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:
+        calls = [f(rows[k:k + chunk]) for k in range(0, len(rows), chunk)]
+        return np.concatenate([np.empty(0), *calls])
+
+    def score(rows: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+        """Count and track the best of rows, scored here unless their ``values`` are given."""
         nonlocal evaluations, best_value, best_x
-        values = np.concatenate([objective(rows[k:k + chunk]) for k in range(0, len(rows), chunk)])
+        if values is None:
+            values = in_calls(objective, rows)
         evaluations += len(rows)
         k = int(np.argmin(values))
         if values[k] < best_value:
             best_value, best_x = float(values[k]), rows[k].copy()
         return values
 
-    scores = score(candidates)
+    order = np.argsort(idx[:, 0], kind="stable")  # an enumerated grid is sorted already
+    grid_values = np.empty(len(idx))
+    grid_values[order] = in_calls(on_grid, idx[order])
+    scores = score(candidates, np.concatenate([in_calls(objective, starts), grid_values]))
     if exhausted:
         return best_value, best_x, evaluations, False
     distinct: dict[tuple[float, ...], np.ndarray] = {}  # best (value, order) first
@@ -386,7 +441,7 @@ def gqd(rho: DensityOperator, strategy: str = "minimize", seed: int = 0) -> GqdR
     ctx = _GqdContext(rho)
     value, x, evaluations, converged = _minimize_over_angles(
         lambda rows: ctx.values(_qubit_unitaries(rows).swapaxes(0, 1)),
-        rho.n_subsystems, _structured_starts(rho), seed,
+        rho.n_subsystems, _structured_starts(rho), seed, ctx.grid_values,
     )
     basis = ProductBasis(tuple(LocalBasis(u) for u in _qubit_unitaries(x[None])[0]))
     return GqdResult(value=value, basis=basis, strategy="minimize",
@@ -399,6 +454,11 @@ def discord_asymmetric(rho_ab: DensityOperator) -> float:
     Minimizes I - [S(A) - S(AB|{Pi_B})] = S(B) - S(AB) + S(AB|{Pi_B}) over
     projective qubit bases on B.
     """
+    return _discord_asymmetric(rho_ab)[0]
+
+
+def _discord_asymmetric(rho_ab: DensityOperator) -> tuple[float, bool]:
+    """``discord_asymmetric`` and whether its minimization converged."""
     dims = rho_ab.dims.dims
     if len(dims) < 2 or dims[-1] != 2:
         raise ValueError("the measured subsystem must be a qubit")
@@ -412,8 +472,8 @@ def discord_asymmetric(rho_ab: DensityOperator) -> float:
     def objective(x: np.ndarray) -> np.ndarray:
         return offset + _conditional_entropy_tensor(t, _qubit_unitaries(x)[:, 0])
 
-    value, _, _, _ = _minimize_over_angles(objective, 1, _AXIS_ANGLES)
-    return value
+    value, _, _, converged = _minimize_over_angles(objective, 1, _AXIS_ANGLES)
+    return value, converged
 
 
 def symmetric_discord(rho_ab: DensityOperator) -> float:

@@ -363,6 +363,18 @@ class TestDiscordCommand:
         )
         assert json.loads(out)["meta"]["gqd_evaluations"] == 1
 
+    def test_reports_whether_the_asymmetric_discord_converged(self, capsys, monkeypatch):
+        code, out, _ = run_cli(["discord", "werner:0.3", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["meta"]["asymmetric_converged"] is True
+        # a budget below the 81-row grid stops its minimization; the fixed-basis GQD is exact
+        monkeypatch.setattr(correlations, "_MAX_EVALUATIONS", 50)
+        code, out, _ = run_cli(["discord", "werner-ghz:0.5", "--strategy", "fixed-z"], capsys)
+        assert code == 0
+        summary = split_summary(out)[1]
+        assert summary["asymmetric_converged"] is False
+        assert summary["gqd_converged"] is True
+
     def test_file_output_prints_summary(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
         code, out, _ = run_cli(["discord", "bell", "--out", str(path)], capsys)

@@ -327,6 +327,18 @@ class TestGqdMinimize:
             rotated = DensityOperator(u @ rho.matrix @ u.conj().T, rho.dims)
             assert abs(gqd(rho, "minimize").value - gqd(rotated, "minimize").value) <= 1e-6
 
+    @pytest.mark.parametrize("split", [(2, 2), (2, 3)])
+    def test_minimized_value_is_additive_on_product_states(self, split):
+        # The sampled coarse stage at n = 4 and 5 against an exact identity.
+        for seed in range(3):
+            parts = [random_density((2,) * n, seed=500 + 10 * seed + n, rank=1 + seed)
+                     for n in split]
+            prod = DensityOperator(kron(parts[0].matrix, parts[1].matrix),
+                                   SubsystemDims.qubits(sum(split)))
+            together, *separate = (gqd(rho, "minimize") for rho in (prod, *parts))
+            assert together.converged and all(r.converged for r in separate)
+            assert abs(together.value - sum(r.value for r in separate)) <= 1e-9
+
     def test_budget_below_structured_seeds(self, monkeypatch):
         monkeypatch.setattr(correlations, "_MAX_EVALUATIONS", 3)  # fewer than the four starts
         result = gqd(random_density((2, 2, 2), seed=3), "minimize")
@@ -508,6 +520,69 @@ class TestBatchedObjective:
             assert np.abs(chunked - batched).max() <= 1e-13
 
 
+class TestGridTable:
+    """The coarse stage scored from the grid table, against scoring each row from its angles."""
+
+    @staticmethod
+    def row_values(ctx, idx):
+        x = correlations._grid_table()[0][idx].reshape(len(idx), -1)
+        return ctx.values(correlations._qubit_unitaries(x).swapaxes(0, 1))
+
+    def test_full_two_qubit_grid_is_bitwise_per_row_scoring(self):
+        ctx = correlations._GqdContext(random_density((2, 2), seed=41))
+        idx = np.indices((81, 81)).reshape(2, -1).T
+        assert np.array_equal(ctx.grid_values(idx), self.row_values(ctx, idx))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+    def test_sampled_calls_are_bitwise_per_row_scoring(self, n):
+        # Rows sorted by first basis, whose runs cross the call boundaries, then the
+        # same rows unsorted; no call is larger than the minimizer's.
+        ctx = correlations._GqdContext(random_density((2,) * n, seed=40 + n, rank=3))
+        size = min(100, correlations._ELEMENT_BUDGET // 4**n)
+        idx = np.random.default_rng(n).integers(0, 81, size=(3 * size + 7, n))
+        idx[:, 0] //= 20  # few first bases, so that runs are long
+        for rows in (idx[np.argsort(idx[:, 0], kind="stable")], idx):
+            for k in range(0, len(rows), size):
+                call = rows[k:k + size]
+                assert np.array_equal(ctx.grid_values(call), self.row_values(ctx, call))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_minimization_is_bitwise_that_of_per_row_scoring(self, n):
+        rho = random_density((2,) * n, seed=60 + n)
+        ctx = correlations._GqdContext(rho)
+
+        def objective(x):
+            return ctx.values(correlations._qubit_unitaries(x).swapaxes(0, 1))
+
+        starts = correlations._structured_starts(rho)
+        table = correlations._minimize_over_angles(objective, n, starts, 7, ctx.grid_values)
+        rows = correlations._minimize_over_angles(objective, n, starts, 7)
+        assert (table[0], table[2], table[3]) == (rows[0], rows[2], rows[3])
+        assert np.array_equal(table[1], rows[1])
+
+    def test_sampled_scores_return_to_drawn_order(self, monkeypatch):
+        # The objective reads the first theta alone, so rows tie wherever it is the
+        # largest grid theta.  A budget one row short of the sample ends the run after
+        # the coarse stage, which must return the first such row in drawn order: the
+        # first basis that the scoring order sorts by breaks none of these ties.
+        monkeypatch.setattr(correlations, "_MAX_EVALUATIONS", 6560)
+        pairs = correlations._grid_table()[0]
+        calls = []
+
+        def on_grid(idx):
+            calls.append(idx[:, 0].copy())
+            return -pairs[idx[:, 0], 0]
+
+        value, x, evaluations, converged = correlations._minimize_over_angles(
+            lambda rows: -rows[:, 0], 3, seed=11, on_grid=on_grid)
+        drawn = np.random.default_rng(11).integers(0, 81, size=(6561, 3))[:6560]
+        first = int(np.flatnonzero(pairs[drawn[:, 0], 0] == pairs[:, 0].max())[0])
+        assert (evaluations, converged) == (6560, False)
+        assert value == -pairs[:, 0].max()
+        assert np.array_equal(x, pairs[drawn[first]].ravel())
+        assert np.all(np.diff(np.concatenate(calls)) >= 0)  # scored sorted by first basis
+
+
 def relative_entropy_reference(rho, unitaries):
     """S(rho || Phi(rho)) - sum_j S(rho_j || Phi_j(rho_j)) through the dephasing channels."""
     basis = ProductBasis(tuple(LocalBasis(u) for u in unitaries))
@@ -658,13 +733,18 @@ class TestLockstepRefinement:
 
     def test_every_objective_call_stays_within_the_element_budget(self, monkeypatch):
         rows = []
-        values = correlations._GqdContext.values
+        values, grid_values = correlations._GqdContext.values, correlations._GqdContext.grid_values
 
         def counting(self, unitaries):
             rows.append(len(unitaries[0]))
             return values(self, unitaries)
 
+        def counting_grid(self, idx):
+            rows.append(len(idx))
+            return grid_values(self, idx)
+
         monkeypatch.setattr(correlations._GqdContext, "values", counting)
+        monkeypatch.setattr(correlations._GqdContext, "grid_values", counting_grid)
         result = gqd(random_density((2,) * 6, seed=21), "minimize")
         assert result.converged
         assert max(rows) * 4**6 <= correlations._ELEMENT_BUDGET
@@ -678,6 +758,15 @@ class TestLockstepRefinement:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_import_builds_no_grid_table(self):
+        # the coarse grid's coefficient table is built by the first minimization, not at import
+        src = str(Path(correlations.__file__).resolve().parents[1])
+        code = "import gqd, gqd.cli; print(gqd.correlations._grid_table.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "0"
 
     def test_import_does_not_load_scipy_sparse_linalg(self):
         # the ground states are solved by the package's own Lanczos, not by ARPACK
