@@ -27,7 +27,6 @@ from .core import (
 )
 
 DENSE_MAX_SITES = 6      # 4^6 = 4096: limit of the dense reference views
-FULL_SPACE_MAX_SITES = 8  # 4^8 rows: limit of the full-space reference parts, which no solve uses
 SPARSE_MAX_SITES = 10    # ground-state solver budget (N = 20 spins)
 RESIDUAL_TOL = 1e-8      # bound on ||Hv - Ev|| / max(1, |E|) of every returned ground state
 POSITIVITY_FLOOR = -1e-12  # sector amplitudes in [floor, 0] are rounding of positive ones below 1e-16
@@ -122,17 +121,16 @@ class ScanResult:
             raise ValueError("derivative is defined on interior points only")
 
 
-def _with_flips(index: np.ndarray, diagonal: np.ndarray, masks: Sequence[int], weight: float,
-                labels: np.ndarray | None = None) -> sparse.csr_matrix:
-    """Rows ``index`` of diag(diagonal) + weight * sum over masks of the bit flip i -> i ^ mask,
-    square of size len(index); with ``labels`` column j is summed into column labels[j]."""
-    cols = np.column_stack([index] + [index ^ m for m in masks])
-    cols = cols if labels is None else labels[cols]
-    data = np.column_stack([diagonal] + [np.full(index.size, weight)] * len(masks))
+def _with_flips(index: np.ndarray, diagonal: np.ndarray, masks: Sequence[int],
+                labels: np.ndarray) -> sparse.csr_matrix:
+    """Rows ``index`` of diag(diagonal) - sum over masks of the bit flip i -> i ^ mask,
+    with column j summed into column labels[j]: square of size len(index)."""
+    cols = labels[np.column_stack([index] + [index ^ m for m in masks])]
+    data = np.column_stack([diagonal] + [np.full(index.size, -1.0)] * len(masks))
     indptr = np.arange(0, cols.size + 1, cols.shape[1])
     m = sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(index.size, index.size))
     m.sum_duplicates()  # flips that land in one orbit; sorts the indices too
-    m.eliminate_zeros()  # zero diagonal entries (beta = 0, the parities) are not stored
+    m.eliminate_zeros()  # zero diagonal entries (beta = 0) are not stored
     return m
 
 
@@ -151,31 +149,18 @@ def _terms(index: np.ndarray, sites: int) -> list[tuple[np.ndarray, list[int]]]:
     return [(pairs, a_masks), (quads, b_masks)]
 
 
-@functools.lru_cache(maxsize=1)
-def _hamiltonian_parts(sites: int, beta: float) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Full-space parts (A, B) of H(delta) = A + delta * B: a reference for the dense views
-    and the tests, as no solve forms these 4^sites rows.  The cache holds one chain."""
-    if sites > FULL_SPACE_MAX_SITES:
-        raise ValueError(
-            f"full-space parts are built for at most {FULL_SPACE_MAX_SITES} sites, got {sites}")
-    index = np.arange(4**sites)
-    return tuple(_with_flips(index, -beta * d, masks, -1.0) for d, masks in _terms(index, sites))
-
-
-def build_hamiltonian_sparse(spec: ChainSpec) -> sparse.csr_matrix:
-    """Real sparse Ashkin-Teller Hamiltonian for up to 8 sites (16 spins), a reference view."""
-    a, b = _hamiltonian_parts(spec.sites, spec.beta)
-    return (a + spec.delta * b).tocsr()
-
-
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Dense view of the Hamiltonian (dimension 4^sites, sites <= 6), the reference for tests."""
+    """Dense view of the Hamiltonian (dimension 4^sites, sites <= 6), the reference for tests:
+    the diagonal of A + delta * B from _terms, then -1 at each A flip and -delta at each B flip."""
     if spec.sites > DENSE_MAX_SITES:
-        raise ValueError(
-            f"dense build supports at most {DENSE_MAX_SITES} sites, got {spec.sites}; "
-            "use build_hamiltonian_sparse"
-        )
-    return build_hamiltonian_sparse(spec).toarray()
+        raise ValueError(f"dense build supports at most {DENSE_MAX_SITES} sites, got {spec.sites}")
+    index = np.arange(spec.dim)
+    (d_a, a_masks), (d_b, b_masks) = _terms(index, spec.sites)
+    h = np.diag(-spec.beta * d_a + spec.delta * (-spec.beta * d_b))
+    for masks, weight in ((a_masks, -1.0), (b_masks, -spec.delta)):
+        for mask in masks:
+            h[index, index ^ mask] = weight
+    return h
 
 
 def _sigma_mask(sites: int) -> int:
@@ -187,10 +172,9 @@ def parity_operators(sites: int) -> tuple[np.ndarray, np.ndarray]:
     """The two parity involutions: sigma^x on every sigma spin, and on every tau spin."""
     if sites > DENSE_MAX_SITES:
         raise ValueError(f"dense parity operators support at most {DENSE_MAX_SITES} sites")
-    sigma = _sigma_mask(sites)
+    sigma, eye = _sigma_mask(sites), np.eye(4**sites)
     index = np.arange(4**sites)
-    p1, p2 = (_with_flips(index, 0.0 * index, [mask], 1.0) for mask in (sigma, sigma >> 1))
-    return p1.toarray(), p2.toarray()
+    return eye[index ^ sigma], eye[index ^ (sigma >> 1)]
 
 
 def ground_state(h: np.ndarray) -> GroundState:
@@ -240,7 +224,7 @@ def _sector_parts(sites: int, beta: float) -> tuple:
     reps, labels, sizes = _orbits(sites)
     root = np.sqrt(sizes)
     left, right = sparse.diags(root), sparse.diags(1.0 / root)
-    parts = [(left @ _with_flips(reps, -beta * d, masks, -1.0, labels) @ right).tocsr()
+    parts = [(left @ _with_flips(reps, -beta * d, masks, labels) @ right).tocsr()
              for d, masks in _terms(reps, sites)]
     if reps.size <= DENSE_SECTOR_DIM:
         parts = [p.toarray() for p in parts]
@@ -324,15 +308,15 @@ def _sector_ground(spec: ChainSpec, start: np.ndarray | None = None) -> tuple:
     c = _sector_lowest(h, root if start is None else start)
     if c.sum() < 0.0:
         c = -c
-    if c.min() < POSITIVITY_FLOOR:
+    if not c.min() >= POSITIVITY_FLOOR:  # a NaN amplitude fails too
         raise RuntimeError(
-            f"sector ground state at delta={spec.delta} has a negative amplitude "
+            f"sector ground state at delta={spec.delta} has a negative or NaN amplitude "
             f"{c.min():.3e}; the Perron-Frobenius certificate failed"
         )
     hc = h @ c
     energy = float(c @ hc)
     residual = float(np.linalg.norm(hc - energy * c))
-    if residual > RESIDUAL_TOL * max(1.0, abs(energy)):
+    if not residual <= RESIDUAL_TOL * max(1.0, abs(energy)):
         raise RuntimeError(
             f"ground state residual {residual:.3e} at delta={spec.delta} exceeds the bound "
             f"{RESIDUAL_TOL:.0e} * max(1, |E|), E = {energy:.12g}"
@@ -404,6 +388,8 @@ def default_delta_grid(
         raise ValueError("empty coupling range")
     _check_grid_size(stop - start, step)
     coarse = np.arange(start, stop + 0.5 * step, step)
+    if coarse.size == 0:  # start = stop and a step below its rounding: stop + step / 2 == stop
+        raise ValueError("empty coupling range")
     if not 0 < fine_step < step:  # no refinement requested
         return np.unique(np.round(coarse, 10))
     _check_grid_size(CRITICAL_WINDOW[1] - CRITICAL_WINDOW[0], fine_step)

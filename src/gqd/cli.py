@@ -105,6 +105,8 @@ def _cmd_ghz_surface(args) -> int:
 def _cmd_werner_ghz(args) -> int:
     if args.points < 2:
         raise UsageError("need at least 2 grid points")
+    if args.points > 1_000_000:  # about 235 B a point: 1,000,000 peaks near 300 MB
+        raise BudgetError("Werner-GHZ grids beyond 1000000 points are out of budget")
     mus = np.linspace(0.0, 1.0, args.points)
     analytic = [states.werner_ghz_gqd_analytic(float(m)) for m in mus]
     header: tuple[str, ...] = ("mu", "gqd_analytic")

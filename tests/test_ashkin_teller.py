@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh, norm as sparse_norm
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from gqd import ashkin_teller
 from gqd.ashkin_teller import (
@@ -14,7 +14,6 @@ from gqd.ashkin_teller import (
     _ground_vector,
     _orbits,
     build_hamiltonian,
-    build_hamiltonian_sparse,
     central_difference,
     default_delta_grid,
     gqd_scan,
@@ -69,23 +68,35 @@ def pauli_string(factors, n_spins):
     return kron(*[factors.get(k, np.eye(2)) for k in range(n_spins)])
 
 
-def pauli_hamiltonian(spec, j):
-    """The Ashkin-Teller Hamiltonian at overall coupling J, summed term by term from Pauli strings."""
-    n = spec.n_spins
+def pauli_terms(spec):
+    """(weight, {qubit: Pauli}) of every term of the Ashkin-Teller Hamiltonian, in units of J."""
     beta, delta = spec.beta, spec.delta
-    h = np.zeros((spec.dim, spec.dim), dtype=complex)
     for site in range(spec.sites):
         s, t = 2 * site, 2 * site + 1
         s_next = 2 * ((site + 1) % spec.sites)
         t_next = s_next + 1
-        h -= j * pauli_string({s: SIGMA_X}, n)
-        h -= j * pauli_string({t: SIGMA_X}, n)
-        h -= j * delta * pauli_string({s: SIGMA_X, t: SIGMA_X}, n)
-        h -= j * beta * pauli_string({s: SIGMA_Z, s_next: SIGMA_Z}, n)
-        h -= j * beta * pauli_string({t: SIGMA_Z, t_next: SIGMA_Z}, n)
-        h -= j * beta * delta * pauli_string(
-            {s: SIGMA_Z, s_next: SIGMA_Z, t: SIGMA_Z, t_next: SIGMA_Z}, n
-        )
+        yield -1.0, {s: SIGMA_X}
+        yield -1.0, {t: SIGMA_X}
+        yield -delta, {s: SIGMA_X, t: SIGMA_X}
+        yield -beta, {s: SIGMA_Z, s_next: SIGMA_Z}
+        yield -beta, {t: SIGMA_Z, t_next: SIGMA_Z}
+        yield -beta * delta, {s: SIGMA_Z, s_next: SIGMA_Z, t: SIGMA_Z, t_next: SIGMA_Z}
+
+
+def pauli_hamiltonian(spec, j):
+    """The Ashkin-Teller Hamiltonian at overall coupling J, summed term by term from Pauli strings."""
+    return sum(j * weight * pauli_string(factors, spec.n_spins)
+               for weight, factors in pauli_terms(spec))
+
+
+def sparse_pauli_hamiltonian(spec):
+    """pauli_hamiltonian at J = 1 by sparse Kronecker products, for chains past the dense view."""
+    h = sparse.csr_matrix((spec.dim, spec.dim))
+    for weight, factors in pauli_terms(spec):
+        string = sparse.csr_matrix([[1.0]])
+        for k in range(spec.n_spins):
+            string = sparse.kron(string, factors.get(k, np.eye(2)).real, format="csr")
+        h += weight * string
     return h
 
 
@@ -140,8 +151,14 @@ class TestHamiltonian:
         assert np.abs(a - b).max() <= 1e-10
 
     def test_sparse_matches_dense(self):
-        spec = ChainSpec(sites=3, beta=0.8, delta=1.3)
-        assert np.abs(build_hamiltonian_sparse(spec).toarray() - build_hamiltonian(spec)).max() == 0.0
+        # the dense view against the bit-flip product of the Pauli terms, in blocks of columns
+        for sites in range(2, 7):
+            spec = ChainSpec(sites=sites, beta=0.8, delta=1.3)
+            h = build_hamiltonian(spec)
+            for cols in np.array_split(np.arange(spec.dim), max(1, spec.dim // 128)):
+                units = np.zeros((spec.dim, cols.size))
+                units[cols, np.arange(cols.size)] = 1.0
+                assert np.abs(apply_hamiltonian(spec, units) - h[:, cols]).max() <= 1e-12, sites
 
     def test_dense_budget(self):
         with pytest.raises(ValueError, match="dense"):
@@ -236,7 +253,8 @@ class TestGroundState:
     def test_sector_ground_matches_full_space_lanczos(self, sites):
         for delta in (0.3, 1.0):
             spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
-            h = build_hamiltonian_sparse(spec)
+            h = LinearOperator((spec.dim,) * 2, matvec=lambda v: apply_hamiltonian(spec, v),
+                               dtype=float)
             vals, vecs = eigsh(h, k=1, which="SA", v0=np.full(spec.dim, spec.dim**-0.5))
             vector = _ground_vector(spec)
             assert abs(vector @ (h @ vector) - vals[0]) <= 1e-10
@@ -247,8 +265,7 @@ class TestGroundState:
         for delta in (0.4, 1.0, 1.6):
             spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
             vector = _ground_vector(spec)
-            h = build_hamiltonian_sparse(spec)
-            hv = h @ vector
+            hv = apply_hamiltonian(spec, vector)
             energy = vector @ hv
             assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
             assert np.linalg.norm(hv - energy * vector) <= 1e-9 * max(1.0, abs(energy))
@@ -309,23 +326,30 @@ class TestGroundState:
         with pytest.raises(ValueError, match="^chains beyond 10 sites are out of budget$"):
             _ground_vector(ChainSpec(sites=11, beta=1.0, delta=1.0))
 
-    def test_full_space_parts_have_their_own_cap(self):
-        message = "^full-space parts are built for at most 8 sites, got 9$"
-        with pytest.raises(ValueError, match=message):
-            ashkin_teller._hamiltonian_parts(9, 1.0)
-        with pytest.raises(ValueError, match=message):
-            build_hamiltonian_sparse(ChainSpec(sites=9, beta=1.0, delta=1.0))
-
-    def test_solver_builds_no_full_space_parts(self, monkeypatch):
-        def no_parts(*chain):
-            raise AssertionError("the full-space parts were built on the solve path")
-
-        monkeypatch.setattr(ashkin_teller, "_hamiltonian_parts", no_parts)
-        # bypass the one-chain cache, so that every chain is built here
-        monkeypatch.setattr(ashkin_teller, "_sector_parts", ashkin_teller._sector_parts.__wrapped__)
+    def test_solver_builds_no_full_space_parts(self, sector_rows):
         for sites in range(3, 9):
             vector = _ground_vector(ChainSpec(sites=sites, beta=1.0, delta=0.9))
             assert vector.shape == (4**sites,)
+        assert len(sector_rows) == 2 * 6  # A and B of each chain
+
+    def test_nan_fails_both_certificates(self, monkeypatch):
+        # NaN compares false with every bound, so each check is written to fail it
+        for sites in (3, 7):  # a dense and a Lanczos sector
+            spec = ChainSpec(sites=sites, beta=1.0, delta=0.9)
+            a, b, labels, root = ashkin_teller._sector_parts(sites, 1.0)
+            monkeypatch.setattr(ashkin_teller, "_sector_lowest",
+                                lambda h, start: np.full(h.shape[0], np.nan))
+            with pytest.raises(RuntimeError, match="Perron-Frobenius"):
+                _ground_vector(spec)
+            # a positive vector whose residual is NaN: one NaN entry of A
+            a = a.copy()
+            (a.data if sparse.issparse(a) else a).flat[0] = np.nan
+            monkeypatch.setattr(ashkin_teller, "_sector_parts", lambda *chain: (a, b, labels, root))
+            monkeypatch.setattr(ashkin_teller, "_sector_lowest",
+                                lambda h, start: root / np.linalg.norm(root))
+            with pytest.raises(RuntimeError, match="^ground state residual nan"):
+                _ground_vector(spec)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("sites", [3, 5, 8])
     def test_ground_vector_is_invariant_under_translation_and_swap(self, sites):
@@ -339,7 +363,7 @@ class TestGroundState:
 
     @pytest.mark.parametrize("sites", [9, 10])
     def test_beyond_the_full_space_parts(self, sites):
-        # no sparse H exists at these sizes: the residual comes from bit flips alone
+        # beyond the eigsh reference (5 to 8 sites): the residual comes from bit flips alone
         spec = ChainSpec(sites=sites, beta=1.0, delta=0.9)
         n = spec.n_spins
         vector = _ground_vector(spec)
@@ -354,9 +378,10 @@ class TestGroundState:
 
     @pytest.mark.parametrize("sites", [3, 5, 8])
     def test_matrix_free_product_matches_the_sparse_build(self, sites):
+        # the bit-flip product that checks the solver beyond the dense view, against Pauli strings
         spec = ChainSpec(sites=sites, beta=0.8, delta=1.3)
         vector = np.random.default_rng(sites).normal(size=spec.dim)
-        expected = build_hamiltonian_sparse(spec) @ vector
+        expected = sparse_pauli_hamiltonian(spec) @ vector
         assert np.abs(apply_hamiltonian(spec, vector) - expected).max() <= 1e-12
 
 
@@ -384,19 +409,22 @@ def build_defects(spec, parts):
 
 
 class TestSectorCertificate:
-    @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6])
     def test_fold_certificate_vanishes(self, sites):
         # the fold identity: the parts built from the representatives are E^T A E and
-        # E^T B E of the full-space parts, and A E = E A_sec, B E = E B_sec
+        # E^T B E of the dense parts, and A E = E A_sec, B E = E B_sec; larger chains
+        # are covered by test_sector_build_embeds_exactly
         a_sec, b_sec, labels, root = ashkin_teller._sector_parts(sites, 1.0)
-        indicator = orbit_indicator(labels, root)
-        embed = indicator @ sparse.diags(1.0 / root)
-        for full, part in zip(ashkin_teller._hamiltonian_parts(sites, 1.0), (a_sec, b_sec)):
+        indicator = orbit_indicator(labels, root).toarray()
+        embed = indicator / root
+        a = build_hamiltonian(ChainSpec(sites=sites, beta=1.0, delta=0.0))
+        b = build_hamiltonian(ChainSpec(sites=sites, beta=1.0, delta=1.0)) - a  # exact: integers
+        for full, part in zip((a, b), (a_sec, b_sec)):
             dense_part = part if isinstance(part, np.ndarray) else part.toarray()
             # I^T A I holds integers at beta = 1, so the fold rounds only in the scaling
-            folded = (indicator.T @ full @ indicator).toarray() / np.outer(root, root)
+            folded = indicator.T @ full @ indicator / np.outer(root, root)
             assert np.abs(folded - dense_part).max() <= 1e-14
-            assert sparse_norm(full @ embed - embed @ sparse.csr_matrix(part)) <= 1e-12
+            assert np.linalg.norm(full @ embed - embed @ dense_part) <= 1e-12
 
     @pytest.mark.parametrize("sites", range(2, 11))
     def test_sector_build_embeds_exactly(self, sites):
@@ -448,7 +476,7 @@ class TestSectorCertificate:
                 spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
                 c, energy, bound = ashkin_teller._sector_ground(spec)
                 vector = ashkin_teller._embed(spec, c)
-                hv = build_hamiltonian_sparse(spec) @ vector
+                hv = apply_hamiltonian(spec, vector)
                 residual = np.linalg.norm(hv - (vector @ hv) * vector)
                 rounding = 1e-14 * max(1.0, abs(energy))
                 assert abs(vector @ hv - energy) <= rounding
@@ -622,7 +650,8 @@ class TestFreeFermions:
 
 
 def apply_hamiltonian(spec, vector):
-    """H v summed term by term from the Pauli strings, with sigma^x as a bit flip of the index."""
+    """H v summed term by term from the Pauli strings, with sigma^x as a bit flip of the index;
+    a 2-d ``vector`` is a block of columns."""
     n = spec.n_spins
     index = np.arange(spec.dim)
     z = [1 - 2 * ((index >> (n - 1 - q)) & 1).astype(np.int8) for q in range(n)]
@@ -636,7 +665,7 @@ def apply_hamiltonian(spec, vector):
         hv -= spec.delta * vector[index ^ flip_s ^ flip_t]
         zz_s, zz_t = z[s] * z[s_next], z[t] * z[s_next + 1]
         diagonal += zz_s + zz_t + spec.delta * zz_s * zz_t
-    return hv - spec.beta * diagonal * vector
+    return hv - (spec.beta * diagonal * vector.T).T
 
 
 def qubit_permutation(index, sites, perm):
@@ -886,6 +915,12 @@ class TestHelpers:
     def test_default_delta_grid_rejects_bad_range(self):
         with pytest.raises(ValueError):
             default_delta_grid(start=1.0, stop=0.5)
+
+    def test_default_delta_grid_is_never_empty(self):
+        # at 1e15 the step is below the rounding of stop, so stop + step / 2 == stop
+        with pytest.raises(ValueError, match="^empty coupling range$"):
+            default_delta_grid(1e15, 1e15, 0.05, 0.0)
+        assert np.array_equal(default_delta_grid(1.0, 1.0, 0.05, 0.0), [1.0])
 
     @pytest.mark.parametrize("name", ["start", "stop", "step", "fine_step"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -138,6 +138,22 @@ class TestWernerGhz:
         assert header == ["mu", "gqd_analytic", "gqd_numeric", "abs_difference"]
         assert len(rows) == 2
 
+    def test_over_budget_is_rejected_before_it_is_built(self, capsys, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def no_grid(mu):
+            raise Reached
+
+        monkeypatch.setattr("gqd.states.werner_ghz_gqd_analytic", no_grid)
+        code, out, err = run_cli(["werner-ghz", "--points", "1000001"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "gqd: error: Werner-GHZ grids beyond 1000000 points are out of budget\n"
+        # the limit itself is in budget: it reaches the build
+        with pytest.raises(Reached):
+            cli.main(["werner-ghz", "--points", "1000000"])
+
     def test_numeric_mode_is_not_a_choice(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["werner-ghz", "--points", "2", "--mode", "numeric"])
@@ -286,11 +302,7 @@ class TestAtScan:
         assert code == 3
         assert err == "gqd: error: chains beyond 10 sites are out of budget\n"
 
-    def test_nine_sites_need_no_full_space_parts(self, monkeypatch, capsys):
-        def no_parts(*chain):
-            raise AssertionError("the full-space parts were built on the solve path")
-
-        monkeypatch.setattr("gqd.ashkin_teller._hamiltonian_parts", no_parts)
+    def test_nine_sites_need_no_full_space_parts(self, sector_rows, capsys):
         code, out, _ = run_cli(
             ["at-scan", "--sites", "9", "--delta-min", "0.9", "--delta-max", "1.1",
              "--grid-step", "0.1", "--fine-step", "0"],
@@ -299,6 +311,17 @@ class TestAtScan:
         assert code == 0
         _, rows = parse_csv(split_summary(out)[0])
         assert [float(r[0]) for r in rows] == [0.9, 1.0, 1.1]
+        assert sector_rows == [3658] * 2  # A and B of the 9-site sector, built once
+
+    def test_grid_that_rounds_to_nothing_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            ["at-scan", "--sites", "2", "--delta-min", "1e16", "--delta-max", "1e16",
+             "--fine-step", "0"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "gqd: error: empty coupling range\n"
 
     @pytest.mark.parametrize(
         "flags",
