@@ -2,10 +2,14 @@
 
 Two spin-1/2 particles per site (sigma and tau), periodic boundaries.
 Global qubit ordering is site-major with sigma before tau within a site:
-(sigma_1, tau_1, sigma_2, tau_2, ...).  The global discord of small spin
-groups in the ground state, scanned across the four-spin coupling, locates
-the infinite-order critical point of the beta=1 line as a derivative
-extremum.
+(sigma_1, tau_1, sigma_2, tau_2, ...).  Qubit q is bit 2M - 1 - q of the
+basis index of an M-site chain, so the first L sites are its leading 2L
+bits: a full-space vector viewed as a (4^L, 4^(M-L)) matrix has those
+sites as its row index, and its Gram matrix is their reduced state with no
+transpose of the 4^M entries (``_gram``).  The global discord of small
+spin groups in the ground state, scanned across the four-spin coupling,
+locates the infinite-order critical point of the beta=1 line as a
+derivative extremum.
 """
 from __future__ import annotations
 
@@ -19,12 +23,7 @@ import scipy.sparse as sparse
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from . import correlations
-from .core import (
-    DensityOperator,
-    SubsystemDims,
-    eig_hermitian,
-    reduced_from_vector,
-)
+from .core import DensityOperator, SubsystemDims, eig_hermitian
 
 DENSE_MAX_SITES = 6      # 4^6 = 4096: limit of the dense reference views
 SPARSE_MAX_SITES = 10    # ground-state solver budget (N = 20 spins)
@@ -55,8 +54,11 @@ class ChainSpec:
         if self.sites < 2:
             raise ValueError(f"need at least 2 sites, got {self.sites}")
         for name in ("beta", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if abs(value) > 1e100:  # the Lanczos squares of larger couplings overflow
+                raise ValueError(f"|{name}| must be at most 1e100, got {value}")
 
     @property
     def n_spins(self) -> int:
@@ -335,10 +337,35 @@ def _ground_vector(spec: ChainSpec) -> np.ndarray:
     return _embed(spec, _sector_ground(spec)[0])
 
 
+def _gram(vector: np.ndarray, sites: int, keep: Sequence[int]) -> np.ndarray:
+    """State of the first sites that hold the qubits ``keep``, as one Gram product: their
+    2L qubits are the leading bits of the index, so the vector viewed as (4^L, 4^(M-L)) has
+    them as its row index, and nothing of length 4^M is transposed.  Real stays real."""
+    lead = 2 * (max(keep) // 2 + 1)
+    a = np.reshape(vector, (2**lead, 4**sites >> lead))
+    return a @ a.conj().T
+
+
+def _on_qubits(grams: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """(P, d, d) states on the qubits ``keep``, in that order, of a (P, 4^L, 4^L) stack of
+    ``_gram`` states: each is permuted into ``keep`` order and its other qubits traced."""
+    lead = grams.shape[-1].bit_length() - 1
+    order = [*keep, *(q for q in range(lead) if q not in keep)]
+    g = grams.reshape((len(grams),) + (2,) * (2 * lead))
+    g = g.transpose([0] + [1 + q for q in order] + [1 + lead + q for q in order])
+    d = 2 ** len(keep)
+    return np.trace(g.reshape(len(grams), d, 2**lead // d, d, -1), axis1=2, axis2=4)
+
+
+def _reduced(vector: np.ndarray, sites: int, keep: Sequence[int]) -> np.ndarray:
+    """Reduced density matrix of a chain vector on the qubits ``keep``, in that order."""
+    return _on_qubits(_gram(vector, sites, keep)[None], keep)[0]
+
+
 def reduce_to_group(gs_vector: np.ndarray, spec: ChainSpec, group: SpinGroup) -> DensityOperator:
     """Reduced density operator of the ground state on the group's spins."""
     keep = group.qubit_indices(spec.sites)
-    return reduced_from_vector(gs_vector, SubsystemDims.qubits(spec.n_spins), keep)
+    return DensityOperator(_reduced(gs_vector, spec.sites, keep), SubsystemDims.qubits(len(keep)))
 
 
 def central_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -401,19 +428,28 @@ def default_delta_grid(
 def _scan(
     template: ChainSpec,
     deltas: Sequence[float],
-    measure: Callable[[np.ndarray, ChainSpec], float],
+    keep: Sequence[int],
+    measure: Callable[[np.ndarray], Sequence[float]],
+    per_call: int,
 ) -> ScanResult:
-    """Ground state and ``measure(vector, spec)`` at every coupling of the grid."""
+    """Ground state at every coupling of the grid, reduced to the first sites that hold the
+    qubits ``keep`` right after its solve (``_gram``), so that one full-space vector is
+    alive at a time.  Whenever per_call states wait, and once for the rest, they go to
+    ``_on_qubits`` as one stack and then to ``measure``, which maps the (k, d, d) stack of
+    states on ``keep`` to their k values."""
     deltas = np.asarray(list(deltas), dtype=float)
     if deltas.size == 0:
         raise ValueError("empty coupling grid")
-    values, residuals, amplitudes, c = [], [], [], None
-    for delta in deltas:
+    values, waiting, residuals, amplitudes, c = [], [], [], [], None
+    for k, delta in enumerate(deltas):
         spec = replace(template, delta=float(delta))
         c, energy, residual = _sector_ground(spec, start=c)  # warm start from the last point
         residuals.append(residual / max(1.0, abs(energy)))
         amplitudes.append(c.min())
-        values.append(measure(_embed(spec, c), spec))
+        waiting.append(_gram(_embed(spec, c), spec.sites, keep))
+        if len(waiting) == per_call or k == deltas.size - 1:
+            values.extend(measure(_on_qubits(np.stack(waiting), keep)))
+            waiting = []
     values = np.array(values)
     return ScanResult(
         deltas=deltas,
@@ -431,15 +467,17 @@ def gqd_scan(
     group: SpinGroup,
     strategy: str,
 ) -> ScanResult:
-    """Global discord of a spin group across the coupling grid, at a fixed basis strategy."""
+    """Global discord of a spin group across the coupling grid, at a fixed basis strategy:
+    the group states are validated and scored in stacks of ``correlations._states_per_call``."""
     if strategy not in SCAN_STRATEGIES:
         raise ValueError(f"scan strategy must be one of {SCAN_STRATEGIES}, got {strategy!r}")
-    group.qubit_indices(template.sites)  # validate group against chain size now
+    keep = group.qubit_indices(template.sites)  # validate group against chain size now
+    dims = (2,) * len(keep)
 
-    def measure(vector: np.ndarray, spec: ChainSpec) -> float:
-        return correlations.gqd(reduce_to_group(vector, spec, group), strategy=strategy).value
+    def measure(matrices: np.ndarray) -> np.ndarray:
+        return correlations.fixed_gqd(matrices, dims, strategy)
 
-    return _scan(template, deltas, measure)
+    return _scan(template, deltas, keep, measure, correlations._states_per_call(len(keep)))
 
 
 def pair_qubits(kind: str) -> list[int]:
@@ -455,11 +493,11 @@ def pairwise_discord_scan(
     deltas: Sequence[float],
     pair_kind: str,
 ) -> ScanResult:
-    """Asymmetric discord of a spin pair across the coupling grid."""
+    """Asymmetric discord of a spin pair across the coupling grid, one minimization a point."""
     keep = pair_qubits(pair_kind)
 
-    def measure(vector: np.ndarray, spec: ChainSpec) -> float:
-        rho = reduced_from_vector(vector, SubsystemDims.qubits(spec.n_spins), keep)
-        return correlations.discord_asymmetric(rho)
+    def measure(matrices: np.ndarray) -> list[float]:
+        return [correlations.discord_asymmetric(DensityOperator(m, SubsystemDims.qubits(2)))
+                for m in matrices]
 
-    return _scan(template, deltas, measure)
+    return _scan(template, deltas, keep, measure, 1)

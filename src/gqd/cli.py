@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ashkin_teller as at
 from . import correlations, selftest, states
-from .core import SubsystemDims, reduced_from_vector
+from .core import DensityOperator, SubsystemDims
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -156,7 +156,7 @@ def _cmd_at_scan(args) -> int:
         template = at.ChainSpec(sites=args.sites, beta=args.beta, delta=float(deltas[0]))
         group = at.SpinGroup(kind=args.group)
         result = at.gqd_scan(template, deltas, group, strategy=args.strategy)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:  # RuntimeError: a failed ground-state certificate
         raise UsageError(str(exc)) from exc
 
     interior = result.deltas[1:-1]
@@ -212,10 +212,9 @@ def _parse_state(spec: str):
             _check_site_budget(sites)
             keep = at.pair_qubits(kind)
             chain = at.ChainSpec(sites=sites, beta=1.0, delta=delta)
-            vector = at._ground_vector(chain)
-            rho = reduced_from_vector(vector, SubsystemDims.qubits(chain.n_spins), keep)
-            return spec, rho
-    except (ValueError, TypeError) as exc:
+            pair = at._reduced(at._ground_vector(chain), sites, keep)
+            return spec, DensityOperator(pair, SubsystemDims.qubits(2))
+    except (ValueError, TypeError, RuntimeError) as exc:
         raise UsageError(f"bad state spec {spec!r}: {exc}") from exc
     raise UsageError(
         f"unknown state {spec!r}; expected bell, ghz:N, werner:MU, werner-ghz:MU, "

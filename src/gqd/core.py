@@ -70,8 +70,8 @@ def _as_dims(dims: "SubsystemDims | Iterable[int]") -> SubsystemDims:
 class DensityOperator:
     """Hermitian, unit-trace, positive matrix over labeled subsystems.
 
-    Validated on construction: Hermiticity and trace to 1e-10, minimum
-    eigenvalue >= -1e-10.  The stored matrix is the exact Hermitian part
+    Validated on construction by ``validate_densities``: Hermiticity and trace
+    to 1e-10, minimum eigenvalue >= -1e-10.  The stored matrix is the exact Hermitian part
     0.5 (m + m^dagger) of the input, float64 when the input is real and
     complex128 otherwise.  The validated spectrum is kept as ``eigenvalues``.
     """
@@ -82,7 +82,6 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix)
-        m = m.astype(np.result_type(m, np.float64), copy=False)
         dims = _as_dims(self.dims)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
@@ -90,14 +89,7 @@ class DensityOperator:
             raise ValueError(
                 f"matrix side {m.shape[0]} does not match subsystem dims {dims.dims}"
             )
-        m = _as_hermitian_matrix(m)
-        m = 0.5 * (m + m.conj().T)
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {tr}")
-        w = np.linalg.eigvalsh(m)
-        if w.min() < EIG_FLOOR:
-            raise ValueError(f"matrix is not positive (min eigenvalue {w.min():.3e})")
+        m, w = validate_densities(m)
         m.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
@@ -110,6 +102,28 @@ class DensityOperator:
     @property
     def total_dim(self) -> int:
         return self.dims.total
+
+
+def validate_densities(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check one density matrix or a (..., d, d) stack of them; return (matrices, spectra).
+
+    Every matrix must be Hermitian and of unit trace to 1e-10, and no eigenvalue of
+    its Hermitian part 0.5 (m + m^dagger) may lie below EIG_FLOOR; a failing check
+    raises ValueError naming an offending value of the stack.  Returns those Hermitian
+    parts, float64 for a real input and complex128 otherwise, and their ascending
+    eigenvalues.
+    """
+    m = np.asarray(m)
+    m = _as_hermitian_matrix(m.astype(np.result_type(m, np.float64), copy=False))
+    m = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    tr = m.trace(axis1=-2, axis2=-1)
+    off = abs(tr - 1.0) > TRACE_TOL
+    if np.count_nonzero(off):
+        raise ValueError(f"trace must be 1, got {np.extract(off, tr)[0]}")
+    w = np.linalg.eigvalsh(m)
+    if w.min() < EIG_FLOOR:
+        raise ValueError(f"matrix is not positive (min eigenvalue {w.min():.3e})")
+    return m, w
 
 
 def eig_hermitian(m: "np.ndarray | DensityOperator"):

@@ -20,7 +20,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import measurement
-from .core import DensityOperator, partial_trace, shannon_entropy, von_neumann_entropy
+from .core import (
+    DensityOperator,
+    partial_trace,
+    shannon_entropy,
+    validate_densities,
+    von_neumann_entropy,
+)
 from .measurement import LocalBasis, ProductBasis
 
 STRATEGIES = ("fixed-z", "fixed-x", "reduced-eigenbasis", "minimize")
@@ -115,31 +121,43 @@ def _grid_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 class _GqdContext:
-    """Per-state precomputation so basis sweeps only pay for the basis change: rho as
-    its real coordinates T[mu_1..mu_n] = Tr(rho G_mu_1 x ... x G_mu_n), rho = sum_mu T_mu G_mu."""
+    """Per-state precomputation so basis sweeps only pay for the basis change, for a stack
+    of P states over the same subsystems: each state rho as its real coordinates
+    T[mu_1..mu_n] = Tr(rho G_mu_1 x ... x G_mu_n), rho = sum_mu T_mu G_mu, one row of
+    ``coords`` (P, prod d^2), and its basis-free part in ``offset`` (P,)."""
 
-    def __init__(self, rho: DensityOperator):
-        self.dims = dims = rho.dims.dims
-        n = len(dims)
+    def __init__(self, matrices: np.ndarray, eigenvalues: np.ndarray, dims: tuple[int, ...]):
+        """``matrices`` (P, D, D) and their ``eigenvalues`` (P, D), validated by
+        ``validate_densities``, over subsystems of dimensions ``dims``."""
+        self.dims = dims
+        n, count = len(dims), len(matrices)
         # Pair each subsystem's ket and bra index (a, b), then map one pair axis per step
         # to the coordinates conj(G_mu[a, b]) and move it last: n steps restore the order.
-        t = rho.matrix.reshape(dims + dims).transpose([a for q in range(n) for a in (q, n + q)])
+        t = matrices.reshape((count,) + dims + dims)
+        t = t.transpose([0] + [1 + a for q in range(n) for a in (q, n + q)])
         for d in dims:
-            t = t.reshape(d * d, -1).T @ _operator_basis(d)[0].reshape(d * d, -1).T.conj()
-        self.coords = np.ascontiguousarray(t.real).reshape([d * d for d in dims])
+            basis = _operator_basis(d)[0].reshape(d * d, -1).T.conj()
+            t = t.reshape(count, d * d, -1).swapaxes(1, 2) @ basis
+        self.coords = np.ascontiguousarray(t.real).reshape(count, -1)
         self.groups = {d: [q for q in range(n) if dims[q] == d] for d in dict.fromkeys(dims)}
         # sum_j S(rho_j) - S(rho), the part no basis changes, with one entropy call per local
         # dimension; rho_j's coordinates are T summed over the others' diagonal units (traces)
-        self.offset = -von_neumann_entropy(rho)
+        self.offset = -shannon_entropy(eigenvalues)
+        table = self.coords.reshape((count,) + tuple(d * d for d in dims))
         for d, members in self.groups.items():
-            reduced = [
-                self.coords[tuple(slice(None) if q == j else slice(e) for q, e in enumerate(dims))]
-                .sum(axis=tuple(q for q in range(n) if q != j))
+            reduced = np.array([
+                table[(..., *(slice(None) if q == j else slice(e) for q, e in enumerate(dims)))]
+                .sum(axis=tuple(q - n for q in range(n) if q != j))
                 for j in members
-            ]
+            ]).swapaxes(0, 1)
             stack = (reduced @ _operator_basis(d)[0].reshape(d * d, -1)).reshape(-1, d, d)
-            self.offset += von_neumann_entropy(stack).sum()
+            self.offset += von_neumann_entropy(stack).reshape(count, -1).sum(-1)
         self.marginals = _marginal_map(dims)
+
+    @classmethod
+    def of(cls, rho: DensityOperator) -> "_GqdContext":
+        """The context of one state, P = 1."""
+        return cls(rho.matrix[None], rho.eigenvalues[None], rho.dims.dims)
 
     def values(self, unitaries: Sequence[np.ndarray]) -> np.ndarray:
         """Integrand at B product bases; ``unitaries[j]`` is a (B, d_j, d_j) stack.
@@ -147,16 +165,18 @@ class _GqdContext:
         p[b, k_1..k_n] = sum_mu T_mu prod_q c_q[b, mu_q, k_q], one batched matmul per
         subsystem that sums the leading coordinate axis and appends its outcome axis.
         The local distributions are the marginals of p: one entropy of them side by side.
+        One state scores B bases, and P states score one basis (B = 1): P values.
         """
         coeffs = {}
         for members in self.groups.values():
             stack = np.stack([unitaries[q] for q in members])
             coeffs.update(zip(members, _outcome_coefficients(stack)))
-        p = self.coords.reshape(1, -1)
-        return self._integrand(self._contract(p, [coeffs[q] for q in range(len(self.dims))]))
+        ordered = [coeffs[q] for q in range(len(self.dims))]
+        return self._integrand(self._contract(self.coords, ordered))
 
     def grid_values(self, idx: np.ndarray) -> np.ndarray:
-        """``values`` at B coarse-grid qubit bases, idx[B, n] index rows into ``_grid_table()``.
+        """``values`` of one state (P = 1) at B coarse-grid qubit bases, idx[B, n] index rows
+        into ``_grid_table()``.
 
         The coefficients are gathered from the table, bitwise those ``values`` computes.
         Qubit 0 is contracted once per run of rows with the same first basis, and the run's
@@ -165,7 +185,7 @@ class _GqdContext:
         table = _grid_table()[1]
         ends = np.flatnonzero(np.diff(idx[:, 0])) + 1
         lo, hi = [0, *ends.tolist()], [*ends.tolist(), len(idx)]
-        shared = self._contract(self.coords.reshape(1, -1), [table[idx[lo, 0]]])
+        shared = self._contract(self.coords, [table[idx[lo, 0]]])
         shared = shared.reshape(len(lo), 4, -1).swapaxes(1, 2)  # as qubit 1's step reshapes p
         second = table[idx[:, 1]]
         p = np.empty((len(idx), shared.shape[1], 2))
@@ -186,10 +206,36 @@ class _GqdContext:
         return shannon_entropy(p) - shannon_entropy(p @ self.marginals) + self.offset
 
 
+def _states_per_call(n: int) -> int:
+    """States of n qubits that one ``fixed_gqd`` call holds.  Its validation and coordinate
+    build take about 48 bytes per coordinate, five times the contraction's 9, so a stack gets
+    a quarter of _ELEMENT_BUDGET and peaks near 3 MB, as one octet state alone does: 256
+    quartets, 16 sextets or one octet a call."""
+    return max(1, _ELEMENT_BUDGET // 4 ** (n + 1))
+
+
+def fixed_gqd(matrices: np.ndarray, dims: tuple[int, ...], strategy: str) -> np.ndarray:
+    """``gqd(rho, strategy).value``, up to rounding, of every state of a (P, D, D) stack,
+    for the strategies "fixed-z" and "fixed-x".
+
+    The stack is validated in one ``validate_densities`` call, and the strategy's one
+    basis is scored for all P states in one contraction, the states on its row axis.
+    A call holds P * D^2 coordinates: scans pass at most ``_states_per_call(n)`` states
+    of n qubits.  Raises ValueError, as ``GqdResult`` does, below -1e-9.
+    """
+    matrices, eigenvalues = validate_densities(matrices)
+    basis = _fixed_basis(dims, strategy)
+    ctx = _GqdContext(matrices, eigenvalues, dims)
+    values = ctx.values([b.vectors[None] for b in basis.locals])
+    if values.min() < -1e-9:
+        raise ValueError(f"global discord must be non-negative, got {values.min()}")
+    return values
+
+
 def gqd_at_basis(rho: DensityOperator, basis: ProductBasis) -> float:
     """Global discord integrand at one fixed product basis, in bits."""
     basis.check_dims(rho.dims)
-    return float(_GqdContext(rho).values([b.vectors[None] for b in basis.locals])[0])
+    return float(_GqdContext.of(rho).values([b.vectors[None] for b in basis.locals])[0])
 
 
 def mutual_information(rho: DensityOperator, cut: Sequence[int]) -> float:
@@ -388,20 +434,25 @@ def _angles_of_qubit_column(v: np.ndarray) -> tuple[float, float]:
     return theta, phi
 
 
-def _require_qubits(rho: DensityOperator, what: str) -> None:
-    if any(d != 2 for d in rho.dims):
-        raise ValueError(f"{what} requires qubit subsystems, got dims {rho.dims.dims}")
+def _require_qubits(dims: tuple[int, ...], what: str) -> None:
+    if any(d != 2 for d in dims):
+        raise ValueError(f"{what} requires qubit subsystems, got dims {dims}")
 
 
 def _strategy_basis(rho: DensityOperator, strategy: str) -> ProductBasis:
-    n = rho.n_subsystems
-    if strategy == "fixed-z":
-        return ProductBasis(tuple(measurement.computational_basis(d) for d in rho.dims))
-    if strategy == "fixed-x":
-        _require_qubits(rho, "fixed-x strategy")
-        return measurement.all_x(n)
     if strategy == "reduced-eigenbasis":
+        n = rho.n_subsystems
         return ProductBasis(tuple(measurement.reduced_eigenbasis(rho, j) for j in range(n)))
+    return _fixed_basis(rho.dims.dims, strategy)
+
+
+def _fixed_basis(dims: tuple[int, ...], strategy: str) -> ProductBasis:
+    """The one basis of "fixed-z" or "fixed-x" on subsystems of dimensions ``dims``."""
+    if strategy == "fixed-z":
+        return ProductBasis(tuple(measurement.computational_basis(d) for d in dims))
+    if strategy == "fixed-x":
+        _require_qubits(dims, "fixed-x strategy")
+        return measurement.all_x(len(dims))
     raise ValueError(f"unknown fixed strategy {strategy!r}")
 
 
@@ -437,8 +488,8 @@ def gqd(rho: DensityOperator, strategy: str = "minimize", seed: int = 0) -> GqdR
         return GqdResult(value=value, basis=basis, strategy=strategy,
                          converged=True, evaluations=1)
 
-    _require_qubits(rho, "minimize strategy")
-    ctx = _GqdContext(rho)
+    _require_qubits(rho.dims.dims, "minimize strategy")
+    ctx = _GqdContext.of(rho)
     value, x, evaluations, converged = _minimize_over_angles(
         lambda rows: ctx.values(_qubit_unitaries(rows).swapaxes(0, 1)),
         rho.n_subsystems, _structured_starts(rho), seed, ctx.grid_values,

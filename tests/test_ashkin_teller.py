@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,9 @@ import scipy.sparse as sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from gqd import ashkin_teller
+from gqd import ashkin_teller, correlations
 from gqd.ashkin_teller import (
+    SCAN_STRATEGIES,
     ChainSpec,
     ScanResult,
     SpinGroup,
@@ -35,7 +37,7 @@ from gqd.core import (
     reduced_from_vector,
     relative_entropy,
 )
-from gqd.correlations import gqd
+from gqd.correlations import discord_asymmetric, gqd
 from gqd.measurement import all_x, dephase
 from gqd.states import random_density
 
@@ -174,6 +176,15 @@ class TestHamiltonian:
         couplings = {"beta": 1.0, "delta": 1.0, field: value}
         with pytest.raises(ValueError, match=field):
             ChainSpec(sites=2, **couplings)
+
+    @pytest.mark.parametrize("field", ["beta", "delta"])
+    def test_couplings_beyond_1e100_rejected(self, field):
+        # larger couplings overflow the Lanczos squares before any certificate can judge them
+        for value in (1e100, -1e100):
+            ChainSpec(sites=2, **{"beta": 1.0, "delta": 1.0, field: value})
+        for value in (1.0000001e100, -1e150):
+            with pytest.raises(ValueError, match=rf"^\|{field}\| must be at most 1e100, got "):
+                ChainSpec(sites=2, **{"beta": 1.0, "delta": 1.0, field: value})
 
 
 class TestParityOperators:
@@ -520,17 +531,25 @@ class TestSectorCertificate:
     @pytest.mark.parametrize(
         "sites, deltas", [(4, default_delta_grid()), (8, default_delta_grid(0.9, 1.1, 0.05, 0.05))]
     )
-    def test_warm_started_scan_matches_cold_points(self, sites, deltas):
+    def test_warm_started_scan_matches_cold_points(self, sites, deltas, monkeypatch):
+        # Every group and strategy, scored in stacks (the sextet's 16 states a call cross the
+        # default grid's end), against cold per-point solves reduced by the reference
+        # transpose and scored one state at a time.
         template = ChainSpec(sites=sites, beta=1.0, delta=1.0)
-        group = SpinGroup("quartet")
-        warm = []
-        ashkin_teller._scan(template, deltas, lambda vector, spec: warm.append(vector) or 0.0)
-        scan = gqd_scan(template, deltas, group, "fixed-x")
-        for delta, vector, value in zip(deltas, warm, scan.values):
-            spec = replace(template, delta=float(delta))
-            cold = _ground_vector(spec)
-            assert np.abs(vector - cold).max() <= 1e-12
-            assert abs(value - gqd(reduce_to_group(cold, spec, group), "fixed-x").value) <= 1e-12
+        specs = [replace(template, delta=float(delta)) for delta in deltas]
+        cold = [_ground_vector(spec) for spec in specs]
+        embed, warm = ashkin_teller._embed, []
+        monkeypatch.setattr(ashkin_teller, "_embed",
+                            lambda spec, c: warm.append(embed(spec, c)) or warm[-1])
+        for group, strategy in itertools.product(ashkin_teller.GROUP_SITES, SCAN_STRATEGIES):
+            keep = SpinGroup(group).qubit_indices(sites)
+            warm.clear()
+            scan = gqd_scan(template, deltas, SpinGroup(group), strategy)
+            assert len(warm) == len(cold)
+            for vector, reference, value in zip(warm, cold, scan.values):
+                assert np.abs(vector - reference).max() <= 1e-12
+                rho = reduced_from_vector(reference, SubsystemDims.qubits(2 * sites), keep)
+                assert abs(value - gqd(rho, strategy).value) <= 1e-12, (group, strategy)
 
 
 class CountingProducts:
@@ -736,6 +755,21 @@ class TestSpinGroup:
 
 
 class TestReduceToGroup:
+    @pytest.mark.parametrize("sites", range(2, 9))
+    def test_leading_site_gram_matches_the_transpose(self, sites):
+        # a seeded random vector, which no chain symmetry relates across qubits, and the
+        # ground vector, for every group and pair that fits
+        vector = np.random.default_rng(sites).standard_normal(4**sites)
+        vectors = [vector / np.linalg.norm(vector), _ground_vector(replace(CRITICAL, sites=sites))]
+        keeps = [SpinGroup(g).qubit_indices(sites) for g, n in ashkin_teller.GROUP_SITES.items()
+                 if n <= sites] + [pair_qubits(kind) for kind in ashkin_teller.PAIR_KINDS]
+        for v in vectors:
+            for keep in keeps:
+                reference = reduced_from_vector(v, SubsystemDims.qubits(2 * sites), keep).matrix
+                reduced = ashkin_teller._reduced(v, sites, keep)
+                assert reduced.shape == reference.shape and reduced.dtype == np.float64
+                assert np.abs(reduced - reference).max() <= 1e-14, keep
+
     def test_valid_density_operator(self):
         vec = _ground_vector(CRITICAL)
         rho = reduce_to_group(vec, CRITICAL, SpinGroup("quartet"))
@@ -837,6 +871,18 @@ class TestScans:
         coarse, fine = locate(0.04), locate(0.02)
         assert abs(coarse - fine) < 0.02
 
+    @pytest.mark.parametrize("group, per_call", [("quartet", 256), ("sextet", 16), ("octet", 1)])
+    def test_default_grid_scan_is_stacked_without_the_transpose(self, group, per_call,
+                                                                 stack_validations):
+        # the transpose fails the scan (the fixture), and the 57 states are validated in
+        # stacks of one call's states: all 57 quartets at once, ceil(57 / 16) sextet stacks
+        deltas = default_delta_grid()
+        spin_group = SpinGroup(group)
+        gqd_scan(ChainSpec(sites=4, beta=1.0, delta=1.0), deltas, spin_group, "fixed-x")
+        assert len(deltas) == 57
+        assert correlations._states_per_call(spin_group.n_spins) == per_call
+        assert stack_validations == [min(per_call, 57 - k) for k in range(0, 57, per_call)]
+
     def test_invalid_strategy(self):
         with pytest.raises(ValueError):
             gqd_scan(CRITICAL, [0.9, 1.0], SpinGroup("quartet"), "minimize")
@@ -851,6 +897,16 @@ class TestPairwiseScans:
         deltas = [0.2, 0.8, 1.0, 1.4, 1.8]
         result = pairwise_discord_scan(CRITICAL, deltas, "same-site")
         assert np.abs(result.values).max() <= 1e-8
+
+    @pytest.mark.parametrize("kind", ashkin_teller.PAIR_KINDS)
+    def test_matches_per_point_discord_of_the_pair(self, kind):
+        template = ChainSpec(sites=4, beta=1.0, delta=1.0)
+        deltas = [0.3, 0.9, 1.0, 1.2, 1.7]
+        scan = pairwise_discord_scan(template, deltas, kind)
+        for delta, value in zip(deltas, scan.values):
+            vector = _ground_vector(replace(template, delta=delta))
+            rho = reduced_from_vector(vector, SubsystemDims.qubits(8), pair_qubits(kind))
+            assert abs(value - discord_asymmetric(rho)) <= 1e-12
 
     def test_neighbor_pair_positive_no_extremum(self):
         deltas = np.round(np.arange(0.85, 1.16, 0.05), 10)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gqd.core
-from gqd import cli, correlations
+from gqd import ashkin_teller, cli, correlations
 from gqd.selftest import SuiteResult, run_selftest
 
 
@@ -265,6 +265,24 @@ class TestAtScan:
         assert out == ""
         assert "delta=-1.5" in err
 
+    def test_failed_certificate_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(ashkin_teller, "_sector_lowest",
+                            lambda h, start: np.full(h.shape[0], np.nan))
+        code, out, err = run_cli(["at-scan", "--sites", "3", "--delta-min", "1",
+                                  "--delta-max", "1", "--fine-step", "0"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("gqd: error: sector ground state at delta=1.0 has a negative or NaN")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("beta", ["1e150", "1e160"])
+    def test_huge_beta_is_a_usage_error(self, beta, capsys):
+        code, out, err = run_cli(["at-scan", "--sites", "10", "--beta", beta, "--delta-min", "1",
+                                  "--delta-max", "1", "--fine-step", "0"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"gqd: error: |beta| must be at most 1e100, got {float(beta)}\n"
+
     @pytest.mark.parametrize(
         "flag, value, name",
         [("--delta-min", "nan", "start"), ("--delta-max", "inf", "stop"),
@@ -421,6 +439,16 @@ class TestDiscordCommand:
         _, rows = parse_csv(split_summary(out)[0])
         values = {r[0]: float(r[1]) for r in rows}
         assert abs(values["discord_asymmetric"]) <= 1e-8
+
+    def test_at_pair_failed_certificate_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(ashkin_teller, "_sector_lowest",
+                            lambda h, start: np.full(h.shape[0], np.nan))
+        code, out, err = run_cli(["discord", "at-pair:3,0.8,same-site"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("gqd: error: bad state spec 'at-pair:3,0.8,same-site': sector "
+                              "ground state at delta=0.8 has a negative or NaN amplitude")
+        assert err.count("\n") == 1
 
     def test_at_pair_outside_the_solved_domain(self, capsys):
         code, out, err = run_cli(["discord", "at-pair:3,-0.5,same-site"], capsys)

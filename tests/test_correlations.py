@@ -474,7 +474,7 @@ class TestSymmetricDiscord:
             info - mutual_information(dephase(rho, ProductBasis(tuple(map(LocalBasis, us)))), [0])
             for us in unitaries
         ])
-        relative = correlations._GqdContext(rho).values(unitaries.swapaxes(0, 1))
+        relative = correlations._GqdContext.of(rho).values(unitaries.swapaxes(0, 1))
         assert loss.shape == relative.shape == (len(x),)
         assert np.abs(loss - relative).max() <= 1e-9
 
@@ -503,7 +503,7 @@ class TestBatchedObjective:
         x = np.empty((rows, 2 * n))
         x[:, 0::2] = rng.uniform(0, math.pi, (rows, n))
         x[:, 1::2] = rng.uniform(0, 2 * math.pi, (rows, n))
-        ctx = correlations._GqdContext(rho)
+        ctx = correlations._GqdContext.of(rho)
 
         def objective(batch):
             return ctx.values(correlations._qubit_unitaries(batch).swapaxes(0, 1))
@@ -529,7 +529,7 @@ class TestGridTable:
         return ctx.values(correlations._qubit_unitaries(x).swapaxes(0, 1))
 
     def test_full_two_qubit_grid_is_bitwise_per_row_scoring(self):
-        ctx = correlations._GqdContext(random_density((2, 2), seed=41))
+        ctx = correlations._GqdContext.of(random_density((2, 2), seed=41))
         idx = np.indices((81, 81)).reshape(2, -1).T
         assert np.array_equal(ctx.grid_values(idx), self.row_values(ctx, idx))
 
@@ -537,7 +537,7 @@ class TestGridTable:
     def test_sampled_calls_are_bitwise_per_row_scoring(self, n):
         # Rows sorted by first basis, whose runs cross the call boundaries, then the
         # same rows unsorted; no call is larger than the minimizer's.
-        ctx = correlations._GqdContext(random_density((2,) * n, seed=40 + n, rank=3))
+        ctx = correlations._GqdContext.of(random_density((2,) * n, seed=40 + n, rank=3))
         size = min(100, correlations._ELEMENT_BUDGET // 4**n)
         idx = np.random.default_rng(n).integers(0, 81, size=(3 * size + 7, n))
         idx[:, 0] //= 20  # few first bases, so that runs are long
@@ -549,7 +549,7 @@ class TestGridTable:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_minimization_is_bitwise_that_of_per_row_scoring(self, n):
         rho = random_density((2,) * n, seed=60 + n)
-        ctx = correlations._GqdContext(rho)
+        ctx = correlations._GqdContext.of(rho)
 
         def objective(x):
             return ctx.values(correlations._qubit_unitaries(x).swapaxes(0, 1))
@@ -609,7 +609,7 @@ class TestContractionKernel:
         steps = 1e-5 * np.eye(2 * n)[rng.permutation(2 * n)[:2]]
         x = np.concatenate([x, x[1] + steps, x[1] - steps, x[0] + steps, x[0] - steps])
         unitaries = correlations._qubit_unitaries(x)
-        values = correlations._GqdContext(rho).values(unitaries.swapaxes(0, 1))
+        values = correlations._GqdContext.of(rho).values(unitaries.swapaxes(0, 1))
         assert values.shape == (len(x),)
         for value, row in zip(values, unitaries):
             assert abs(value - relative_entropy_reference(rho, row)) <= 1e-10
@@ -624,7 +624,7 @@ class TestContractionKernel:
         rows = [[haar_unitary(rng, d) for d in dims] for _ in range(3)]
         rows.append([np.eye(d) for d in dims])
         stacks = [np.stack([row[j] for row in rows]) for j in range(len(dims))]
-        values = correlations._GqdContext(rho).values(stacks)
+        values = correlations._GqdContext.of(rho).values(stacks)
         assert values.shape == (len(rows),)
         for value, row in zip(values, rows):
             assert abs(value - relative_entropy_reference(rho, row)) <= 1e-10
@@ -637,8 +637,9 @@ class TestContractionKernel:
     def test_coordinates_rebuild_the_state(self, dims):
         for rank in (1, 2, int(np.prod(dims))):
             rho = random_density(dims, seed=sum(dims) + rank, rank=rank)
-            coords = correlations._GqdContext(rho).coords
-            assert coords.dtype == float and coords.shape == tuple(d * d for d in dims)
+            coords = correlations._GqdContext.of(rho).coords
+            assert coords.dtype == float and coords.shape == (1, np.prod(dims) ** 2)
+            coords = coords.reshape([d * d for d in dims])
             bases = [correlations._operator_basis(d)[0] for d in dims]
             rebuilt = sum(
                 coords[mu] * kron(*(g[m] for g, m in zip(bases, mu)))
