@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
 from . import correlations
 from .core import DensityOperator, SubsystemDims, eig_hermitian
@@ -36,6 +37,8 @@ LANCZOS_CHECK = 4        # Lanczos steps between tests of the lowest Ritz pair
 LANCZOS_RESTARTS = 20    # restarts before the last Ritz vector is returned to the residual check
 CRITICAL_WINDOW = (0.85, 1.15)  # coupling window refined around the delta = 1 critical point
 MAX_GRID_POINTS = 100_000  # largest coarse or fine coupling grid that is built
+MAX_COUPLING = 1e100     # bound on |beta| and |delta|: the Lanczos squares of larger ones overflow
+ORBIT_BLOCK = 2**15      # basis indices whose orbit images are taken at once (cache-sized)
 
 GROUP_SITES = {"quartet": 2, "sextet": 3, "octet": 4}
 PAIR_KINDS = ("same-site", "neighbor-sigma")
@@ -57,7 +60,7 @@ class ChainSpec:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-            if abs(value) > 1e100:  # the Lanczos squares of larger couplings overflow
+            if abs(value) > MAX_COUPLING:
                 raise ValueError(f"|{name}| must be at most 1e100, got {value}")
 
     @property
@@ -190,22 +193,31 @@ def _orbits(sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The group has 8*sites elements: the translations, the sigma <-> tau swap and
     the four parity masks, all commuting with H.  Each index is labelled by the
-    smallest of its images.  Returns (representatives, label of every index,
-    orbit sizes), with representatives[k] the smallest index of orbit k.
+    smallest of its images, found over ORBIT_BLOCK indices at a time, in order: that
+    image is a representative no larger than the index, so its label is known by then.
+    Returns (representatives, int32 label of every index, orbit sizes), with
+    representatives[k] the smallest index of orbit k.
     """
     n = 2 * sites
     sigma = _sigma_mask(sites)
     tau = sigma >> 1
-    index = np.arange(4**sites)
-    smallest = index.copy()
-    for image in (index, ((index & sigma) >> 1) | ((index & tau) << 1)):
-        for _ in range(sites):
-            image = (image >> 2) | ((image & 3) << (n - 2))  # one site along the ring
-            for mask in (0, sigma, tau, sigma | tau):
-                np.minimum(smallest, image ^ mask, out=smallest)
-    is_rep = smallest == index
-    labels = (np.cumsum(is_rep, dtype=np.int32) - 1)[smallest]  # rank of each smallest image
-    return np.flatnonzero(is_rep), labels, np.bincount(labels)
+    labels = np.empty(4**sites, dtype=np.int32)
+    reps, sizes = [], np.zeros(0, dtype=np.intp)
+    for lo in range(0, labels.size, ORBIT_BLOCK):
+        index = np.arange(lo, min(lo + ORBIT_BLOCK, labels.size))
+        smallest = index.copy()
+        for image in (index, ((index & sigma) >> 1) | ((index & tau) << 1)):
+            for _ in range(sites):
+                image = (image >> 2) | ((image & 3) << (n - 2))  # one site along the ring
+                for mask in (0, sigma, tau, sigma | tau):
+                    np.minimum(smallest, image ^ mask, out=smallest)
+        reps.append(index[smallest == index])
+        labels[reps[-1]] = np.arange(sizes.size, sizes.size + reps[-1].size)
+        labels[index] = labels[smallest]
+        counts = np.bincount(labels[index], minlength=sizes.size + reps[-1].size)
+        counts[: sizes.size] += sizes
+        sizes = counts
+    return np.concatenate(reps), labels, sizes
 
 
 @functools.lru_cache(maxsize=1)
@@ -272,78 +284,107 @@ def _lanczos(h: sparse.csr_matrix, start: np.ndarray) -> np.ndarray:
 
 
 def _sector_lowest(h, start: np.ndarray) -> np.ndarray:
-    """Lowest eigenvector of the sector matrix: one dense eigh, which needs no start, or
-    a Lanczos solve from ``start``."""
+    """Lowest eigenvector of the sector matrix: one LAPACK dsyevr call restricted to the
+    lowest eigenpair, which needs no start, or a Lanczos solve from ``start``.  dsyevr gets
+    the workspace that ``scipy.linalg.eigh`` queries, and so returns eigh's vector bit for bit."""
     if isinstance(h, np.ndarray):
-        return eigh(h, subset_by_index=(0, 0))[1][:, 0]
+        work, iwork, _ = dsyevr_lwork(h.shape[0], lower=1)
+        _, z, _, _, info = dsyevr(h, range="I", il=1, iu=1, lower=1, lwork=int(work),
+                                  liwork=iwork)
+        if info:
+            raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
+        return z[:, 0]
     return _lanczos(h, start)
 
 
-def _sector_ground(spec: ChainSpec, start: np.ndarray | None = None) -> tuple:
-    """Ground state of the chain, solved and certified in the fully symmetric sector.
+def _sector_ground(template: ChainSpec, deltas: Sequence[float],
+                   start: np.ndarray | None = None) -> tuple:
+    """Ground states of the chain ``template`` at the block of couplings ``deltas`` (its
+    own delta unused), solved and certified in the fully symmetric sector.
 
     For delta >= 0 every off-diagonal entry of H is <= 0 and single spin flips
     connect all basis states, so by Perron-Frobenius the ground state is unique,
-    positive and fixed by every symmetry that permutes basis states.  A sparse solve
-    starts from the sector vector ``start`` (the ground vector of the same chain at a
-    nearby coupling) or from the uniform vector.  Returns (c, E, residual): the unit
-    sector vector, its Rayleigh quotient and ||H_sec c - E c||.  The embedding E is
-    an isometry with H E = E H_sec, so the residual is the full-space
-    ||Hv - Ev|| of v = E c, and no full-space product is formed.
+    positive and fixed by every symmetry that permutes basis states.  A dense sector
+    forms H = A + delta B for the whole block as one stack and solves each matrix by
+    ``_sector_lowest``.  A sparse one solves the points in order by Lanczos, each from
+    the previous point's vector, the first from the sector vector ``start`` (the ground
+    vector of a nearby coupling) or from the uniform vector.  Returns (c, E, residual)
+    stacked over the block: the unit sector vectors, their Rayleigh quotients and
+    ||H_sec c - E c||.  The embedding E is an isometry with H E = E H_sec, so the
+    residual is the full-space ||Hv - Ev|| of v = E c, and no full-space product is formed.
 
-    Raises ValueError outside delta >= 0 or over SPARSE_MAX_SITES sites, before
-    anything is built.  Raises RuntimeError when the residual exceeds RESIDUAL_TOL *
-    max(1, |E|), or unless every sector amplitude is positive, up to
-    POSITIVITY_FLOOR, once the overall sign is fixed: the Perron-Frobenius
-    certificate of the solve.  An excited state of the sector is orthogonal to
-    the positive ground state and fails it.  The floor admits the exact
-    amplitudes of strongly ordered chains that fall below rounding (about
-    1e-17 at 8 sites, |beta| = 32, delta = 0) and so come out as -1e-16.
+    Raises ValueError at a coupling outside delta >= 0 (or one ChainSpec rejects) or over
+    SPARSE_MAX_SITES sites, before anything is built.  Raises RuntimeError naming the
+    first point of the block whose residual exceeds RESIDUAL_TOL * max(1, |E|), or
+    whose sector amplitudes are not all positive, up to POSITIVITY_FLOOR, once the
+    overall sign is fixed: the Perron-Frobenius certificate of the solve.  An excited
+    state of the sector is orthogonal to the positive ground state and fails it.  The
+    floor admits the exact amplitudes of strongly ordered chains that fall below
+    rounding (about 1e-17 at 8 sites, |beta| = 32, delta = 0) and so come out as -1e-16.
     """
-    if not spec.delta >= 0:
+    deltas = np.asarray(deltas, dtype=float)
+    outside = deltas[~((deltas >= 0) & (deltas <= MAX_COUPLING))]  # NaN fails both
+    if outside.size:
+        spec = replace(template, delta=float(outside[0]))  # ChainSpec's error if non-finite or huge
         raise ValueError(f"delta={spec.delta} is outside the solved domain delta >= 0")
-    a, b, _, root = _sector_parts(spec.sites, spec.beta)
+    a, b, _, root = _sector_parts(template.sites, template.beta)
     if isinstance(a, np.ndarray):
-        h = a + spec.delta * b
-    else:  # one shared pattern: only the data is summed
-        h = sparse.csr_matrix((a.data + spec.delta * b.data, a.indices, a.indptr), shape=a.shape)
-    c = _sector_lowest(h, root if start is None else start)
-    if c.sum() < 0.0:
-        c = -c
-    if not c.min() >= POSITIVITY_FLOOR:  # a NaN amplitude fails too
+        h = a + deltas[:, None, None] * b
+        c = np.array([_sector_lowest(m, start) for m in h])
+        hc = np.matmul(h, c[:, :, None])[:, :, 0]
+    else:
+        c, hc = [], []
+        for delta in deltas:  # one shared pattern: only the data is summed
+            h = sparse.csr_matrix((a.data + delta * b.data, a.indices, a.indptr), shape=a.shape)
+            c.append(_sector_lowest(h, root if start is None else start))
+            hc.append(h @ c[-1])
+            start = c[-1]
+            if not np.isfinite(start).all():  # no next solve from it: the certificate names it
+                break
+        c, hc = np.array(c), np.array(hc)
+    energies = np.vecdot(c, hc)  # neither E nor the residual sees the overall sign
+    r = hc - energies[:, None] * c
+    residuals = np.sqrt(np.vecdot(r, r))
+    c *= np.where(c.sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
+    positive = c.min(axis=1) >= POSITIVITY_FLOOR  # a NaN amplitude fails too
+    accurate = residuals <= RESIDUAL_TOL * np.maximum(1.0, np.abs(energies))
+    failed = ~(positive & accurate)
+    if failed.any():
+        k = int(failed.argmax())  # the first failing point
+        if not positive[k]:
+            raise RuntimeError(
+                f"sector ground state at delta={float(deltas[k])} has a negative or NaN "
+                f"amplitude {c[k].min():.3e}; the Perron-Frobenius certificate failed"
+            )
         raise RuntimeError(
-            f"sector ground state at delta={spec.delta} has a negative or NaN amplitude "
-            f"{c.min():.3e}; the Perron-Frobenius certificate failed"
+            f"ground state residual {residuals[k]:.3e} at delta={float(deltas[k])} exceeds the "
+            f"bound {RESIDUAL_TOL:.0e} * max(1, |E|), E = {energies[k]:.12g}"
         )
-    hc = h @ c
-    energy = float(c @ hc)
-    residual = float(np.linalg.norm(hc - energy * c))
-    if not residual <= RESIDUAL_TOL * max(1.0, abs(energy)):
-        raise RuntimeError(
-            f"ground state residual {residual:.3e} at delta={spec.delta} exceeds the bound "
-            f"{RESIDUAL_TOL:.0e} * max(1, |E|), E = {energy:.12g}"
-        )
-    return c, energy, residual
+    return c, energies, residuals
 
 
-def _embed(spec: ChainSpec, c: np.ndarray) -> np.ndarray:
-    """Full-space vector E c of the sector vector c, by one gather."""
-    _, _, labels, root = _sector_parts(spec.sites, spec.beta)
-    return (c / root)[labels]
+def _embed(template: ChainSpec, c: np.ndarray) -> np.ndarray:
+    """Full-space vectors E c of a (P, S) stack of sector vectors, by one gather in C order,
+    which ``_gram`` needs to reproduce the one-vector product bit for bit: x[:, labels] lays
+    a stack of several out in Fortran order, and np.take would copy the labels to intp."""
+    _, _, labels, root = _sector_parts(template.sites, template.beta)
+    rows = slice(None) if len(c) == 1 else np.arange(len(c))[:, None]
+    return (c / root)[rows, labels]
 
 
 def _ground_vector(spec: ChainSpec) -> np.ndarray:
     """Ground state vector of the chain in the full space (see _sector_ground)."""
-    return _embed(spec, _sector_ground(spec)[0])
+    return _embed(spec, _sector_ground(spec, [spec.delta])[0])[0]
 
 
-def _gram(vector: np.ndarray, sites: int, keep: Sequence[int]) -> np.ndarray:
-    """State of the first sites that hold the qubits ``keep``, as one Gram product: their
-    2L qubits are the leading bits of the index, so the vector viewed as (4^L, 4^(M-L)) has
-    them as its row index, and nothing of length 4^M is transposed.  Real stays real."""
+def _gram(vectors: np.ndarray, sites: int, keep: Sequence[int]) -> np.ndarray:
+    """(P, 4^L, 4^L) states of the first L sites that hold the qubits ``keep``, of a (P, 4^M)
+    stack of chain vectors, as one batched Gram product: their 2L qubits are the leading
+    bits of the index, so each vector viewed as (4^L, 4^(M-L)) has them as its row index,
+    and nothing of length 4^M is transposed.  Real stays real."""
     lead = 2 * (max(keep) // 2 + 1)
-    a = np.reshape(vector, (2**lead, 4**sites >> lead))
-    return a @ a.conj().T
+    a = np.reshape(vectors, (len(vectors), 2**lead, 4**sites >> lead))
+    return a @ a.conj().transpose(0, 2, 1)
 
 
 def _on_qubits(grams: np.ndarray, keep: Sequence[int]) -> np.ndarray:
@@ -359,7 +400,7 @@ def _on_qubits(grams: np.ndarray, keep: Sequence[int]) -> np.ndarray:
 
 def _reduced(vector: np.ndarray, sites: int, keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrix of a chain vector on the qubits ``keep``, in that order."""
-    return _on_qubits(_gram(vector, sites, keep)[None], keep)[0]
+    return _on_qubits(_gram(vector[None], sites, keep), keep)[0]
 
 
 def reduce_to_group(gs_vector: np.ndarray, spec: ChainSpec, group: SpinGroup) -> DensityOperator:
@@ -432,32 +473,40 @@ def _scan(
     measure: Callable[[np.ndarray], Sequence[float]],
     per_call: int,
 ) -> ScanResult:
-    """Ground state at every coupling of the grid, reduced to the first sites that hold the
-    qubits ``keep`` right after its solve (``_gram``), so that one full-space vector is
-    alive at a time.  Whenever per_call states wait, and once for the rest, they go to
-    ``_on_qubits`` as one stack and then to ``measure``, which maps the (k, d, d) stack of
-    states on ``keep`` to their k values."""
+    """Ground states of the coupling grid, solved and certified in blocks of points
+    (``_sector_ground``), each sparse solve warm-started from the previous point's vector.
+    A block holds max(1, _ELEMENT_BUDGET // 4^(M+1)) full-space vectors, a quarter of the
+    element budget as in ``correlations._states_per_call``: 256 points at M = 4, 16 at
+    M = 6, 4 at M = 7 and one from M = 8 on.  A block's vectors are embedded and reduced
+    to the first sites that hold the qubits ``keep`` per_call at a time, by one gather and
+    one batched Gram product (``_gram``), so no full-space vector outlives its product.
+    Whenever per_call states wait, and once for the rest, they go to ``_on_qubits`` as one
+    stack and then to ``measure``, which maps the (k, d, d) stack of states on ``keep`` to
+    their k values."""
     deltas = np.asarray(list(deltas), dtype=float)
     if deltas.size == 0:
         raise ValueError("empty coupling grid")
-    values, waiting, residuals, amplitudes, c = [], [], [], [], None
-    for k, delta in enumerate(deltas):
-        spec = replace(template, delta=float(delta))
-        c, energy, residual = _sector_ground(spec, start=c)  # warm start from the last point
-        residuals.append(residual / max(1.0, abs(energy)))
-        amplitudes.append(c.min())
-        waiting.append(_gram(_embed(spec, c), spec.sites, keep))
-        if len(waiting) == per_call or k == deltas.size - 1:
-            values.extend(measure(_on_qubits(np.stack(waiting), keep)))
-            waiting = []
+    block = max(1, correlations._ELEMENT_BUDGET // 4 ** (template.sites + 1))
+    values, waiting, residuals, amplitudes, start = [], [], [], [], None
+    for lo in range(0, deltas.size, block):
+        c, energies, residual = _sector_ground(template, deltas[lo : lo + block], start)
+        start = c[-1]  # warm start of the next block
+        residuals.append(residual / np.maximum(1.0, np.abs(energies)))
+        amplitudes.append(c.min(axis=1))
+        for k in range(0, len(c), per_call):  # blocks and stacks nest: both powers of 2
+            waiting.append(_gram(_embed(template, c[k : k + per_call]), template.sites, keep))
+            done = lo + k + len(waiting[-1])
+            if done % per_call == 0 or done == deltas.size:
+                values.extend(measure(_on_qubits(np.concatenate(waiting), keep)))
+                waiting = []
     values = np.array(values)
     return ScanResult(
         deltas=deltas,
         values=values,
         derivative=central_difference(deltas, values),
-        max_residual=max(residuals),
-        min_amplitude=float(min(amplitudes)),
-        sector_dim=c.size,
+        max_residual=float(np.concatenate(residuals).max()),
+        min_amplitude=float(np.concatenate(amplitudes).min()),
+        sector_dim=start.size,
     )
 
 

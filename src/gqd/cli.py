@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -261,7 +262,9 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if report.ok else EXIT_SELFTEST
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once a process: parsing leaves it unchanged."""
     base = _Parser(add_help=False)  # flags every command reads
     base.add_argument("--out", default=None, help="output file (default: stdout)")
     table = _Parser(add_help=False, parents=[base])  # commands that write CSV or JSON

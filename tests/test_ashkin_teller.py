@@ -485,8 +485,8 @@ class TestSectorCertificate:
                 monkeypatch.setattr(ashkin_teller, "RESIDUAL_TOL", np.inf)
             for delta in (0.4, 1.0, 1.6):
                 spec = ChainSpec(sites=sites, beta=1.0, delta=delta)
-                c, energy, bound = ashkin_teller._sector_ground(spec)
-                vector = ashkin_teller._embed(spec, c)
+                c, (energy,), (bound,) = ashkin_teller._sector_ground(spec, [delta])
+                (vector,) = ashkin_teller._embed(spec, c)
                 hv = apply_hamiltonian(spec, vector)
                 residual = np.linalg.norm(hv - (vector @ hv) * vector)
                 rounding = 1e-14 * max(1.0, abs(energy))
@@ -520,12 +520,13 @@ class TestSectorCertificate:
         # the dense solve needs no start vector and takes none
         spec = ChainSpec(sites=4, beta=1.0, delta=0.9)
         start = np.random.default_rng(0).random(14)
-        cold, warm = ashkin_teller._sector_ground(spec), ashkin_teller._sector_ground(spec, start)
-        assert np.array_equal(cold[0], warm[0]) and cold[1:] == warm[1:]
+        cold = ashkin_teller._sector_ground(spec, [0.9])
+        warm = ashkin_teller._sector_ground(spec, [0.9], start)
+        assert all(np.array_equal(x, y) for x, y in zip(cold, warm))
         # a sparse solve starts from the given sector vector
         spec = ChainSpec(sites=8, beta=1.0, delta=0.9)
-        cold = ashkin_teller._sector_ground(spec)
-        warm = ashkin_teller._sector_ground(spec, np.random.default_rng(0).random(1062))
+        cold = ashkin_teller._sector_ground(spec, [0.9])
+        warm = ashkin_teller._sector_ground(spec, [0.9], np.random.default_rng(0).random(1062))
         assert np.abs(cold[0] - warm[0]).max() <= 1e-12
 
     @pytest.mark.parametrize(
@@ -535,12 +536,13 @@ class TestSectorCertificate:
         # Every group and strategy, scored in stacks (the sextet's 16 states a call cross the
         # default grid's end), against cold per-point solves reduced by the reference
         # transpose and scored one state at a time.
+        # The vectors are recorded where the block path reduces them, its batched Gram product.
         template = ChainSpec(sites=sites, beta=1.0, delta=1.0)
         specs = [replace(template, delta=float(delta)) for delta in deltas]
         cold = [_ground_vector(spec) for spec in specs]
-        embed, warm = ashkin_teller._embed, []
-        monkeypatch.setattr(ashkin_teller, "_embed",
-                            lambda spec, c: warm.append(embed(spec, c)) or warm[-1])
+        gram, warm = ashkin_teller._gram, []
+        monkeypatch.setattr(ashkin_teller, "_gram",
+                            lambda vectors, *rest: warm.extend(vectors) or gram(vectors, *rest))
         for group, strategy in itertools.product(ashkin_teller.GROUP_SITES, SCAN_STRATEGIES):
             keep = SpinGroup(group).qubit_indices(sites)
             warm.clear()
@@ -550,6 +552,81 @@ class TestSectorCertificate:
                 assert np.abs(vector - reference).max() <= 1e-12
                 rho = reduced_from_vector(reference, SubsystemDims.qubits(2 * sites), keep)
                 assert abs(value - gqd(rho, strategy).value) <= 1e-12, (group, strategy)
+
+
+def inject_fault(monkeypatch, k, fault):
+    """Patch ``_sector_lowest`` so that its k-th solve returns the true vector with ``fault``
+    applied (after the sign that makes its sum positive)."""
+    solve, calls = ashkin_teller._sector_lowest, []
+
+    def faulty(h, start):
+        c = solve(h, start)
+        calls.append(None)
+        return fault(c * np.sign(c.sum())) if len(calls) == k + 1 else c
+
+    monkeypatch.setattr(ashkin_teller, "_sector_lowest", faulty)
+
+
+def with_entry(c, index, value):
+    c = c.copy()
+    c[index] = value
+    return c
+
+
+def with_noise(c):
+    noisy = c + 1e-4 * np.random.default_rng(0).normal(size=c.size)
+    return noisy / np.linalg.norm(noisy)
+
+
+FAULTS = {  # each fault and the certificate that rejects it
+    "nan": (lambda c: with_entry(c, 3, np.nan), "Perron-Frobenius"),
+    "negative": (lambda c: with_entry(c, 3, -c[3]), "Perron-Frobenius"),
+    "noise": (with_noise, "residual"),
+}
+BLOCK_SCANS = {  # a dense block of the whole default grid, and sparse blocks of 4 points
+    4: default_delta_grid(),
+    7: np.round(np.arange(0.8, 1.2001, 0.05), 10),
+}
+
+
+class TestScanBlocks:
+    @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6])
+    def test_dense_solve_is_bitwise_eigh(self, sites):
+        a, b, _, _ = ashkin_teller._sector_parts(sites, 1.0)
+        for delta in default_delta_grid():
+            h = a + delta * b
+            expected = eigh(h, subset_by_index=(0, 0))[1][:, 0]
+            assert np.array_equal(ashkin_teller._sector_lowest(h, None), expected), delta
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("sites, k", [(4, 30), (7, 5)])
+    def test_certificates_name_the_failing_point_of_a_block(self, sites, k, fault, monkeypatch):
+        # the certificates run once a block, after every point of it is solved: the error
+        # still names the first failing point, and a NaN vector starts no further solve
+        deltas = BLOCK_SCANS[sites]
+        apply, certificate = FAULTS[fault]
+        inject_fault(monkeypatch, k, apply)
+        with pytest.raises(RuntimeError, match=certificate) as failure:
+            gqd_scan(ChainSpec(sites=sites, beta=1.0, delta=1.0), deltas, SpinGroup("quartet"),
+                     "fixed-x")
+        assert f" at delta={float(deltas[k])} " in str(failure.value)
+
+    @pytest.mark.parametrize("sites, blocks", [(4, [57]), (7, [4, 4, 1]), (8, [1] * 5)])
+    def test_scan_solves_and_reduces_in_blocks(self, sites, blocks, monkeypatch):
+        # a block holds a quarter of the element budget in full-space vectors: the whole
+        # default grid at M = 4, 4 points at M = 7, one at M = 8; each block is reduced by
+        # one Gram product, so M = 8 gathers one full-space vector per product
+        deltas = default_delta_grid() if sites == 4 else default_delta_grid(0.8, 1.2, 0.05, 0)
+        deltas = deltas[: sum(blocks)]
+        solve, gram, solved, reduced = ashkin_teller._sector_ground, ashkin_teller._gram, [], []
+        monkeypatch.setattr(ashkin_teller, "_sector_ground",
+                            lambda t, d, start=None: solved.append(len(d)) or solve(t, d, start))
+        monkeypatch.setattr(ashkin_teller, "_gram",
+                            lambda v, *rest: reduced.append(v.shape) or gram(v, *rest))
+        gqd_scan(ChainSpec(sites=sites, beta=1.0, delta=1.0), deltas, SpinGroup("quartet"),
+                 "fixed-x")
+        assert solved == blocks
+        assert reduced == [(n, 4**sites) for n in blocks]
 
 
 class CountingProducts:
@@ -717,6 +794,28 @@ class TestOrbits:
         assert (labels[reps] == np.arange(sector_dim)).all()
         assert (np.bincount(labels) == sizes).all()
 
+    @pytest.mark.parametrize("sites", range(2, 11))
+    def test_blocked_orbit_table_matches_the_unblocked_reference(self, sites, monkeypatch):
+        # the reference takes every index's smallest image in one pass over the 4^M indices
+        n = 2 * sites
+        sigma = sum(1 << (n - 1 - q) for q in range(0, n, 2))
+        index = np.arange(4**sites)
+        smallest = index.copy()
+        for image in (index, ((index & sigma) >> 1) | ((index & (sigma >> 1)) << 1)):
+            for _ in range(sites):
+                image = (image >> 2) | ((image & 3) << (n - 2))
+                for mask in (0, sigma, sigma >> 1, sigma | (sigma >> 1)):
+                    np.minimum(smallest, image ^ mask, out=smallest)
+        is_rep = smallest == index
+        labels = (np.cumsum(is_rep, dtype=np.int32) - 1)[smallest]
+        reference = (np.flatnonzero(is_rep), labels, np.bincount(labels))
+        # the default blocks, and blocks that do not divide the table (a short last block)
+        blocks = (ashkin_teller.ORBIT_BLOCK, 100) if sites <= 6 else (ashkin_teller.ORBIT_BLOCK,)
+        for block in blocks:
+            monkeypatch.setattr(ashkin_teller, "ORBIT_BLOCK", block)
+            for got, want in zip(_orbits(sites), reference):
+                assert got.dtype == want.dtype and np.array_equal(got, want), block
+
     @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6, 7, 8])
     def test_sector_build_matches_sorted_orbit_table(self, sites, monkeypatch):
         # reference: the orbit table read off np.unique of every index's smallest image
@@ -849,8 +948,8 @@ class TestScans:
         assert len(result.derivative) == 1
         assert result.sector_dim == 4
         residuals, amplitudes = [], []
-        for delta in deltas:
-            c, energy, residual = ashkin_teller._sector_ground(replace(CRITICAL, delta=delta))
+        for delta in deltas:  # one-point blocks
+            (c,), (energy,), (residual,) = ashkin_teller._sector_ground(CRITICAL, [delta])
             residuals.append(residual / max(1.0, abs(energy)))
             amplitudes.append(c.min())
         assert result.max_residual == max(residuals) <= ashkin_teller.RESIDUAL_TOL
@@ -890,6 +989,15 @@ class TestScans:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             gqd_scan(CRITICAL, [], SpinGroup("quartet"), "fixed-x")
+
+    @pytest.mark.parametrize("delta, message", [
+        (np.nan, r"^delta must be finite, got nan$"),
+        (1.1e100, r"^\|delta\| must be at most 1e100, got 1.1e\+100$"),
+        (-0.1, r"^delta=-0.1 is outside the solved domain delta >= 0$"),
+    ])
+    def test_grid_couplings_are_checked_like_a_chain(self, delta, message):
+        with pytest.raises(ValueError, match=message):
+            gqd_scan(CRITICAL, [0.9, delta, 1.1], SpinGroup("quartet"), "fixed-x")
 
 
 class TestPairwiseScans:

@@ -275,6 +275,21 @@ class TestAtScan:
         assert err.startswith("gqd: error: sector ground state at delta=1.0 has a negative or NaN")
         assert err.count("\n") == 1
 
+    def test_failed_certificate_inside_a_block_is_one_error_line(self, capsys, monkeypatch):
+        # the default grid at M = 4 is one block of 57 points; point 30 (delta = 1.02) fails
+        solve, calls = ashkin_teller._sector_lowest, []
+
+        def faulty(h, start):
+            calls.append(None)
+            return np.full(h.shape[0], np.nan) if len(calls) == 31 else solve(h, start)
+
+        monkeypatch.setattr(ashkin_teller, "_sector_lowest", faulty)
+        code, out, err = run_cli(["at-scan", "--sites", "4"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("gqd: error: sector ground state at delta=1.02 has a negative or NaN")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("beta", ["1e150", "1e160"])
     def test_huge_beta_is_a_usage_error(self, beta, capsys):
         code, out, err = run_cli(["at-scan", "--sites", "10", "--beta", beta, "--delta-min", "1",
@@ -535,6 +550,27 @@ class TestIoAndUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["fix-everything"])
         assert exc.value.code == 1
+
+    def test_commands_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        # the parser is built once a process: each command run through it in turn, a usage
+        # error among them, reads exactly as in a process of its own
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps usage lines to
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        codes = []
+        for argv in (["at-scan", "--sites", "3"], ["at-scan", "--sites", "2", "--seed", "1"],
+                     ["selftest", "--count", "2"], ["discord", "bell"]):
+            try:
+                codes.append(cli.main(argv))
+            except SystemExit as exc:  # argparse's usage errors
+                codes.append(exc.code)
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "gqd", *argv], env=env,
+                                   capture_output=True, text=True)
+            assert (codes[-1], captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert codes == [0, 1, 0, 0]
+        assert cli.build_parser() is cli.build_parser()
 
     def test_package_runs_as_a_module(self):
         src = str(Path(cli.__file__).resolve().parents[1])
