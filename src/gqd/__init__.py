@@ -2,8 +2,8 @@
 
 Library layout:
 
-- :mod:`gqd.core` — density operators, partial trace, entropies.
-- :mod:`gqd.measurement` — projective product bases and dephasing channels.
+- :mod:`gqd.core` — density operators, entropies, and ``trace_out``, the one partial trace.
+- :mod:`gqd.measurement` — projective product bases and the product dephasing channel.
 - :mod:`gqd.correlations` — mutual information, discord, global discord.
 - :mod:`gqd.states` — GHZ / Werner-GHZ oracle states and random states.
 - :mod:`gqd.ashkin_teller` — spin-chain ground states and criticality scans.
@@ -26,7 +26,6 @@ from .measurement import (
     all_x,
     all_z,
     dephase,
-    local_dephase,
     qubit_basis,
     reduced_eigenbasis,
     sigma_x_basis,
@@ -37,7 +36,6 @@ from .correlations import (
     discord_asymmetric,
     gqd,
     gqd_at_basis,
-    measured_conditional_entropy,
     mutual_information,
     symmetric_discord,
 )

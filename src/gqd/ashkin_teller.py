@@ -24,7 +24,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
 from . import correlations
-from .core import DensityOperator, SubsystemDims, eig_hermitian
+from .core import DensityOperator, SubsystemDims, eig_hermitian, trace_out
 
 DENSE_MAX_SITES = 6      # 4^6 = 4096: limit of the dense reference views
 SPARSE_MAX_SITES = 10    # ground-state solver budget (N = 20 spins)
@@ -388,14 +388,8 @@ def _gram(vectors: np.ndarray, sites: int, keep: Sequence[int]) -> np.ndarray:
 
 
 def _on_qubits(grams: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """(P, d, d) states on the qubits ``keep``, in that order, of a (P, 4^L, 4^L) stack of
-    ``_gram`` states: each is permuted into ``keep`` order and its other qubits traced."""
-    lead = grams.shape[-1].bit_length() - 1
-    order = [*keep, *(q for q in range(lead) if q not in keep)]
-    g = grams.reshape((len(grams),) + (2,) * (2 * lead))
-    g = g.transpose([0] + [1 + q for q in order] + [1 + lead + q for q in order])
-    d = 2 ** len(keep)
-    return np.trace(g.reshape(len(grams), d, 2**lead // d, d, -1), axis1=2, axis2=4)
+    """(P, d, d) states on the qubits ``keep``, in that order, of a ``_gram`` stack."""
+    return trace_out(grams, (2,) * (grams.shape[-1].bit_length() - 1), keep)
 
 
 def _reduced(vector: np.ndarray, sites: int, keep: Sequence[int]) -> np.ndarray:

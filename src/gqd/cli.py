@@ -43,6 +43,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take nonnegative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
@@ -282,7 +293,7 @@ def build_parser() -> _Parser:
                        help="global discord of the Werner-GHZ family over mu")
     p.add_argument("--mode", choices=("analytic", "both"), default="analytic")
     p.add_argument("--points", type=int, default=101)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_werner_ghz)
 
     p = sub.add_parser("at-scan", parents=[table],
@@ -303,12 +314,12 @@ def build_parser() -> _Parser:
     p.add_argument("state",
                    help="bell | ghz:N | werner:MU | werner-ghz:MU | at-pair:SITES,DELTA,KIND")
     p.add_argument("--strategy", choices=correlations.STRATEGIES, default="minimize")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_discord)
 
     p = sub.add_parser("selftest", parents=[base], help="run the verification suites")
     p.add_argument("--count", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

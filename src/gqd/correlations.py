@@ -24,6 +24,7 @@ from .core import (
     DensityOperator,
     partial_trace,
     shannon_entropy,
+    trace_out,
     validate_densities,
     von_neumann_entropy,
 )
@@ -141,17 +142,11 @@ class _GqdContext:
         self.coords = np.ascontiguousarray(t.real).reshape(count, -1)
         self.groups = {d: [q for q in range(n) if dims[q] == d] for d in dict.fromkeys(dims)}
         # sum_j S(rho_j) - S(rho), the part no basis changes, with one entropy call per local
-        # dimension; rho_j's coordinates are T summed over the others' diagonal units (traces)
+        # dimension of its (P * n_d, d, d) stack of marginals
         self.offset = -shannon_entropy(eigenvalues)
-        table = self.coords.reshape((count,) + tuple(d * d for d in dims))
         for d, members in self.groups.items():
-            reduced = np.array([
-                table[(..., *(slice(None) if q == j else slice(e) for q, e in enumerate(dims)))]
-                .sum(axis=tuple(q - n for q in range(n) if q != j))
-                for j in members
-            ]).swapaxes(0, 1)
-            stack = (reduced @ _operator_basis(d)[0].reshape(d * d, -1)).reshape(-1, d, d)
-            self.offset += von_neumann_entropy(stack).reshape(count, -1).sum(-1)
+            stack = np.stack([trace_out(matrices, dims, [j]) for j in members], axis=1)
+            self.offset += von_neumann_entropy(stack.reshape(-1, d, d)).reshape(count, -1).sum(-1)
         self.marginals = _marginal_map(dims)
 
     @classmethod
@@ -261,19 +256,6 @@ def _conditional_entropy_tensor(t: np.ndarray, vectors: np.ndarray) -> np.ndarra
     spectrum = np.linalg.eigvalsh(blocks)
     joint = spectrum.reshape(spectrum.shape[:-2] + (-1,))
     return shannon_entropy(joint) - shannon_entropy(np.einsum("...aa->...", blocks).real)
-
-
-def measured_conditional_entropy(rho_ab: DensityOperator, basis_b: LocalBasis) -> float:
-    """sum_j p_j S(rho_{A|j}) for a projective measurement on the last subsystem."""
-    dims = rho_ab.dims.dims
-    if len(dims) < 2:
-        raise ValueError("need at least two subsystems")
-    d_b = dims[-1]
-    if basis_b.dim != d_b:
-        raise ValueError(f"basis dim {basis_b.dim} does not match measured subsystem dim {d_b}")
-    d_a = rho_ab.total_dim // d_b
-    t = rho_ab.matrix.reshape(d_a, d_b, d_a, d_b)
-    return float(_conditional_entropy_tensor(t, basis_b.vectors))
 
 
 def _minimize_over_angles(

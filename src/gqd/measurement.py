@@ -37,12 +37,10 @@ class LocalBasis:
     """Complete orthonormal rank-1 basis of one subsystem.
 
     Stored as a unitary whose columns are the basis vectors; the projector
-    list is derived.  ``degenerate`` marks bases produced by the tie rule in
-    :func:`reduced_eigenbasis`.
+    list is derived.
     """
 
     vectors: np.ndarray
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vectors, dtype=complex)
@@ -138,27 +136,12 @@ def all_x(n: int) -> ProductBasis:
     return ProductBasis.uniform(sigma_x_basis(), n)
 
 
-def _dephase_matrix(m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Kill off-diagonals of m in the basis of u's columns; u may be a (..., D, D) stack."""
-    p = basis_probabilities(m, u)
-    return (u * p[..., None, :]) @ u.conj().swapaxes(-1, -2)
-
-
 def dephase(rho: DensityOperator, basis: ProductBasis) -> DensityOperator:
-    """Non-selective product measurement: sum_k Pi_k rho Pi_k."""
+    """Non-selective product measurement: sum_k Pi_k rho Pi_k, the off-diagonals of rho
+    in the product basis killed."""
     basis.check_dims(rho.dims)
-    return DensityOperator(_dephase_matrix(rho.matrix, basis.unitary()), rho.dims)
-
-
-def local_dephase(rho_j: DensityOperator, basis_j: LocalBasis) -> DensityOperator:
-    """Single-subsystem dephasing: sum_j Pi^j rho Pi^j."""
-    if rho_j.n_subsystems != 1:
-        raise ValueError("local_dephase expects a single-subsystem operator")
-    if basis_j.dim != rho_j.total_dim:
-        raise ValueError(
-            f"basis dim {basis_j.dim} does not match operator dim {rho_j.total_dim}"
-        )
-    return DensityOperator(_dephase_matrix(rho_j.matrix, basis_j.vectors), rho_j.dims)
+    u = basis.unitary()
+    return DensityOperator((u * basis_probabilities(rho.matrix, u)) @ u.conj().T, rho.dims)
 
 
 def reduced_eigenbasis(rho: DensityOperator, j: int) -> LocalBasis:
@@ -166,11 +149,11 @@ def reduced_eigenbasis(rho: DensityOperator, j: int) -> LocalBasis:
 
     When the reduced spectrum is degenerate (adjacent gap below 1e-9) the
     eigenvectors are arbitrary, so this falls back to the computational
-    basis and flags the result as degenerate.
+    basis.
     """
     rho_j = partial_trace(rho, [j])
     spec = eig_hermitian(rho_j)
     gaps = np.diff(spec.eigenvalues)
     if gaps.size and gaps.min() < DEGENERACY_GAP:
-        return LocalBasis(np.eye(rho_j.total_dim, dtype=complex), degenerate=True)
+        return computational_basis(rho_j.total_dim)
     return LocalBasis(spec.eigenvectors)

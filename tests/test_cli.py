@@ -604,6 +604,26 @@ class TestIoAndUsage:
         assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["werner-ghz", "--mode", "both", "--seed", "-1"],
+            ["discord", "ghz:3", "--seed", "-1"],
+            ["selftest", "--seed", "-1"],
+            ["discord", "werner:0.5", "--seed", "-1"],  # two qubits never draw the seed
+        ],
+    )
+    def test_negative_seed_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [
+            f"gqd {argv[0]}: error: argument --seed: expected a nonnegative integer, got '-1'"
+        ]
+
     def test_library_selftest_determinism(self):
         a = run_selftest(seed=5, count=12).render()
         b = run_selftest(seed=5, count=12).render()

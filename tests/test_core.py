@@ -15,6 +15,7 @@ from gqd.core import (
     reduced_from_vector,
     relative_entropy,
     shannon_entropy,
+    trace_out,
     von_neumann_entropy,
 )
 from gqd.correlations import gqd
@@ -178,6 +179,30 @@ class TestPartialTrace:
         rho = random_density((2, 2), seed=0)
         with pytest.raises(ValueError):
             partial_trace(rho, keep)
+
+
+class TestTraceOut:
+    # per-matrix einsum references over dims (2, 3, 2): ket axes abc, bra axes def
+    REFERENCES = {
+        (2, 0): "abcdbf->cafd",  # subsystem 1 traced, 2 kept before 0
+        (1,): "abcaec->be",
+        (2, 1, 0): "abcdef->cbafed",  # nothing traced, order reversed
+    }
+
+    @pytest.mark.parametrize("dtype", [complex, float])  # a real stack stays real
+    @pytest.mark.parametrize("keep", list(REFERENCES))
+    def test_mixed_dims_stack_matches_einsum_reference(self, keep, dtype):
+        rng = np.random.default_rng(41)
+        m = rng.standard_normal((2, 3, 12, 12)).astype(dtype)
+        if dtype is complex:
+            m += 1j * rng.standard_normal((2, 3, 12, 12))
+        d = math.prod((2, 3, 2)[k] for k in keep)
+        got = trace_out(m, (2, 3, 2), list(keep))
+        assert got.shape == (2, 3, d, d) and got.dtype == m.dtype
+        for idx in np.ndindex(2, 3):
+            t = m[idx].reshape(2, 3, 2, 2, 3, 2)
+            want = np.einsum(self.REFERENCES[keep], t).reshape(d, d)
+            assert np.abs(got[idx] - want).max() <= 1e-12
 
 
 class TestReducedFromVector:
