@@ -58,7 +58,6 @@ from .ashkin_teller import (
     ground_state,
     pairwise_discord_scan,
     parity_operators,
-    reduce_to_group,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ Global qubit ordering is site-major with sigma before tau within a site:
 basis index of an M-site chain, so the first L sites are its leading 2L
 bits: a full-space vector viewed as a (4^L, 4^(M-L)) matrix has those
 sites as its row index, and its Gram matrix is their reduced state with no
-transpose of the 4^M entries (``_gram``).  The global discord of small
+transpose of the 4^M entries (``_group_states``).  The global discord of small
 spin groups in the ground state, scanned across the four-spin coupling,
 locates the infinite-order critical point of the beta=1 line as a
 derivative extremum.
@@ -365,8 +365,9 @@ def _sector_ground(template: ChainSpec, deltas: Sequence[float],
 
 def _embed(template: ChainSpec, c: np.ndarray) -> np.ndarray:
     """Full-space vectors E c of a (P, S) stack of sector vectors, by one gather in C order,
-    which ``_gram`` needs to reproduce the one-vector product bit for bit: x[:, labels] lays
-    a stack of several out in Fortran order, and np.take would copy the labels to intp."""
+    which ``_group_states`` needs to reproduce the one-vector product bit for bit:
+    x[:, labels] lays a stack of several out in Fortran order, and np.take would copy the
+    labels to intp."""
     _, _, labels, root = _sector_parts(template.sites, template.beta)
     rows = slice(None) if len(c) == 1 else np.arange(len(c))[:, None]
     return (c / root)[rows, labels]
@@ -377,30 +378,15 @@ def _ground_vector(spec: ChainSpec) -> np.ndarray:
     return _embed(spec, _sector_ground(spec, [spec.delta])[0])[0]
 
 
-def _gram(vectors: np.ndarray, sites: int, keep: Sequence[int]) -> np.ndarray:
-    """(P, 4^L, 4^L) states of the first L sites that hold the qubits ``keep``, of a (P, 4^M)
-    stack of chain vectors, as one batched Gram product: their 2L qubits are the leading
-    bits of the index, so each vector viewed as (4^L, 4^(M-L)) has them as its row index,
-    and nothing of length 4^M is transposed.  Real stays real."""
+def _group_states(vectors: np.ndarray, sites: int, keep: Sequence[int]) -> np.ndarray:
+    """(P, d, d) states on the qubits ``keep``, in that order, of a (P, 4^M) stack of chain
+    vectors.  The first L sites that hold ``keep`` are the leading 2L bits of the index, so
+    each vector viewed as (4^L, 4^(M-L)) has them as its row index: one batched Gram product
+    gives their states with nothing of length 4^M transposed, and ``trace_out`` the rest.
+    Real stays real."""
     lead = 2 * (max(keep) // 2 + 1)
     a = np.reshape(vectors, (len(vectors), 2**lead, 4**sites >> lead))
-    return a @ a.conj().transpose(0, 2, 1)
-
-
-def _on_qubits(grams: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """(P, d, d) states on the qubits ``keep``, in that order, of a ``_gram`` stack."""
-    return trace_out(grams, (2,) * (grams.shape[-1].bit_length() - 1), keep)
-
-
-def _reduced(vector: np.ndarray, sites: int, keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of a chain vector on the qubits ``keep``, in that order."""
-    return _on_qubits(_gram(vector[None], sites, keep), keep)[0]
-
-
-def reduce_to_group(gs_vector: np.ndarray, spec: ChainSpec, group: SpinGroup) -> DensityOperator:
-    """Reduced density operator of the ground state on the group's spins."""
-    keep = group.qubit_indices(spec.sites)
-    return DensityOperator(_reduced(gs_vector, spec.sites, keep), SubsystemDims.qubits(len(keep)))
+    return trace_out(a @ a.conj().transpose(0, 2, 1), (2,) * lead, keep)
 
 
 def central_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -465,22 +451,22 @@ def _scan(
     deltas: Sequence[float],
     keep: Sequence[int],
     measure: Callable[[np.ndarray], Sequence[float]],
-    per_call: int,
 ) -> ScanResult:
     """Ground states of the coupling grid, solved and certified in blocks of points
     (``_sector_ground``), each sparse solve warm-started from the previous point's vector.
     A block holds max(1, _ELEMENT_BUDGET // 4^(M+1)) full-space vectors, a quarter of the
     element budget as in ``correlations._states_per_call``: 256 points at M = 4, 16 at
     M = 6, 4 at M = 7 and one from M = 8 on.  A block's vectors are embedded and reduced
-    to the first sites that hold the qubits ``keep`` per_call at a time, by one gather and
-    one batched Gram product (``_gram``), so no full-space vector outlives its product.
-    Whenever per_call states wait, and once for the rest, they go to ``_on_qubits`` as one
-    stack and then to ``measure``, which maps the (k, d, d) stack of states on ``keep`` to
-    their k values."""
+    to their states on the qubits ``keep`` by ``_group_states``, at most
+    ``_states_per_call(len(keep))`` at a time (256 quartets, 16 sextets, one octet or 4,096
+    pairs), so no full-space vector outlives its Gram product.  Whenever that many states
+    wait, and once for the rest, they go to ``measure`` as one stack: it maps the (k, d, d)
+    states on ``keep`` to their k values."""
     deltas = np.asarray(list(deltas), dtype=float)
     if deltas.size == 0:
         raise ValueError("empty coupling grid")
     block = max(1, correlations._ELEMENT_BUDGET // 4 ** (template.sites + 1))
+    per_call = correlations._states_per_call(len(keep))
     values, waiting, residuals, amplitudes, start = [], [], [], [], None
     for lo in range(0, deltas.size, block):
         c, energies, residual = _sector_ground(template, deltas[lo : lo + block], start)
@@ -488,10 +474,10 @@ def _scan(
         residuals.append(residual / np.maximum(1.0, np.abs(energies)))
         amplitudes.append(c.min(axis=1))
         for k in range(0, len(c), per_call):  # blocks and stacks nest: both powers of 2
-            waiting.append(_gram(_embed(template, c[k : k + per_call]), template.sites, keep))
+            waiting.append(_group_states(_embed(template, c[k : k + per_call]), template.sites, keep))
             done = lo + k + len(waiting[-1])
             if done % per_call == 0 or done == deltas.size:
-                values.extend(measure(_on_qubits(np.concatenate(waiting), keep)))
+                values.extend(measure(np.concatenate(waiting)))
                 waiting = []
     values = np.array(values)
     return ScanResult(
@@ -520,7 +506,7 @@ def gqd_scan(
     def measure(matrices: np.ndarray) -> np.ndarray:
         return correlations.fixed_gqd(matrices, dims, strategy)
 
-    return _scan(template, deltas, keep, measure, correlations._states_per_call(len(keep)))
+    return _scan(template, deltas, keep, measure)
 
 
 def pair_qubits(kind: str) -> list[int]:
@@ -543,4 +529,4 @@ def pairwise_discord_scan(
         return [correlations.discord_asymmetric(DensityOperator(m, SubsystemDims.qubits(2)))
                 for m in matrices]
 
-    return _scan(template, deltas, keep, measure, 1)
+    return _scan(template, deltas, keep, measure)

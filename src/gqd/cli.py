@@ -36,11 +36,10 @@ class BudgetError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures reported as the one line ``gqd: error: ...``, exit code 1."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"gqd: error: {message}\n")
 
 
 def _seed(text: str) -> int:
@@ -202,10 +201,12 @@ def _cmd_at_scan(args) -> int:
 
 def _parse_state(spec: str):
     """Parse a state spec into (label, DensityOperator)."""
-    name, _, rest = spec.partition(":")
+    name, colon, rest = spec.partition(":")
     name = name.strip().lower()
     try:
         if name == "bell":
+            if colon:
+                raise ValueError("bell takes no fields")
             return "bell", states.bell()
         if name == "ghz":
             n = int(rest)
@@ -224,7 +225,7 @@ def _parse_state(spec: str):
             _check_site_budget(sites)
             keep = at.pair_qubits(kind)
             chain = at.ChainSpec(sites=sites, beta=1.0, delta=delta)
-            pair = at._reduced(at._ground_vector(chain), sites, keep)
+            pair = at._group_states(at._ground_vector(chain)[None], sites, keep)[0]
             return spec, DensityOperator(pair, SubsystemDims.qubits(2))
     except (ValueError, TypeError, RuntimeError) as exc:
         raise UsageError(f"bad state spec {spec!r}: {exc}") from exc

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from dataclasses import replace
 
@@ -23,7 +24,6 @@ from gqd.ashkin_teller import (
     pair_qubits,
     pairwise_discord_scan,
     parity_operators,
-    reduce_to_group,
     zero_crossings,
 )
 from gqd.core import (
@@ -43,6 +43,13 @@ from gqd.states import random_density
 
 CRITICAL = ChainSpec(sites=3, beta=1.0, delta=1.0)
 SOLVER_SIZES = (4, 7)  # sector of 14 states, solved densely; of 298 states, solved by Lanczos
+
+
+def reduce_to_group(vector, spec, group):
+    """Reduced density operator of a chain vector on the group's spins."""
+    keep = group.qubit_indices(spec.sites)
+    states = ashkin_teller._group_states(vector[None], spec.sites, keep)
+    return DensityOperator(states[0], SubsystemDims.qubits(len(keep)))
 
 
 def assert_z_basis_minimizes(spec, group):
@@ -536,13 +543,13 @@ class TestSectorCertificate:
         # Every group and strategy, scored in stacks (the sextet's 16 states a call cross the
         # default grid's end), against cold per-point solves reduced by the reference
         # transpose and scored one state at a time.
-        # The vectors are recorded where the block path reduces them, its batched Gram product.
+        # The vectors are recorded where the block path reduces them, ``_group_states``.
         template = ChainSpec(sites=sites, beta=1.0, delta=1.0)
         specs = [replace(template, delta=float(delta)) for delta in deltas]
         cold = [_ground_vector(spec) for spec in specs]
-        gram, warm = ashkin_teller._gram, []
-        monkeypatch.setattr(ashkin_teller, "_gram",
-                            lambda vectors, *rest: warm.extend(vectors) or gram(vectors, *rest))
+        reduce, warm = ashkin_teller._group_states, []
+        monkeypatch.setattr(ashkin_teller, "_group_states",
+                            lambda vectors, *rest: warm.extend(vectors) or reduce(vectors, *rest))
         for group, strategy in itertools.product(ashkin_teller.GROUP_SITES, SCAN_STRATEGIES):
             keep = SpinGroup(group).qubit_indices(sites)
             warm.clear()
@@ -615,18 +622,26 @@ class TestScanBlocks:
     def test_scan_solves_and_reduces_in_blocks(self, sites, blocks, monkeypatch):
         # a block holds a quarter of the element budget in full-space vectors: the whole
         # default grid at M = 4, 4 points at M = 7, one at M = 8; each block is reduced by
-        # one Gram product, so M = 8 gathers one full-space vector per product
+        # one ``_group_states`` call, so M = 8 gathers one full-space vector per product,
+        # and pairs (4,096 a stack) are reduced in the same blocks as quartets (256)
         deltas = default_delta_grid() if sites == 4 else default_delta_grid(0.8, 1.2, 0.05, 0)
         deltas = deltas[: sum(blocks)]
-        solve, gram, solved, reduced = ashkin_teller._sector_ground, ashkin_teller._gram, [], []
+        solve, reduce = ashkin_teller._sector_ground, ashkin_teller._group_states
+        solved, reduced = [], []
         monkeypatch.setattr(ashkin_teller, "_sector_ground",
                             lambda t, d, start=None: solved.append(len(d)) or solve(t, d, start))
-        monkeypatch.setattr(ashkin_teller, "_gram",
-                            lambda v, *rest: reduced.append(v.shape) or gram(v, *rest))
-        gqd_scan(ChainSpec(sites=sites, beta=1.0, delta=1.0), deltas, SpinGroup("quartet"),
-                 "fixed-x")
-        assert solved == blocks
-        assert reduced == [(n, 4**sites) for n in blocks]
+        monkeypatch.setattr(ashkin_teller, "_group_states",
+                            lambda v, *rest: reduced.append(v.shape) or reduce(v, *rest))
+        template = ChainSpec(sites=sites, beta=1.0, delta=1.0)
+        scans = [functools.partial(gqd_scan, template, deltas, SpinGroup("quartet"), "fixed-x")]
+        scans += [functools.partial(pairwise_discord_scan, template, deltas, kind)
+                  for kind in ashkin_teller.PAIR_KINDS]
+        for scan in scans:
+            solved.clear()
+            reduced.clear()
+            scan()
+            assert solved == blocks
+            assert reduced == [(n, 4**sites) for n in blocks]
 
 
 class CountingProducts:
@@ -865,7 +880,7 @@ class TestReduceToGroup:
         for v in vectors:
             for keep in keeps:
                 reference = reduced_from_vector(v, SubsystemDims.qubits(2 * sites), keep).matrix
-                reduced = ashkin_teller._reduced(v, sites, keep)
+                reduced = ashkin_teller._group_states(v[None], sites, keep)[0]
                 assert reduced.shape == reference.shape and reduced.dtype == np.float64
                 assert np.abs(reduced - reference).max() <= 1e-14, keep
 

@@ -390,6 +390,13 @@ class TestDiscordCommand:
         assert abs(values["discord_symmetric"] - 1.0) <= 1e-8
         assert abs(values["gqd_minimize"] - 1.0) <= 1e-6
 
+    @pytest.mark.parametrize("argv", [["bell:3"], ["bell:anything", "--format", "json"]])
+    def test_bell_takes_no_fields(self, argv, capsys):
+        code, out, err = run_cli(["discord", *argv], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"gqd: error: bad state spec {argv[0]!r}: bell takes no fields\n"
+
     def test_two_qubit_minimization_runs_once(self, capsys, monkeypatch):
         # discord_symmetric and gqd_minimize are the same minimization: one run gives both rows
         calls = []
@@ -454,6 +461,26 @@ class TestDiscordCommand:
         _, rows = parse_csv(split_summary(out)[0])
         values = {r[0]: float(r[1]) for r in rows}
         assert abs(values["discord_asymmetric"]) <= 1e-8
+
+    @pytest.mark.parametrize("sites", [3, 8])  # a dense sector solve and a Lanczos one
+    @pytest.mark.parametrize("kind", ashkin_teller.PAIR_KINDS)
+    def test_at_pair_matches_the_reference_reduction(self, sites, kind, capsys):
+        spec = f"at-pair:{sites},0.8,{kind}"
+        code, out, _ = run_cli(["discord", spec, "--format", "json"], capsys)
+        assert code == 0
+        values = {row["measure"]: row["value"] for row in json.loads(out)["rows"]}
+        chain = ashkin_teller.ChainSpec(sites=sites, beta=1.0, delta=0.8)
+        rho = gqd.core.reduced_from_vector(ashkin_teller._ground_vector(chain),
+                                           gqd.core.SubsystemDims.qubits(2 * sites),
+                                           ashkin_teller.pair_qubits(kind))
+        expected = {
+            "mutual_information": correlations.mutual_information(rho, cut=[0]),
+            "discord_asymmetric": correlations.discord_asymmetric(rho),
+            "discord_symmetric": correlations.symmetric_discord(rho),
+            "gqd_minimize": correlations.gqd(rho, "minimize", seed=0).value,
+        }
+        for name, value in expected.items():
+            assert abs(values[name] - value) <= 1e-12, name
 
     def test_at_pair_failed_certificate_is_one_error_line(self, capsys, monkeypatch):
         monkeypatch.setattr(ashkin_teller, "_sector_lowest",
@@ -619,10 +646,21 @@ class TestIoAndUsage:
         captured = capsys.readouterr()
         assert exc.value.code == 1
         assert captured.out == ""
-        errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert errors == [
-            f"gqd {argv[0]}: error: argument --seed: expected a nonnegative integer, got '-1'"
+        assert captured.err.splitlines() == [
+            "gqd: error: argument --seed: expected a nonnegative integer, got '-1'"
         ]
+
+    @pytest.mark.parametrize(
+        "argv", [["werner-ghz", "--points", "abc"], ["at-scan"], ["selftest", "--format", "json"]]
+    )
+    def test_parse_errors_are_one_error_line(self, argv, capsys):
+        # errors argparse finds read like those found after parsing: no usage block
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("gqd: error: ") and captured.err.count("\n") == 1
 
     def test_library_selftest_determinism(self):
         a = run_selftest(seed=5, count=12).render()
