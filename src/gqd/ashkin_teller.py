@@ -6,10 +6,11 @@ Global qubit ordering is site-major with sigma before tau within a site:
 basis index of an M-site chain, so the first L sites are its leading 2L
 bits: a full-space vector viewed as a (4^L, 4^(M-L)) matrix has those
 sites as its row index, and its Gram matrix is their reduced state with no
-transpose of the 4^M entries (``_group_states``).  The global discord of small
-spin groups in the ground state, scanned across the four-spin coupling,
-locates the infinite-order critical point of the beta=1 line as a
-derivative extremum.
+transpose of the 4^M entries (``_group_states``).  The ground state is solved in
+the sector fixed by the 16M basis permutations of ``_orbits`` (translations, site
+reversal, the sigma <-> tau swap and the parities).  The global discord of small
+spin groups in the ground state, scanned across the four-spin coupling, locates
+the infinite-order critical point of the beta=1 line as a derivative extremum.
 """
 from __future__ import annotations
 
@@ -20,8 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dsyevr, dsyevr_lwork
+from scipy.linalg.lapack import dstebz, dstein, dsyevr, dsyevr_lwork
 
 from . import correlations
 from .core import DensityOperator, SubsystemDims, eig_hermitian, trace_out
@@ -191,8 +191,9 @@ def ground_state(h: np.ndarray) -> GroundState:
 def _orbits(sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orbits of the basis indices under the chain's symmetries that permute basis states.
 
-    The group has 8*sites elements: the translations, the sigma <-> tau swap and
-    the four parity masks, all commuting with H.  Each index is labelled by the
+    The group has 16*sites elements: the translations, the site reversal (the 2-bit
+    site fields of the index in reverse order), the sigma <-> tau swap and the four
+    parity masks, all commuting with H on the ring.  Each index is labelled by the
     smallest of its images, found over ORBIT_BLOCK indices at a time, in order: that
     image is a representative no larger than the index, so its label is known by then.
     Returns (representatives, int32 label of every index, orbit sizes), with
@@ -201,12 +202,17 @@ def _orbits(sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = 2 * sites
     sigma = _sigma_mask(sites)
     tau = sigma >> 1
+
+    def swap(i: np.ndarray) -> np.ndarray:
+        return ((i & sigma) >> 1) | ((i & tau) << 1)
+
     labels = np.empty(4**sites, dtype=np.int32)
     reps, sizes = [], np.zeros(0, dtype=np.intp)
     for lo in range(0, labels.size, ORBIT_BLOCK):
         index = np.arange(lo, min(lo + ORBIT_BLOCK, labels.size))
         smallest = index.copy()
-        for image in (index, ((index & sigma) >> 1) | ((index & tau) << 1)):
+        mirror = sum(((index >> (2 * s)) & 3) << (n - 2 - 2 * s) for s in range(sites))
+        for image in (index, swap(index), mirror, swap(mirror)):
             for _ in range(sites):
                 image = (image >> 2) | ((image & 3) << (n - 2))  # one site along the ring
                 for mask in (0, sigma, tau, sigma | tau):
@@ -224,14 +230,16 @@ def _orbits(sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _sector_parts(sites: int, beta: float) -> tuple:
     """A and B in the fully symmetric sector, built from the orbit representatives alone.
 
-    The sector is spanned by the normalized orbit sums |O> = sum_{i in O} |i> / sqrt|O|.
-    Because H commutes with the group, <O|H|O'> = sqrt(|O|/|O'|) * sum_{j in O'} H[r_O, j]
-    with r_O the representative of O: its z bits give the diagonal, and each flip
-    r_O ^ mask lands in the orbit its label names.  Returns (A_sec, B_sec, labels,
-    root), so that c -> (c / root)[labels] is the isometry E onto the sector,
-    root = sqrt|O|.  A_sec and B_sec are dense up to DENSE_SECTOR_DIM states; larger,
-    they are CSR matrices on one pattern (the union of their entries, read back as the
-    real and imaginary parts of A + iB), so that H(delta) sums their data alone.
+    The sector of the 16*sites-element group of ``_orbits`` (3, 4, 13, 22, 73, 181, 627,
+    1,957 and 6,990 states for 2 to 10 sites) is spanned by the normalized orbit sums
+    |O> = sum_{i in O} |i> / sqrt|O|.  Because H commutes with the group, <O|H|O'> =
+    sqrt(|O|/|O'|) * sum_{j in O'} H[r_O, j] with r_O the representative of O: its z bits
+    give the diagonal, and each flip r_O ^ mask lands in the orbit its label names.
+    Returns (A_sec, B_sec, labels, root), so that c -> (c / root)[labels] is the isometry
+    E onto the sector, root = sqrt|O|.  A_sec and B_sec are dense up to DENSE_SECTOR_DIM
+    states (M <= 6); larger, they are CSR matrices on one pattern (the union of their
+    entries, read back as the real and imaginary parts of A + iB), so that H(delta) sums
+    their data alone.
     """
     if sites > SPARSE_MAX_SITES:
         raise ValueError(f"chains beyond {SPARSE_MAX_SITES} sites are out of budget")
@@ -248,14 +256,29 @@ def _sector_parts(sites: int, beta: float) -> tuple:
     return (*parts, labels, root)
 
 
+def _tridiagonal_lowest(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenpair ([theta], (n, 1) vector) of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e: the dstebz and dstein calls that
+    ``scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))`` makes, and so
+    its result bit for bit, without its argument checks."""
+    if d.size == 1:
+        return np.array([d[0]]), np.array([[1.0]])
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if not info:
+        z, info = dstein(d, e, w[:m], iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError(f"dstebz/dstein failed with info {info}")
+    return w[:m], z
+
+
 def _lanczos(h: sparse.csr_matrix, start: np.ndarray) -> np.ndarray:
     """Lowest eigenvector of the symmetric h: Lanczos from ``start`` with full
     reorthogonalization (two Gram-Schmidt passes), restarted from the Ritz vector when
     LANCZOS_BASIS vectors fill, at most LANCZOS_RESTARTS times (the caller's residual
     check judges what it returns).  Every LANCZOS_CHECK steps it stops once the lowest
     Ritz pair (theta, y) of T_j has ||h y - theta y|| = |beta_j s_j| <= LANCZOS_TOL *
-    max(1, |theta|), s the eigenvector of T_j.  At a breakdown (beta_j negligible) the
-    Krylov space is invariant and its Ritz vector exact.
+    max(1, |theta|), s the eigenvector of T_j (``_tridiagonal_lowest``).  At a breakdown
+    (beta_j negligible) the Krylov space is invariant and its Ritz vector exact.
     """
     q = np.empty((LANCZOS_BASIS, start.size))
     alpha, beta = np.empty(LANCZOS_BASIS), np.empty(LANCZOS_BASIS)
@@ -271,8 +294,7 @@ def _lanczos(h: sparse.csr_matrix, start: np.ndarray) -> np.ndarray:
             breakdown = beta[j] <= LANCZOS_TOL * max(1.0, abs(alpha[j]))
             full = j + 1 == LANCZOS_BASIS
             if breakdown or full or j % LANCZOS_CHECK == LANCZOS_CHECK - 1:
-                theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i",
-                                            select_range=(0, 0))
+                theta, s = _tridiagonal_lowest(alpha[: j + 1], beta[:j])
                 converged = beta[j] * abs(s[-1, 0]) <= LANCZOS_TOL * max(1.0, abs(theta[0]))
                 if breakdown or converged or full:  # the Ritz vector is returned or restarts
                     ritz = s[:, 0] @ q[: j + 1]
@@ -304,7 +326,8 @@ def _sector_ground(template: ChainSpec, deltas: Sequence[float],
 
     For delta >= 0 every off-diagonal entry of H is <= 0 and single spin flips
     connect all basis states, so by Perron-Frobenius the ground state is unique,
-    positive and fixed by every symmetry that permutes basis states.  A dense sector
+    positive and fixed by every symmetry that permutes basis states, site reversal
+    among them.  A dense sector
     forms H = A + delta B for the whole block as one stack and solves each matrix by
     ``_sector_lowest``.  A sparse one solves the points in order by Lanczos, each from
     the previous point's vector, the first from the sector vector ``start`` (the ground

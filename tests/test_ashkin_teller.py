@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sparse
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from gqd import ashkin_teller, correlations
@@ -42,7 +42,7 @@ from gqd.measurement import all_x, dephase
 from gqd.states import random_density
 
 CRITICAL = ChainSpec(sites=3, beta=1.0, delta=1.0)
-SOLVER_SIZES = (4, 7)  # sector of 14 states, solved densely; of 298 states, solved by Lanczos
+SOLVER_SIZES = (4, 7)  # sector of 13 states, solved densely; of 181 states, solved by Lanczos
 
 
 def reduce_to_group(vector, spec, group):
@@ -307,7 +307,7 @@ class TestGroundState:
         def signed_solve(sign):
             return lambda *args: solve(*args) * sign
 
-        for sites, sector_dim in zip(SOLVER_SIZES, (14, 298)):
+        for sites, sector_dim in zip(SOLVER_SIZES, (13, 181)):
             spec = ChainSpec(sites=sites, beta=1.0, delta=0.9)
             monkeypatch.setattr(ashkin_teller, "_sector_lowest", solve)
             expected = _ground_vector(spec)
@@ -518,7 +518,7 @@ class TestSectorCertificate:
             assert np.abs(_ground_vector(spec) - expected).max() <= 1e-12
 
     def test_sector_size_picks_the_solver(self):
-        for sites, dense in ((4, True), (8, False)):  # 14 and 1,062 sector states
+        for sites, dense in ((4, True), (8, False)):  # 13 and 627 sector states
             a, b, *_ = ashkin_teller._sector_parts(sites, 1.0)
             assert isinstance(a, np.ndarray) == isinstance(b, np.ndarray) == dense
             assert sparse.issparse(a) == sparse.issparse(b) == (not dense)
@@ -533,7 +533,7 @@ class TestSectorCertificate:
         # a sparse solve starts from the given sector vector
         spec = ChainSpec(sites=8, beta=1.0, delta=0.9)
         cold = ashkin_teller._sector_ground(spec, [0.9])
-        warm = ashkin_teller._sector_ground(spec, [0.9], np.random.default_rng(0).random(1062))
+        warm = ashkin_teller._sector_ground(spec, [0.9], np.random.default_rng(0).random(627))
         assert np.abs(cold[0] - warm[0]).max() <= 1e-12
 
     @pytest.mark.parametrize(
@@ -712,6 +712,28 @@ class TestLanczos:
         ashkin_teller._lanczos(warm, near)
         assert warm.products < cold.products
 
+    def test_ritz_pair_is_bitwise_eigh_tridiagonal(self):
+        # seeded tridiagonals of every size up to the basis, whole and split by a zero
+        # off-diagonal entry (two blocks for dstebz and dstein)
+        rng = np.random.default_rng(29)
+        for size in range(1, ashkin_teller.LANCZOS_BASIS + 1):
+            d, e = rng.normal(size=size), rng.normal(size=size - 1)
+            split = e.copy()
+            if size > 1:
+                split[rng.integers(size - 1)] = 0.0
+            for off in (e, split):
+                expected = eigh_tridiagonal(d, off, select="i", select_range=(0, 0))
+                got = ashkin_teller._tridiagonal_lowest(d, off)
+                for x, y in zip(got, expected):
+                    assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), size
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_ritz_pair_raises_on_a_lapack_failure(self, routine, monkeypatch):
+        call = getattr(ashkin_teller, routine)
+        monkeypatch.setattr(ashkin_teller, routine, lambda *args: (*call(*args)[:-1], 1))
+        with pytest.raises(np.linalg.LinAlgError, match="info 1$"):
+            ashkin_teller._tridiagonal_lowest(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5]))
+
 
 def free_fermion_pair(sites, beta):
     """Neighbour sigma pair of the decoupled chain (delta = 0), in closed form.
@@ -789,7 +811,7 @@ def qubit_permutation(index, sites, perm):
 
 
 class TestOrbits:
-    @pytest.mark.parametrize("sites, sector_dim", [(2, 3), (3, 4), (4, 14), (5, 28), (6, 98)])
+    @pytest.mark.parametrize("sites, sector_dim", [(2, 3), (3, 4), (4, 13), (5, 22), (6, 73)])
     def test_orbit_table(self, sites, sector_dim):
         n = 2 * sites
         index = np.arange(4**sites)
@@ -797,6 +819,7 @@ class TestOrbits:
         generators = {
             "translation": qubit_permutation(index, sites, [(q + 2) % n for q in range(n)]),
             "swap": qubit_permutation(index, sites, [q ^ 1 for q in range(n)]),
+            "reversal": qubit_permutation(index, sites, [n - 2 - q + 2 * (q % 2) for q in range(n)]),
             "sigma parity": index ^ sigma,
             "tau parity": index ^ (sigma >> 1),
         }
@@ -804,7 +827,7 @@ class TestOrbits:
         for name, image in generators.items():
             assert (labels[image] == labels).all(), name
         assert sizes.sum() == 4**sites
-        assert (8 * sites % sizes == 0).all()
+        assert (16 * sites % sizes == 0).all()
         assert len(sizes) == sector_dim
         assert (labels[reps] == np.arange(sector_dim)).all()
         assert (np.bincount(labels) == sizes).all()
@@ -816,7 +839,11 @@ class TestOrbits:
         sigma = sum(1 << (n - 1 - q) for q in range(0, n, 2))
         index = np.arange(4**sites)
         smallest = index.copy()
-        for image in (index, ((index & sigma) >> 1) | ((index & (sigma >> 1)) << 1)):
+        mirror = np.zeros_like(index)
+        for s in range(sites):  # site s to site sites - 1 - s, its two bits kept in order
+            mirror |= ((index >> (n - 2 - 2 * s)) & 3) << (2 * s)
+        swapped = [((i & sigma) >> 1) | ((i & (sigma >> 1)) << 1) for i in (index, mirror)]
+        for image in (index, swapped[0], mirror, swapped[1]):
             for _ in range(sites):
                 image = (image >> 2) | ((image & 3) << (n - 2))
                 for mask in (0, sigma, sigma >> 1, sigma | (sigma >> 1)):
@@ -830,6 +857,40 @@ class TestOrbits:
             monkeypatch.setattr(ashkin_teller, "ORBIT_BLOCK", block)
             for got, want in zip(_orbits(sites), reference):
                 assert got.dtype == want.dtype and np.array_equal(got, want), block
+
+    @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6])
+    def test_site_reversal_commutes_with_the_hamiltonian(self, sites):
+        # P H P^T = H for the permutation P that maps site s to site M - 1 - s, sigma and
+        # tau kept: (P H P^T)[i, j] = H[r(i), r(j)] with r the reversed index
+        n = 2 * sites
+        index = np.arange(4**sites)
+        r = qubit_permutation(index, sites, [n - 2 - q + 2 * (q % 2) for q in range(n)])
+        assert not np.array_equal(r, index) and np.array_equal(r[r], index)
+        for beta, delta in itertools.product((0.37, 2.5), (0.0, 1.3)):
+            h = build_hamiltonian(ChainSpec(sites=sites, beta=beta, delta=delta))
+            assert np.array_equal(h[np.ix_(r, r)], h), (beta, delta)
+
+    @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6])
+    def test_orbit_count_by_burnside(self, sites):
+        # Burnside: the number of orbits is the mean number of basis states fixed by an
+        # element of the group, here listed as its 16M products of a translation, an
+        # optional reversal, an optional sigma <-> tau swap and a parity mask (at M = 2,
+        # where reversal is a translation, each element is listed equally often)
+        n = 2 * sites
+        index = np.arange(4**sites)
+        sigma = sum(1 << (n - 1 - q) for q in range(0, n, 2))
+        fixed = []
+        for shift, mirror, swap in itertools.product(range(sites), (False, True), (False, True)):
+            perm = [(q + 2 * shift) % n for q in range(n)]
+            if mirror:
+                perm = [n - 2 - p + 2 * (p % 2) for p in perm]
+            if swap:
+                perm = [p ^ 1 for p in perm]
+            image = qubit_permutation(index, sites, perm)
+            for mask in (0, sigma, sigma >> 1, sigma | (sigma >> 1)):
+                fixed.append(np.count_nonzero(image ^ mask == index))
+        assert len(fixed) == 16 * sites and sum(fixed) % len(fixed) == 0
+        assert sum(fixed) // len(fixed) == len(_orbits(sites)[2])
 
     @pytest.mark.parametrize("sites", [2, 3, 4, 5, 6, 7, 8])
     def test_sector_build_matches_sorted_orbit_table(self, sites, monkeypatch):

@@ -344,7 +344,7 @@ class TestAtScan:
         assert code == 0
         _, rows = parse_csv(split_summary(out)[0])
         assert [float(r[0]) for r in rows] == [0.9, 1.0, 1.1]
-        assert sector_rows == [3658] * 2  # A and B of the 9-site sector, built once
+        assert sector_rows == [1957] * 2  # A and B of the 9-site sector, built once
 
     def test_grid_that_rounds_to_nothing_is_a_usage_error(self, capsys):
         code, out, err = run_cli(
