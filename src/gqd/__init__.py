@@ -11,7 +11,6 @@ Library layout:
 """
 from .core import (
     DensityOperator,
-    SubsystemDims,
     eig_hermitian,
     kron,
     partial_trace,

@@ -24,7 +24,7 @@ import scipy.sparse as sparse
 from scipy.linalg.lapack import dstebz, dstein, dsyevr, dsyevr_lwork
 
 from . import correlations
-from .core import DensityOperator, SubsystemDims, eig_hermitian, trace_out
+from .core import DensityOperator, eig_hermitian, trace_out
 
 DENSE_MAX_SITES = 6      # 4^6 = 4096: limit of the dense reference views
 SPARSE_MAX_SITES = 10    # ground-state solver budget (N = 20 spins)
@@ -319,6 +319,16 @@ def _sector_lowest(h, start: np.ndarray) -> np.ndarray:
     return _lanczos(h, start)
 
 
+def _check_deltas(template: ChainSpec, deltas: Sequence[float]) -> np.ndarray:
+    """``deltas`` as floats; ValueError at the first outside delta >= 0 or one ChainSpec rejects."""
+    deltas = np.asarray(deltas, dtype=float)
+    outside = deltas[~((deltas >= 0) & (deltas <= MAX_COUPLING))]  # NaN fails both
+    if outside.size:
+        spec = replace(template, delta=float(outside[0]))  # ChainSpec's error if non-finite or huge
+        raise ValueError(f"delta={spec.delta} is outside the solved domain delta >= 0")
+    return deltas
+
+
 def _sector_ground(template: ChainSpec, deltas: Sequence[float],
                    start: np.ndarray | None = None) -> tuple:
     """Ground states of the chain ``template`` at the block of couplings ``deltas`` (its
@@ -345,11 +355,7 @@ def _sector_ground(template: ChainSpec, deltas: Sequence[float],
     floor admits the exact amplitudes of strongly ordered chains that fall below
     rounding (about 1e-17 at 8 sites, |beta| = 32, delta = 0) and so come out as -1e-16.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    outside = deltas[~((deltas >= 0) & (deltas <= MAX_COUPLING))]  # NaN fails both
-    if outside.size:
-        spec = replace(template, delta=float(outside[0]))  # ChainSpec's error if non-finite or huge
-        raise ValueError(f"delta={spec.delta} is outside the solved domain delta >= 0")
+    deltas = _check_deltas(template, deltas)
     a, b, _, root = _sector_parts(template.sites, template.beta)
     if isinstance(a, np.ndarray):
         h = a + deltas[:, None, None] * b
@@ -485,7 +491,7 @@ def _scan(
     pairs), so no full-space vector outlives its Gram product.  Whenever that many states
     wait, and once for the rest, they go to ``measure`` as one stack: it maps the (k, d, d)
     states on ``keep`` to their k values."""
-    deltas = np.asarray(list(deltas), dtype=float)
+    deltas = _check_deltas(template, list(deltas))  # the whole grid, before any build
     if deltas.size == 0:
         raise ValueError("empty coupling grid")
     block = max(1, correlations._ELEMENT_BUDGET // 4 ** (template.sites + 1))
@@ -549,7 +555,7 @@ def pairwise_discord_scan(
     keep = pair_qubits(pair_kind)
 
     def measure(matrices: np.ndarray) -> list[float]:
-        return [correlations.discord_asymmetric(DensityOperator(m, SubsystemDims.qubits(2)))
+        return [correlations.discord_asymmetric(DensityOperator(m, (2, 2)))
                 for m in matrices]
 
     return _scan(template, deltas, keep, measure)

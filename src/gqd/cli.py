@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ashkin_teller as at
 from . import correlations, selftest, states
-from .core import DensityOperator, SubsystemDims
+from .core import DensityOperator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -226,7 +226,7 @@ def _parse_state(spec: str):
             keep = at.pair_qubits(kind)
             chain = at.ChainSpec(sites=sites, beta=1.0, delta=delta)
             pair = at._group_states(at._ground_vector(chain)[None], sites, keep)[0]
-            return spec, DensityOperator(pair, SubsystemDims.qubits(2))
+            return spec, DensityOperator(pair, (2, 2))
     except (ValueError, TypeError, RuntimeError) as exc:
         raise UsageError(f"bad state spec {spec!r}: {exc}") from exc
     raise UsageError(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,49 +26,21 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class SubsystemDims:
-    """Ordered local Hilbert-space dimensions of a composite system."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if not dims:
-            raise ValueError("need at least one subsystem")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"every local dimension must be >= 2, got {dims}")
-        object.__setattr__(self, "dims", dims)
-
-    @classmethod
-    def qubits(cls, n: int) -> "SubsystemDims":
-        if n < 1:
-            raise ValueError("need at least one qubit")
-        return cls((2,) * n)
-
-    @property
-    def total(self) -> int:
-        return int(np.prod(self.dims))
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.dims)
-
-    def __getitem__(self, i: int) -> int:
-        return self.dims[i]
-
-
-def _as_dims(dims: "SubsystemDims | Iterable[int]") -> SubsystemDims:
-    if isinstance(dims, SubsystemDims):
-        return dims
-    return SubsystemDims(tuple(dims))
+def validate_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    """Ordered local Hilbert-space dimensions of a composite system, as a tuple of ints:
+    at least one subsystem, each of dimension >= 2."""
+    dims = tuple(int(d) for d in dims)
+    if not dims:
+        raise ValueError("need at least one subsystem")
+    if any(d < 2 for d in dims):
+        raise ValueError(f"every local dimension must be >= 2, got {dims}")
+    return dims
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, unit-trace, positive matrix over labeled subsystems.
+    """Hermitian, unit-trace, positive matrix over subsystems of the local dimensions
+    ``dims``, a plain tuple of ints checked by ``validate_dims``.
 
     Validated on construction by ``validate_densities``: Hermiticity and trace
     to 1e-10, minimum eigenvalue >= -1e-10.  The stored matrix is the exact Hermitian part
@@ -77,18 +49,16 @@ class DensityOperator:
     """
 
     matrix: np.ndarray
-    dims: SubsystemDims
+    dims: tuple[int, ...]
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix)
-        dims = _as_dims(self.dims)
+        dims = validate_dims(self.dims)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if m.shape[0] != dims.total:
-            raise ValueError(
-                f"matrix side {m.shape[0]} does not match subsystem dims {dims.dims}"
-            )
+        if m.shape[0] != math.prod(dims):
+            raise ValueError(f"matrix side {m.shape[0]} does not match subsystem dims {dims}")
         m, w = validate_densities(m)
         m.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -101,7 +71,7 @@ class DensityOperator:
 
     @property
     def total_dim(self) -> int:
-        return self.dims.total
+        return math.prod(self.dims)
 
 
 def validate_densities(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,23 +134,21 @@ def trace_out(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.nda
 def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
     """Reduced operator on the kept subsystems (in ``keep`` order); trace preserved."""
     keep = _validate_keep(keep, rho.n_subsystems)
-    sub = SubsystemDims(tuple(rho.dims[k] for k in keep))
-    return DensityOperator(trace_out(rho.matrix, rho.dims.dims, keep), sub)
+    sub = tuple(rho.dims[k] for k in keep)
+    return DensityOperator(trace_out(rho.matrix, rho.dims, keep), sub)
 
 
-def reduced_from_vector(
-    psi: np.ndarray, dims: "SubsystemDims | Iterable[int]", keep: Sequence[int]
-) -> DensityOperator:
+def reduced_from_vector(psi: np.ndarray, dims: Iterable[int],
+                        keep: Sequence[int]) -> DensityOperator:
     """Reduced density operator of a pure state without the full projector; real stays real."""
-    dims = _as_dims(dims)
+    dims = validate_dims(dims)
     n = len(dims)
     keep = _validate_keep(keep, n)
     rest = [k for k in range(n) if k not in keep]
-    v = np.asarray(psi, dtype=float if np.isrealobj(psi) else complex).reshape(dims.dims)
+    v = np.asarray(psi, dtype=float if np.isrealobj(psi) else complex).reshape(dims)
     v = np.transpose(v, keep + rest)
-    d_keep = int(np.prod([dims[k] for k in keep]))
-    a = v.reshape(d_keep, -1)
-    sub = SubsystemDims(tuple(dims[k] for k in keep))
+    sub = tuple(dims[k] for k in keep)
+    a = v.reshape(math.prod(sub), -1)
     return DensityOperator(a @ a.conj().T, sub)
 
 

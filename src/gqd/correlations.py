@@ -152,7 +152,7 @@ class _GqdContext:
     @classmethod
     def of(cls, rho: DensityOperator) -> "_GqdContext":
         """The context of one state, P = 1."""
-        return cls(rho.matrix[None], rho.eigenvalues[None], rho.dims.dims)
+        return cls(rho.matrix[None], rho.eigenvalues[None], rho.dims)
 
     def values(self, unitaries: Sequence[np.ndarray]) -> np.ndarray:
         """Integrand at B product bases; ``unitaries[j]`` is a (B, d_j, d_j) stack.
@@ -425,7 +425,7 @@ def _strategy_basis(rho: DensityOperator, strategy: str) -> ProductBasis:
     if strategy == "reduced-eigenbasis":
         n = rho.n_subsystems
         return ProductBasis(tuple(measurement.reduced_eigenbasis(rho, j) for j in range(n)))
-    return _fixed_basis(rho.dims.dims, strategy)
+    return _fixed_basis(rho.dims, strategy)
 
 
 def _fixed_basis(dims: tuple[int, ...], strategy: str) -> ProductBasis:
@@ -470,7 +470,7 @@ def gqd(rho: DensityOperator, strategy: str = "minimize", seed: int = 0) -> GqdR
         return GqdResult(value=value, basis=basis, strategy=strategy,
                          converged=True, evaluations=1)
 
-    _require_qubits(rho.dims.dims, "minimize strategy")
+    _require_qubits(rho.dims, "minimize strategy")
     ctx = _GqdContext.of(rho)
     value, x, evaluations, converged = _minimize_over_angles(
         lambda rows: ctx.values(_qubit_unitaries(rows).swapaxes(0, 1)),
@@ -492,7 +492,7 @@ def discord_asymmetric(rho_ab: DensityOperator) -> float:
 
 def _discord_asymmetric(rho_ab: DensityOperator) -> tuple[float, bool]:
     """``discord_asymmetric`` and whether its minimization converged."""
-    dims = rho_ab.dims.dims
+    dims = rho_ab.dims
     if len(dims) < 2 or dims[-1] != 2:
         raise ValueError("the measured subsystem must be a qubit")
 
@@ -515,7 +515,7 @@ def symmetric_discord(rho_ab: DensityOperator) -> float:
     I(rho) - I(Phi(rho)) is the global discord integrand for two subsystems, so
     this is ``gqd``'s minimization; tests assert the dual form row by row.
     """
-    dims = rho_ab.dims.dims
+    dims = rho_ab.dims
     if len(dims) != 2 or any(d != 2 for d in dims):
         raise ValueError("symmetric discord is implemented for two qubits")
     return gqd(rho_ab, "minimize").value

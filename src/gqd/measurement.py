@@ -10,7 +10,6 @@ from .core import (
     DEGENERACY_GAP,
     DensityOperator,
     HERMITIAN_TOL,
-    SubsystemDims,
     basis_probabilities,
     eig_hermitian,
     kron,
@@ -84,7 +83,7 @@ class ProductBasis:
         """Kronecker product of local basis matrices (columns = product vectors)."""
         return kron(*(b.vectors for b in self.locals))
 
-    def check_dims(self, dims: SubsystemDims) -> None:
+    def check_dims(self, dims: tuple[int, ...]) -> None:
         if len(self.locals) != len(dims):
             raise ValueError(
                 f"basis has {len(self.locals)} factors but state has {len(dims)} subsystems"

@@ -1,9 +1,11 @@
 """Oracle states: GHZ, Werner-GHZ with closed-form global discord, Bell/Werner, random states."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import DensityOperator, SubsystemDims, shannon_entropy
+from .core import DensityOperator, shannon_entropy, validate_dims
 
 _MU_ONE_EPS = 1e-15  # (1-mu) log2 (1-mu) is a removable singularity at mu=1
 
@@ -25,7 +27,7 @@ def ghz(n: int) -> DensityOperator:
         raise ValueError(f"GHZ state needs at least 2 qubits, got {n}")
     v = np.zeros(2**n, dtype=complex)
     v[0] = v[-1] = 1.0 / np.sqrt(2.0)
-    return DensityOperator(np.outer(v, v.conj()), SubsystemDims.qubits(n))
+    return DensityOperator(np.outer(v, v.conj()), (2,) * n)
 
 
 def bell() -> DensityOperator:
@@ -37,14 +39,14 @@ def werner(mu: float) -> DensityOperator:
     """Two-qubit Werner state (1-mu)/4 * I + mu |Phi+><Phi+|."""
     mu = _check_mu(mu)
     m = (1.0 - mu) / 4.0 * np.eye(4, dtype=complex) + mu * bell().matrix
-    return DensityOperator(m, SubsystemDims.qubits(2))
+    return DensityOperator(m, (2, 2))
 
 
 def werner_ghz(mu: float) -> DensityOperator:
     """Three-qubit Werner-GHZ state (1-mu)/8 * I + mu |GHZ><GHZ|."""
     mu = _check_mu(mu)
     m = (1.0 - mu) / 8.0 * np.eye(8, dtype=complex) + mu * ghz(3).matrix
-    return DensityOperator(m, SubsystemDims.qubits(3))
+    return DensityOperator(m, (2, 2, 2))
 
 
 def werner_ghz_gqd_analytic(mu: float) -> float:
@@ -102,12 +104,11 @@ def ghz_surface(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def random_density(
-    dims: "SubsystemDims | tuple[int, ...] | list[int]", rank: int | None = None, seed: int = 0
+    dims: "tuple[int, ...] | list[int]", rank: int | None = None, seed: int = 0
 ) -> DensityOperator:
     """Seeded random state rho = G G^dagger / Tr(G G^dagger), G complex Gaussian total x rank."""
-    if not isinstance(dims, SubsystemDims):
-        dims = SubsystemDims(tuple(dims))
-    total = dims.total
+    dims = validate_dims(dims)
+    total = math.prod(dims)
     if rank is None:
         rank = total
     if not 1 <= rank <= total:

@@ -31,7 +31,6 @@ from gqd.core import (
     SIGMA_Y,
     SIGMA_Z,
     DensityOperator,
-    SubsystemDims,
     eig_hermitian,
     kron,
     reduced_from_vector,
@@ -49,7 +48,7 @@ def reduce_to_group(vector, spec, group):
     """Reduced density operator of a chain vector on the group's spins."""
     keep = group.qubit_indices(spec.sites)
     states = ashkin_teller._group_states(vector[None], spec.sites, keep)
-    return DensityOperator(states[0], SubsystemDims.qubits(len(keep)))
+    return DensityOperator(states[0], (2,) * len(keep))
 
 
 def assert_z_basis_minimizes(spec, group):
@@ -557,7 +556,7 @@ class TestSectorCertificate:
             assert len(warm) == len(cold)
             for vector, reference, value in zip(warm, cold, scan.values):
                 assert np.abs(vector - reference).max() <= 1e-12
-                rho = reduced_from_vector(reference, SubsystemDims.qubits(2 * sites), keep)
+                rho = reduced_from_vector(reference, (2,) * (2 * sites), keep)
                 assert abs(value - gqd(rho, strategy).value) <= 1e-12, (group, strategy)
 
 
@@ -750,7 +749,7 @@ def free_fermion_pair(sites, beta):
     one = np.eye(2)
     m = (kron(one, one) + x * (kron(SIGMA_X, one) + kron(one, SIGMA_X))
          + xx * kron(SIGMA_X, SIGMA_X) + yy * kron(SIGMA_Y, SIGMA_Y) + zz * kron(SIGMA_Z, SIGMA_Z))
-    return DensityOperator(m.real / 4.0, SubsystemDims.qubits(2))
+    return DensityOperator(m.real / 4.0, (2, 2))
 
 
 class TestFreeFermions:
@@ -761,7 +760,7 @@ class TestFreeFermions:
     def test_neighbor_pair_matches_the_closed_form(self, sites, beta):
         spec = ChainSpec(sites=sites, beta=beta, delta=0.0)
         keep = pair_qubits("neighbor-sigma")
-        rho = reduced_from_vector(_ground_vector(spec), SubsystemDims.qubits(spec.n_spins), keep)
+        rho = reduced_from_vector(_ground_vector(spec), (2,) * spec.n_spins, keep)
         assert np.abs(rho.matrix - free_fermion_pair(sites, beta).matrix).max() <= 1e-12
 
     @pytest.mark.parametrize("sites", [3, 4, 8])
@@ -940,7 +939,7 @@ class TestReduceToGroup:
                  if n <= sites] + [pair_qubits(kind) for kind in ashkin_teller.PAIR_KINDS]
         for v in vectors:
             for keep in keeps:
-                reference = reduced_from_vector(v, SubsystemDims.qubits(2 * sites), keep).matrix
+                reference = reduced_from_vector(v, (2,) * (2 * sites), keep).matrix
                 reduced = ashkin_teller._group_states(v[None], sites, keep)[0]
                 assert reduced.shape == reference.shape and reduced.dtype == np.float64
                 assert np.abs(reduced - reference).max() <= 1e-14, keep
@@ -948,7 +947,7 @@ class TestReduceToGroup:
     def test_valid_density_operator(self):
         vec = _ground_vector(CRITICAL)
         rho = reduce_to_group(vec, CRITICAL, SpinGroup("quartet"))
-        assert rho.dims.dims == (2, 2, 2, 2)
+        assert rho.dims == (2, 2, 2, 2)
         assert abs(rho.matrix.trace() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("group", ["quartet", "octet"])
@@ -964,7 +963,7 @@ class TestReduceToGroup:
         for shift in range(3):
             block = [shift, (shift + 1) % 3]
             keep = [2 * s for s in block] + [2 * s + 1 for s in block]
-            rho = reduced_from_vector(vec, SubsystemDims.qubits(6), keep)
+            rho = reduced_from_vector(vec, (2,) * 6, keep)
             assert np.abs(rho.matrix - first).max() <= 1e-9
 
     def test_same_site_pair_diagonal_in_x_basis(self):
@@ -972,7 +971,7 @@ class TestReduceToGroup:
         for delta in (0.4, 1.0, 1.6):
             spec = ChainSpec(sites=3, beta=1.0, delta=delta)
             vec = _ground_vector(spec)
-            rho = reduced_from_vector(vec, SubsystemDims.qubits(6), pair_qubits("same-site"))
+            rho = reduced_from_vector(vec, (2,) * 6, pair_qubits("same-site"))
             dephased = dephase(rho, all_x(2))
             assert np.abs(dephased.matrix - rho.matrix).max() <= 1e-9
 
@@ -981,7 +980,7 @@ class TestReduceToGroup:
         vec = _ground_vector(spec)
         x_vectors = all_x(1).locals[0].vectors
         for q in range(6):
-            rho = reduced_from_vector(vec, SubsystemDims.qubits(6), [q])
+            rho = reduced_from_vector(vec, (2,) * 6, [q])
             in_x = x_vectors.conj().T @ rho.matrix @ x_vectors
             assert np.abs(in_x - np.diag(np.diag(in_x))).max() <= 1e-9
 
@@ -1075,6 +1074,26 @@ class TestScans:
         with pytest.raises(ValueError, match=message):
             gqd_scan(CRITICAL, [0.9, delta, 1.1], SpinGroup("quartet"), "fixed-x")
 
+    @pytest.mark.parametrize("delta, message", [
+        (-0.1, r"^delta=-0.1 is outside the solved domain delta >= 0$"),
+        (np.nan, r"^delta must be finite, got nan$"),
+    ])
+    @pytest.mark.parametrize("scan", [
+        lambda template, grid: gqd_scan(template, grid, SpinGroup("quartet"), "fixed-x"),
+        lambda template, grid: pairwise_discord_scan(template, grid, "neighbor-sigma"),
+    ], ids=["gqd", "pairwise"])
+    def test_whole_grid_is_checked_before_any_build(self, monkeypatch, scan, delta, message):
+        # at 8 sites a block is one point, so a per-block check would build and solve first
+        ashkin_teller._sector_parts.cache_clear()
+        calls = []
+        for name in ("_orbits", "_sector_lowest"):
+            original = getattr(ashkin_teller, name)
+            monkeypatch.setattr(ashkin_teller, name,
+                                lambda *args, f=original, n=name: calls.append(n) or f(*args))
+        with pytest.raises(ValueError, match=message):  # the first bad coupling of the grid
+            scan(ChainSpec(sites=8, beta=1.0, delta=1.0), [0.9, 1.0, delta, -0.2])
+        assert calls == []
+
 
 class TestPairwiseScans:
     def test_same_site_discord_vanishes(self):
@@ -1089,7 +1108,7 @@ class TestPairwiseScans:
         scan = pairwise_discord_scan(template, deltas, kind)
         for delta, value in zip(deltas, scan.values):
             vector = _ground_vector(replace(template, delta=delta))
-            rho = reduced_from_vector(vector, SubsystemDims.qubits(8), pair_qubits(kind))
+            rho = reduced_from_vector(vector, (2,) * 8, pair_qubits(kind))
             assert abs(value - discord_asymmetric(rho)) <= 1e-12
 
     def test_neighbor_pair_positive_no_extremum(self):
@@ -1144,6 +1163,16 @@ class TestHelpers:
         d = np.array([1.0, -1.0, -2.0])
         assert zero_crossings(x, d) == [0.5]
         assert zero_crossings(x, d, lo=0.6) == []
+
+    def test_zero_crossings_at_exact_zeros(self):
+        x = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        assert zero_crossings(x, np.array([1.0, 0.0, -1.0, -2.0, -3.0])) == [1.0]  # interior
+        assert zero_crossings(x, np.array([1.0, 0.0, 1.0, 2.0, 3.0])) == [1.0]  # a touch
+        last = np.array([1.0, -1.0, -2.0, -1.0, 0.0])
+        assert zero_crossings(x, last) == [0.5, 4.0]
+        assert zero_crossings(x, last, lo=0.6) == [4.0]
+        assert zero_crossings(x, last, hi=4.0) == [0.5]
+        assert zero_crossings(x, np.array([1.0, 0.0, 0.0, -1.0, 0.0]), lo=0.5, hi=3.5) == [1.0, 2.0]
 
     def test_default_delta_grid(self):
         grid = default_delta_grid()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gqd.core
-from gqd import ashkin_teller, cli, correlations
+from gqd import ashkin_teller, cli, correlations, states
 from gqd.selftest import SuiteResult, run_selftest
 
 
@@ -426,6 +426,23 @@ class TestDiscordCommand:
         )
         assert json.loads(out)["meta"]["gqd_evaluations"] == 1
 
+    def test_ghz3_json_rows_match_the_library(self, capsys):
+        code, out, _ = run_cli(["discord", "ghz:3", "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["state"] == "ghz:3" and doc["meta"]["gqd_converged"] is True
+        rows = {row["measure"]: row["value"] for row in doc["rows"]}
+        rho = states.ghz(3)
+        info = correlations.mutual_information(rho, [0, 1])
+        asym = correlations.discord_asymmetric(rho)
+        want = {"mutual_information": info, "classical_correlation": info - asym,
+                "discord_asymmetric": asym,
+                "gqd_minimize": correlations.gqd(rho, "minimize").value}
+        assert list(rows) == list(want)
+        for name, value in want.items():
+            assert abs(rows[name] - value) <= 1e-12, name
+        assert abs(rows["gqd_minimize"] - 1.0) <= 1e-9
+
     def test_reports_whether_the_asymmetric_discord_converged(self, capsys, monkeypatch):
         code, out, _ = run_cli(["discord", "werner:0.3", "--format", "json"], capsys)
         assert code == 0
@@ -471,7 +488,7 @@ class TestDiscordCommand:
         values = {row["measure"]: row["value"] for row in json.loads(out)["rows"]}
         chain = ashkin_teller.ChainSpec(sites=sites, beta=1.0, delta=0.8)
         rho = gqd.core.reduced_from_vector(ashkin_teller._ground_vector(chain),
-                                           gqd.core.SubsystemDims.qubits(2 * sites),
+                                           (2,) * (2 * sites),
                                            ashkin_teller.pair_qubits(kind))
         expected = {
             "mutual_information": correlations.mutual_information(rho, cut=[0]),
@@ -661,6 +678,24 @@ class TestIoAndUsage:
         assert exc.value.code == 1
         assert captured.out == ""
         assert captured.err.startswith("gqd: error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, line", [
+        (["werner-ghz", "--seed", "abc"],
+         "argument --seed: expected a nonnegative integer, got 'abc'"),
+        (["werner-ghz", "--points", "1"], "need at least 2 grid points"),
+        (["discord", "at-pair:4,1.0"],
+         "bad state spec 'at-pair:4,1.0': at-pair takes sites,delta,kind"),
+        (["selftest", "--count", "0"], "count must be positive"),
+    ])
+    def test_usage_errors_exit_1_with_one_error_line(self, argv, line, capsys):
+        try:  # argparse's errors exit, those found after parsing return the code
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"gqd: error: {line}"]
 
     def test_library_selftest_determinism(self):
         a = run_selftest(seed=5, count=12).render()

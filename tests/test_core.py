@@ -8,7 +8,6 @@ from gqd.core import (
     DensityOperator,
     SIGMA_X,
     SIGMA_Z,
-    SubsystemDims,
     eig_hermitian,
     kron,
     partial_trace,
@@ -90,39 +89,51 @@ class TestKron:
         assert np.allclose(kron(a, b, c), naive_kron(naive_kron(a, b), c), atol=1e-14)
 
 
-class TestSubsystemDims:
+class TestDims:
     def test_total(self):
-        assert SubsystemDims((2, 3, 2)).total == 12
+        rho = DensityOperator(np.eye(12) / 12, (2, 3, 2))
+        assert rho.total_dim == 12
+        assert rho.n_subsystems == 3
 
     def test_rejects_small_dims(self):
-        with pytest.raises(ValueError):
-            SubsystemDims((2, 1))
+        with pytest.raises(ValueError, match=r"every local dimension must be >= 2, got \(2, 1\)"):
+            DensityOperator(np.eye(2) / 2, (2, 1))
+        with pytest.raises(ValueError, match="every local dimension must be >= 2"):
+            reduced_from_vector(np.ones(2), (2, 1), [0])
+        with pytest.raises(ValueError, match="every local dimension must be >= 2"):
+            random_density((1, 2))
+
+    def test_rejects_no_subsystems(self):
+        with pytest.raises(ValueError, match="need at least one subsystem"):
+            DensityOperator(np.eye(1), ())
 
     def test_qubits(self):
-        assert SubsystemDims.qubits(3).dims == (2, 2, 2)
+        dims = DensityOperator(np.eye(8) / 8, [np.int64(2)] * 3).dims
+        assert dims == (2, 2, 2)
+        assert type(dims) is tuple and all(type(d) is int for d in dims)
 
 
 class TestDensityOperator:
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityOperator(m, SubsystemDims((2,)))
+            DensityOperator(m, (2,))
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityOperator(np.eye(2, dtype=complex), SubsystemDims((2,)))
+            DensityOperator(np.eye(2, dtype=complex), (2,))
 
     def test_rejects_negative(self):
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="positive"):
-            DensityOperator(m, SubsystemDims((2,)))
+            DensityOperator(m, (2,))
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError, match="side"):
-            DensityOperator(np.eye(4, dtype=complex) / 4, SubsystemDims((2,)))
+            DensityOperator(np.eye(4, dtype=complex) / 4, (2,))
 
     def test_dtype_follows_the_input(self):
-        dims = SubsystemDims((2,))
+        dims = (2,)
         for given, stored in ((np.float32, np.float64), (np.float64, np.float64),
                               (np.complex64, np.complex128), (np.complex128, np.complex128)):
             rho = DensityOperator((np.eye(2) / 2).astype(given), dims)
@@ -137,7 +148,7 @@ class TestDensityOperator:
         m = g @ g.conj().T
         m /= m.trace().real
         assert 0.0 < np.abs(m - m.conj().T).max() <= 1e-10
-        rho = DensityOperator(m, SubsystemDims((2,)))
+        rho = DensityOperator(m, (2,))
         assert np.array_equal(rho.matrix, 0.5 * (m + m.conj().T))
         assert np.array_equal(rho.matrix, rho.matrix.conj().T)
         assert np.array_equal(random_density((2,), seed=0).matrix, rho.matrix)
@@ -148,7 +159,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(0)
         a = random_density((2,), seed=1).matrix
         b = random_density((2,), seed=2).matrix
-        rho = DensityOperator(kron(a, b), SubsystemDims((2, 2)))
+        rho = DensityOperator(kron(a, b), (2, 2))
         assert np.allclose(partial_trace(rho, [0]).matrix, a, atol=1e-12)
         assert np.allclose(partial_trace(rho, [1]).matrix, b, atol=1e-12)
 
@@ -210,7 +221,7 @@ class TestReducedFromVector:
         rng = np.random.default_rng(21)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         v /= np.linalg.norm(v)
-        rho = DensityOperator(np.outer(v, v.conj()), SubsystemDims.qubits(3))
+        rho = DensityOperator(np.outer(v, v.conj()), (2,) * 3)
         for keep in ([0], [2, 1], [0, 2]):
             got = reduced_from_vector(v, (2, 2, 2), keep).matrix
             want = partial_trace(rho, keep).matrix
@@ -220,8 +231,8 @@ class TestReducedFromVector:
         v = np.random.default_rng(22).standard_normal(64)
         v /= np.linalg.norm(v)
         for keep in ([0], [3, 1], [0, 2, 5, 4]):
-            got = reduced_from_vector(v, SubsystemDims.qubits(6), keep).matrix
-            want = reduced_from_vector(v.astype(complex), SubsystemDims.qubits(6), keep).matrix
+            got = reduced_from_vector(v, (2,) * 6, keep).matrix
+            want = reduced_from_vector(v.astype(complex), (2,) * 6, keep).matrix
             assert np.abs(got - want).max() <= 1e-15
 
 
@@ -230,7 +241,7 @@ class TestEntropy:
         assert von_neumann_entropy(ghz(3)) <= 1e-12
 
     def test_maximally_mixed_qubit(self):
-        rho = DensityOperator(np.eye(2, dtype=complex) / 2, SubsystemDims((2,)))
+        rho = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
         assert abs(von_neumann_entropy(rho) - 1.0) < 1e-12
 
     def test_werner_ghz_closed_form(self):
@@ -284,7 +295,7 @@ class TestEntropy:
             return eigvalsh(m)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        rho = DensityOperator(matrix, SubsystemDims.qubits(3))
+        rho = DensityOperator(matrix, (2,) * 3)
         gqd(rho, "fixed-x")
         # validation, then the three single-qubit entropies as one stack: S(rho)
         # is read from the validated spectrum instead of a second (8, 8) call

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from gqd import correlations
 from gqd.core import (
     DensityOperator,
-    SubsystemDims,
     kron,
     partial_trace,
     relative_entropy,
@@ -61,7 +60,7 @@ def classical_state(probs, unitaries=None):
         for w in unitaries[1:]:
             u = kron(u, w)
         m = u @ m @ u.conj().T
-    return DensityOperator(m, SubsystemDims.qubits(n))
+    return DensityOperator(m, (2,) * n)
 
 
 def permute_qubits(rho, perm):
@@ -92,7 +91,7 @@ class TestMutualInformation:
     def test_product_state_zero(self):
         a = random_density((2,), seed=1).matrix
         b = random_density((2,), seed=2).matrix
-        rho = DensityOperator(kron(a, b), SubsystemDims.qubits(2))
+        rho = DensityOperator(kron(a, b), (2, 2))
         assert abs(mutual_information(rho, [0])) <= 1e-10
 
     def test_bell_state(self):
@@ -126,7 +125,7 @@ class TestMeasuredConditionalEntropy:
     def test_product_state_gives_marginal_entropy(self):
         a = random_density((2,), seed=5).matrix
         b = random_density((2,), seed=6).matrix
-        rho = DensityOperator(kron(a, b), SubsystemDims.qubits(2))
+        rho = DensityOperator(kron(a, b), (2, 2))
         s_a = von_neumann_entropy(partial_trace(rho, [0]))
         for basis in (sigma_z_basis(), sigma_x_basis()):
             assert abs(conditional_entropy(rho, basis) - s_a) <= 1e-10
@@ -244,7 +243,7 @@ class TestGqdAtBasis:
         rho2 = random_density((2, 2), seed=72)
         b1 = random_basis(rng, 2)
         b2 = random_basis(rng, 2)
-        prod = DensityOperator(kron(rho1.matrix, rho2.matrix), SubsystemDims.qubits(4))
+        prod = DensityOperator(kron(rho1.matrix, rho2.matrix), (2,) * 4)
         together = gqd_at_basis(prod, ProductBasis(b1.locals + b2.locals))
         separate = gqd_at_basis(rho1, b1) + gqd_at_basis(rho2, b2)
         assert abs(together - separate) <= 1e-9
@@ -339,7 +338,7 @@ class TestGqdMinimize:
             parts = [random_density((2,) * n, seed=500 + 10 * seed + n, rank=1 + seed)
                      for n in split]
             prod = DensityOperator(kron(parts[0].matrix, parts[1].matrix),
-                                   SubsystemDims.qubits(sum(split)))
+                                   (2,) * sum(split))
             together, *separate = (gqd(rho, "minimize") for rho in (prod, *parts))
             assert together.converged and all(r.converged for r in separate)
             assert abs(together.value - sum(r.value for r in separate)) <= 1e-9
@@ -423,12 +422,20 @@ class TestGqdMinimize:
         with pytest.raises(ValueError):
             gqd(random_density((2,), seed=0), "minimize")
 
+    @pytest.mark.parametrize("strategy, what", [("fixed-x", "fixed-x strategy"),
+                                                ("minimize", "minimize strategy")])
+    def test_qutrit_rejected_with_its_dims(self, strategy, what):
+        rho = random_density((3, 2), seed=0)
+        assert rho.dims == (3, 2)
+        with pytest.raises(ValueError, match=rf"^{what} requires qubit subsystems, got dims \(3, 2\)$"):
+            gqd(rho, strategy)
+
 
 class TestSymmetricDiscord:
     def test_product_state_zero(self):
         a = random_density((2,), seed=11).matrix
         b = random_density((2,), seed=12).matrix
-        rho = DensityOperator(kron(a, b), SubsystemDims.qubits(2))
+        rho = DensityOperator(kron(a, b), (2, 2))
         assert abs(symmetric_discord(rho)) <= 1e-8
 
     def test_bell_is_one_with_brute_force(self):
@@ -488,7 +495,7 @@ class TestSymmetricDiscord:
         # reduction has eigenvalue -1.8e-10, below the entropy floor
         eps = 0.9e-10
         rho = DensityOperator(np.diag([-eps, -eps, 0.5 + eps, 0.5 + eps]).astype(complex),
-                              SubsystemDims.qubits(2))
+                              (2, 2))
         with pytest.raises(ValueError, match="not positive"):
             mutual_information(rho, [0])
         with pytest.raises(ValueError, match="not positive"):

@@ -5,7 +5,6 @@ import pytest
 
 from gqd.core import (
     DensityOperator,
-    SubsystemDims,
     kron,
     partial_trace,
     von_neumann_entropy,
@@ -95,7 +94,7 @@ class TestQubitBasis:
 class TestDephase:
     def test_diagonal_state_unchanged(self):
         rho = DensityOperator(np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex),
-                              SubsystemDims.qubits(2))
+                              (2, 2))
         out = dephase(rho, all_z(2))
         assert np.abs(out.matrix - rho.matrix).max() <= 1e-12
 
@@ -130,7 +129,7 @@ class TestDephase:
             assert np.abs(twice.matrix - once.matrix).max() <= 1e-10
             assert abs(once.matrix.trace() - 1) <= 1e-12
             assert np.linalg.eigvalsh(once.matrix).min() >= -1e-12
-        mixed = DensityOperator(np.eye(4, dtype=complex) / 4, SubsystemDims.qubits(2))
+        mixed = DensityOperator(np.eye(4, dtype=complex) / 4, (2, 2))
         basis = random_product_basis(rng, 2)
         assert np.abs(dephase(mixed, basis).matrix - np.eye(4) / 4).max() <= 1e-12
 
@@ -172,13 +171,13 @@ class TestDephase:
 
 class TestLocalDephase:
     def test_maximally_mixed_fixed_point(self):
-        rho = DensityOperator(np.eye(2, dtype=complex) / 2, SubsystemDims((2,)))
+        rho = DensityOperator(np.eye(2, dtype=complex) / 2, (2,))
         out = dephase(rho, ProductBasis((sigma_x_basis(),)))
         assert np.abs(out.matrix - np.eye(2) / 2).max() <= 1e-12
 
     def test_plus_x_in_z_basis(self):
         plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
-        rho = DensityOperator(np.outer(plus, plus), SubsystemDims((2,)))
+        rho = DensityOperator(np.outer(plus, plus), (2,))
         out = dephase(rho, ProductBasis((sigma_z_basis(),)))
         assert np.abs(out.matrix - np.eye(2) / 2).max() <= 1e-12
 
@@ -193,7 +192,7 @@ class TestReducedEigenbasis:
     def test_diagonal_reduced_state_gives_z(self):
         a = np.diag([0.7, 0.3]).astype(complex)
         b = np.diag([0.6, 0.4]).astype(complex)
-        rho = DensityOperator(kron(a, b), SubsystemDims.qubits(2))
+        rho = DensityOperator(kron(a, b), (2, 2))
         basis = reduced_eigenbasis(rho, 0)
         v = basis.vectors
         rotated = v.conj().T @ partial_trace(rho, [0]).matrix @ v
