@@ -346,16 +346,15 @@ def _sector_ground(template: ChainSpec, deltas: Sequence[float],
     ||H_sec c - E c||.  The embedding E is an isometry with H E = E H_sec, so the
     residual is the full-space ||Hv - Ev|| of v = E c, and no full-space product is formed.
 
-    Raises ValueError at a coupling outside delta >= 0 (or one ChainSpec rejects) or over
-    SPARSE_MAX_SITES sites, before anything is built.  Raises RuntimeError naming the
-    first point of the block whose residual exceeds RESIDUAL_TOL * max(1, |E|), or
-    whose sector amplitudes are not all positive, up to POSITIVITY_FLOOR, once the
-    overall sign is fixed: the Perron-Frobenius certificate of the solve.  An excited
-    state of the sector is orthogonal to the positive ground state and fails it.  The
-    floor admits the exact amplitudes of strongly ordered chains that fall below
-    rounding (about 1e-17 at 8 sites, |beta| = 32, delta = 0) and so come out as -1e-16.
+    Its callers check the couplings.  Raises RuntimeError naming the first point of the
+    block whose residual exceeds RESIDUAL_TOL * max(1, |E|), or whose sector amplitudes are
+    not all positive, up to POSITIVITY_FLOOR, once the overall sign is fixed: the
+    Perron-Frobenius certificate of the solve.  An excited state of the sector is
+    orthogonal to the positive ground state and fails it.  The floor admits the exact
+    amplitudes of strongly ordered chains that fall below rounding (about 1e-17 at 8
+    sites, |beta| = 32, delta = 0) and so come out as -1e-16.
     """
-    deltas = _check_deltas(template, deltas)
+    deltas = np.asarray(deltas, dtype=float)
     a, b, _, root = _sector_parts(template.sites, template.beta)
     if isinstance(a, np.ndarray):
         h = a + deltas[:, None, None] * b
@@ -403,8 +402,10 @@ def _embed(template: ChainSpec, c: np.ndarray) -> np.ndarray:
 
 
 def _ground_vector(spec: ChainSpec) -> np.ndarray:
-    """Ground state vector of the chain in the full space (see _sector_ground)."""
-    return _embed(spec, _sector_ground(spec, [spec.delta])[0])[0]
+    """Ground state vector of the chain in the full space (see _sector_ground).  Raises
+    ValueError at a delta < 0 (or one ChainSpec rejects) or over SPARSE_MAX_SITES sites,
+    before anything is built."""
+    return _embed(spec, _sector_ground(spec, _check_deltas(spec, [spec.delta]))[0])[0]
 
 
 def _group_states(vectors: np.ndarray, sites: int, keep: Sequence[int]) -> np.ndarray:
@@ -423,24 +424,27 @@ def central_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (y[2:] - y[:-2]) / (x[2:] - x[:-2])  # empty below 3 points
 
 
+def _sign_changes(x: np.ndarray, d: np.ndarray, lo: float | None = None,
+                  hi: float | None = None) -> list[tuple[float, bool]]:
+    """(root, falls) of each sign change of d over grid x inside (lo, hi): two consecutive
+    nonzero entries of opposite sign, falling where the first is positive.  Adjacent ones
+    bracket a linearly interpolated root; exact zeros between them put it at the middle of
+    their run.  A touch (zeros between one sign), an end zero or an all-zero d is none."""
+    changes, nonzero = [], np.flatnonzero(d)
+    for i, j in zip(nonzero[:-1], nonzero[1:]):
+        a, b = d[i], d[j]
+        if a * b < 0.0:
+            root = x[i] - a * (x[j] - x[i]) / (b - a) if j == i + 1 else 0.5 * (x[i + 1] + x[j - 1])
+            if (lo is None or root > lo) and (hi is None or root < hi):
+                changes.append((float(root), bool(a > 0.0)))
+    return changes
+
+
 def zero_crossings(
     x: np.ndarray, d: np.ndarray, lo: float | None = None, hi: float | None = None
 ) -> list[float]:
-    """Linearly interpolated sign changes of d over grid x, optionally windowed."""
-    roots: list[float] = []
-    for i in range(len(d) - 1):
-        a, b = d[i], d[i + 1]
-        if a == 0.0:
-            roots.append(float(x[i]))
-        elif a * b < 0.0:
-            roots.append(float(x[i] - a * (x[i + 1] - x[i]) / (b - a)))
-    if d.size and d[-1] == 0.0:
-        roots.append(float(x[-1]))
-    if lo is not None:
-        roots = [r for r in roots if r > lo]
-    if hi is not None:
-        roots = [r for r in roots if r < hi]
-    return roots
+    """Roots of the sign changes of d over grid x (``_sign_changes``), optionally windowed."""
+    return [root for root, _ in _sign_changes(x, d, lo, hi)]
 
 
 def _check_grid_size(span: float, step: float) -> None:
@@ -481,33 +485,30 @@ def _scan(
     keep: Sequence[int],
     measure: Callable[[np.ndarray], Sequence[float]],
 ) -> ScanResult:
-    """Ground states of the coupling grid, solved and certified in blocks of points
-    (``_sector_ground``), each sparse solve warm-started from the previous point's vector.
-    A block holds max(1, _ELEMENT_BUDGET // 4^(M+1)) full-space vectors, a quarter of the
-    element budget as in ``correlations._states_per_call``: 256 points at M = 4, 16 at
-    M = 6, 4 at M = 7 and one from M = 8 on.  A block's vectors are embedded and reduced
-    to their states on the qubits ``keep`` by ``_group_states``, at most
-    ``_states_per_call(len(keep))`` at a time (256 quartets, 16 sextets, one octet or 4,096
-    pairs), so no full-space vector outlives its Gram product.  Whenever that many states
-    wait, and once for the rest, they go to ``measure`` as one stack: it maps the (k, d, d)
-    states on ``keep`` to their k values."""
+    """Ground states of the coupling grid, one stack at a time: the
+    ``correlations._states_per_call(len(keep))`` states (256 quartets, 16 sextets, one octet or
+    4,096 pairs) that ``measure`` maps from (k, d, d) states on the qubits ``keep`` to k values
+    in one call.  A stack is solved and certified (``_sector_ground``) in blocks that never
+    reach into the next stack, of at most max(1, _ELEMENT_BUDGET // 4^(M+1)) points: 256 at
+    M = 4, 16 at M = 6, 4 at M = 7, one from M = 8 on.  Each sparse solve starts from the previous
+    point's vector, and each block is embedded and reduced by ``_group_states`` at once, so no
+    full-space vector outlives its Gram product.  Raises ValueError at the first delta < 0 (or
+    one ChainSpec rejects) or over SPARSE_MAX_SITES sites, before anything is built."""
     deltas = _check_deltas(template, list(deltas))  # the whole grid, before any build
     if deltas.size == 0:
         raise ValueError("empty coupling grid")
     block = max(1, correlations._ELEMENT_BUDGET // 4 ** (template.sites + 1))
     per_call = correlations._states_per_call(len(keep))
-    values, waiting, residuals, amplitudes, start = [], [], [], [], None
-    for lo in range(0, deltas.size, block):
-        c, energies, residual = _sector_ground(template, deltas[lo : lo + block], start)
-        start = c[-1]  # warm start of the next block
-        residuals.append(residual / np.maximum(1.0, np.abs(energies)))
-        amplitudes.append(c.min(axis=1))
-        for k in range(0, len(c), per_call):  # blocks and stacks nest: both powers of 2
-            waiting.append(_group_states(_embed(template, c[k : k + per_call]), template.sites, keep))
-            done = lo + k + len(waiting[-1])
-            if done % per_call == 0 or done == deltas.size:
-                values.extend(measure(np.concatenate(waiting)))
-                waiting = []
+    values, residuals, amplitudes, start = [], [], [], None
+    for lo in range(0, deltas.size, per_call):
+        stack, states = deltas[lo : lo + per_call], []
+        for k in range(0, stack.size, block):
+            c, energies, residual = _sector_ground(template, stack[k : k + block], start)
+            start = c[-1]  # warm start of the next block
+            residuals.append(residual / np.maximum(1.0, np.abs(energies)))
+            amplitudes.append(c.min(axis=1))
+            states.append(_group_states(_embed(template, c), template.sites, keep))
+        values.extend(measure(np.concatenate(states)))
     values = np.array(values)
     return ScanResult(
         deltas=deltas,

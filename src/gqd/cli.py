@@ -147,13 +147,6 @@ def _cmd_werner_ghz(args) -> int:
     return EXIT_OK
 
 
-def _extremum(x: np.ndarray, d: np.ndarray, root: float) -> str:
-    """Kind of extremum at a zero of the derivative d: "max" where d falls through it."""
-    before, after = d[x < root], d[x > root]
-    falls = (after[0] if after.size else 0.0) < (before[-1] if before.size else 0.0)
-    return "max" if falls else "min"
-
-
 def _check_site_budget(sites: int) -> None:
     if sites > at.SPARSE_MAX_SITES:
         raise BudgetError(f"chains beyond {at.SPARSE_MAX_SITES} sites are out of budget")
@@ -170,8 +163,7 @@ def _cmd_at_scan(args) -> int:
     except (ValueError, RuntimeError) as exc:  # RuntimeError: a failed ground-state certificate
         raise UsageError(str(exc)) from exc
 
-    interior = result.deltas[1:-1]
-    crossings = at.zero_crossings(interior, result.derivative)
+    crossings = at._sign_changes(result.deltas[1:-1], result.derivative)
     lo, hi = at.CRITICAL_WINDOW
     derivative_column: list[Any] = [None] + list(result.derivative) + [None]
     rows = [
@@ -179,9 +171,9 @@ def _cmd_at_scan(args) -> int:
         for d, g, dv in zip(result.deltas, result.values, derivative_column)
     ]
     summary = {
-        "zero_crossings": [round(c, 9) for c in crossings],
-        "window_crossings": [round(c, 9) for c in crossings if lo < c < hi],
-        "extremum": [_extremum(interior, result.derivative, c) for c in crossings],
+        "zero_crossings": [round(c, 9) for c, _ in crossings],
+        "window_crossings": [round(c, 9) for c, _ in crossings if lo < c < hi],
+        "extremum": ["max" if falls else "min" for _, falls in crossings],
         "max_residual": result.max_residual,
         "min_amplitude": result.min_amplitude,
         "sector_dim": result.sector_dim,

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -642,6 +644,30 @@ class TestScanBlocks:
             assert solved == blocks
             assert reduced == [(n, 4**sites) for n in blocks]
 
+    @pytest.mark.parametrize("sites, group", [(4, "octet"), (8, "quartet")])
+    def test_blocks_stay_inside_the_measured_stacks(self, sites, group, monkeypatch):
+        # M = 4 octets: a block (256 points) is larger than a stack (one octet); M = 8
+        # quartets: a stack (256 states) takes many one-point blocks.  Either way every
+        # measure call but the last gets a whole stack, and no block reaches into the next
+        deltas = default_delta_grid()
+        spin_group = SpinGroup(group)
+        per_call = correlations._states_per_call(spin_group.n_spins)
+        block = max(1, correlations._ELEMENT_BUDGET // 4 ** (sites + 1))
+        solve, score = ashkin_teller._sector_ground, correlations.fixed_gqd
+        solved, measured = [], []
+        monkeypatch.setattr(ashkin_teller, "_sector_ground", lambda t, d, start=None:
+                            solved.append(np.array(d)) or solve(t, d, start))
+        monkeypatch.setattr(correlations, "fixed_gqd",
+                            lambda m, *rest: measured.append(len(m)) or score(m, *rest))
+        gqd_scan(ChainSpec(sites=sites, beta=1.0, delta=1.0), deltas, spin_group, "fixed-x")
+        assert measured[:-1] == [per_call] * (len(measured) - 1)
+        assert 0 < measured[-1] <= per_call and sum(measured) == len(deltas)
+        assert np.array_equal(np.concatenate(solved), deltas)
+        for points in solved:
+            assert len(points) <= min(block, per_call)
+            stacks = np.searchsorted(deltas, points) // per_call
+            assert (stacks == stacks[0]).all(), points
+
 
 class CountingProducts:
     """Wraps a sparse matrix and counts its matrix-vector products."""
@@ -1094,6 +1120,21 @@ class TestScans:
             scan(ChainSpec(sites=8, beta=1.0, delta=1.0), [0.9, 1.0, delta, -0.2])
         assert calls == []
 
+    @pytest.mark.parametrize("entry", [
+        lambda: gqd_scan(ChainSpec(sites=8, beta=1.0, delta=1.0), default_delta_grid(),
+                         SpinGroup("quartet"), "fixed-x"),
+        lambda: pairwise_discord_scan(ChainSpec(sites=8, beta=1.0, delta=1.0),
+                                      default_delta_grid(0.8, 1.2, 0.05, 0), "neighbor-sigma"),
+        lambda: _ground_vector(ChainSpec(sites=8, beta=1.0, delta=0.9)),
+    ], ids=["gqd_scan", "pairwise_discord_scan", "_ground_vector"])
+    def test_couplings_are_checked_once_an_entry_point(self, monkeypatch, entry):
+        # at 8 sites a block is one point: a per-block check would run once a point
+        check, calls = ashkin_teller._check_deltas, []
+        monkeypatch.setattr(ashkin_teller, "_check_deltas",
+                            lambda *args: calls.append(args) or check(*args))
+        entry()
+        assert len(calls) == 1
+
 
 class TestPairwiseScans:
     def test_same_site_discord_vanishes(self):
@@ -1165,14 +1206,33 @@ class TestHelpers:
         assert zero_crossings(x, d, lo=0.6) == []
 
     def test_zero_crossings_at_exact_zeros(self):
+        # a crossing is a sign change: an exact zero counts only between opposite signs
         x = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         assert zero_crossings(x, np.array([1.0, 0.0, -1.0, -2.0, -3.0])) == [1.0]  # interior
-        assert zero_crossings(x, np.array([1.0, 0.0, 1.0, 2.0, 3.0])) == [1.0]  # a touch
+        assert zero_crossings(x, np.array([1.0, 0.0, 1.0, 2.0, 3.0])) == []  # a touch
         last = np.array([1.0, -1.0, -2.0, -1.0, 0.0])
-        assert zero_crossings(x, last) == [0.5, 4.0]
-        assert zero_crossings(x, last, lo=0.6) == [4.0]
+        assert zero_crossings(x, last) == [0.5]  # a zero at the end
+        assert zero_crossings(x, last, lo=0.6) == []
         assert zero_crossings(x, last, hi=4.0) == [0.5]
-        assert zero_crossings(x, np.array([1.0, 0.0, 0.0, -1.0, 0.0]), lo=0.5, hi=3.5) == [1.0, 2.0]
+        # a run of zeros between opposite signs crosses at its middle
+        assert zero_crossings(x, np.array([1.0, 0.0, 0.0, -1.0, 0.0]), lo=0.5, hi=3.5) == [1.5]
+        assert zero_crossings(x, np.zeros(5)) == []
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(points=st.lists(st.tuples(st.floats(0.01, 1.0), st.integers(-2, 2)), max_size=40),
+           lo=st.floats(-1.0, 41.0), hi=st.floats(-1.0, 41.0))
+    def test_sign_changes_of_a_derivative_with_exact_zeros(self, points, lo, hi):
+        x = np.cumsum([step for step, _ in points])
+        d = np.array([float(value) for _, value in points])
+        changes = ashkin_teller._sign_changes(x, d)
+        nonzero = np.flatnonzero(d)
+        brackets = [(i, j) for i, j in zip(nonzero[:-1], nonzero[1:]) if d[i] * d[j] < 0]
+        assert len(changes) == np.count_nonzero(np.diff(np.sign(d[nonzero]))) == len(brackets)
+        for (root, falls), (i, j) in zip(changes, brackets):
+            assert x[i] < root < x[j]
+            assert falls == (d[i] > 0)
+        assert all(a[1] != b[1] for a, b in zip(changes, changes[1:]))
+        assert ashkin_teller._sign_changes(x, d, lo, hi) == [c for c in changes if lo < c[0] < hi]
 
     def test_default_delta_grid(self):
         grid = default_delta_grid()

@@ -204,10 +204,11 @@ class TestAtScan:
         assert all(c == round(c, 9) for c in summary["zero_crossings"])
 
     def test_extremum_follows_derivative_sign(self):
+        # at-scan labels a root "max" where the derivative falls through it, else "min"
         x = np.array([0.0, 1.0, 2.0, 3.0])
-        assert cli._extremum(x, np.array([1.0, -1.0, -2.0, 1.0]), 0.5) == "max"
-        assert cli._extremum(x, np.array([1.0, -1.0, -2.0, 1.0]), 2.5) == "min"
-        assert cli._extremum(x, np.array([-1.0, 0.0, 1.0, 2.0]), 1.0) == "min"
+        assert ashkin_teller._sign_changes(x, np.array([1.0, -1.0, -2.0, 1.0])) == [
+            (0.5, True), (pytest.approx(8 / 3), False)]
+        assert ashkin_teller._sign_changes(x, np.array([-1.0, 0.0, 1.0, 2.0])) == [(1.0, False)]
 
     def test_json_contains_meta_summary(self, tmp_path, capsys):
         out_file = tmp_path / "scan.json"
