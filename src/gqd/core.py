@@ -103,8 +103,18 @@ def eig_hermitian(m: "np.ndarray | DensityOperator"):
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices; the first acts on the slowest-varying factor."""
-    return functools.reduce(np.kron, mats[1:], np.array(mats[0]))
+    """Kronecker product of one or more matrices; the first acts on the slowest-varying factor.
+
+    (..., m, n) stacks give one product per matrix, their leading axes broadcast; each
+    entry is the one product np.kron forms.
+    """
+    def pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b)
+        (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+        t = a[..., :, None, :, None] * b[..., None, :, None, :]
+        return t.reshape(t.shape[:-4] + (m * p, n * q))
+
+    return functools.reduce(pair, mats[1:], np.array(mats[0]))
 
 
 def _validate_keep(keep: Sequence[int], n: int) -> list[int]:
@@ -196,11 +206,13 @@ def von_neumann_entropy(rho: "DensityOperator | np.ndarray") -> "float | np.ndar
     return shannon_entropy(w)
 
 
-def relative_entropy(rho: "DensityOperator | np.ndarray", sigma: "DensityOperator | np.ndarray") -> float:
+def relative_entropy(rho: "DensityOperator | np.ndarray",
+                     sigma: "DensityOperator | np.ndarray") -> "float | np.ndarray":
     """S(rho || sigma) = Tr(rho log2 rho - rho log2 sigma), in bits.
 
-    Returns ``math.inf`` when rho has support on sigma's kernel (eigenvalues
-    of sigma below 1e-12, rho mass above 1e-9).
+    One pair gives a float; (..., d, d) stacks of equal shape give one value per
+    pair.  A value is ``math.inf`` where its rho has support on its sigma's kernel
+    (eigenvalues of sigma below 1e-12, rho mass above 1e-9).
     """
     a = _as_hermitian_matrix(rho)
     b = _as_hermitian_matrix(sigma)
@@ -209,8 +221,8 @@ def relative_entropy(rho: "DensityOperator | np.ndarray", sigma: "DensityOperato
     w_b, v_b = np.linalg.eigh(b)
     q = basis_probabilities(a, v_b)  # weight of rho along each eigenvector of sigma
     kernel = w_b < KERNEL_EIG_TOL
-    if q[kernel].sum() > KERNEL_MASS_TOL:
-        return math.inf
-    tr_rho_log_sigma = float((q[~kernel] * np.log2(w_b[~kernel])).sum())
+    tr_rho_log_sigma = (q * np.log2(np.where(kernel, 1.0, w_b))).sum(-1)
     tr_rho_log_rho = -von_neumann_entropy(rho)
-    return tr_rho_log_rho - tr_rho_log_sigma
+    value = np.where((q * kernel).sum(-1) > KERNEL_MASS_TOL, math.inf,
+                     tr_rho_log_rho - tr_rho_log_sigma)
+    return float(value) if value.ndim == 0 else value

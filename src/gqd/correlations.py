@@ -160,7 +160,9 @@ class _GqdContext:
         p[b, k_1..k_n] = sum_mu T_mu prod_q c_q[b, mu_q, k_q], one batched matmul per
         subsystem that sums the leading coordinate axis and appends its outcome axis.
         The local distributions are the marginals of p: one entropy of them side by side.
-        One state scores B bases, and P states score one basis (B = 1): P values.
+        One state scores B bases, and P states score one basis (B = 1): P values.  P states
+        at P bases (B = P) pair row by row, since each step's (P, X, d^2) @ (P, d^2, d)
+        matmul does: P values, the p-th of state p at basis p.
         """
         coeffs = {}
         for members in self.groups.values():

@@ -139,8 +139,16 @@ def dephase(rho: DensityOperator, basis: ProductBasis) -> DensityOperator:
     """Non-selective product measurement: sum_k Pi_k rho Pi_k, the off-diagonals of rho
     in the product basis killed."""
     basis.check_dims(rho.dims)
-    u = basis.unitary()
-    return DensityOperator((u * basis_probabilities(rho.matrix, u)) @ u.conj().T, rho.dims)
+    return DensityOperator(dephase_matrices(rho.matrix, basis.unitary()), rho.dims)
+
+
+def dephase_matrices(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_k Pi_k m Pi_k for the projectors Pi_k onto the columns of u, unvalidated.
+
+    ``m`` and ``u`` are one matrix each or (..., D, D) stacks, paired matrix by matrix
+    with their leading axes broadcast.
+    """
+    return (u * basis_probabilities(m, u)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def reduced_eigenbasis(rho: DensityOperator, j: int) -> LocalBasis:

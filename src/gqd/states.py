@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -109,12 +110,23 @@ def random_density(
     """Seeded random state rho = G G^dagger / Tr(G G^dagger), G complex Gaussian total x rank."""
     dims = validate_dims(dims)
     total = math.prod(dims)
-    if rank is None:
-        rank = total
-    if not 1 <= rank <= total:
-        raise ValueError(f"rank must lie in [1, {total}], got {rank}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((total, rank)) + 1j * rng.standard_normal((total, rank))
-    m = g @ g.conj().T
-    m /= m.trace().real
-    return DensityOperator(m, dims)
+    return DensityOperator(random_density_stack(total, [total if rank is None else rank],
+                                                [seed])[0], dims)
+
+
+def random_density_stack(total: int, ranks: Sequence[int], seeds: Sequence[int]) -> np.ndarray:
+    """Unvalidated (P, total, total) stack of ``random_density`` matrices, one per (rank, seed).
+
+    Each seed's generator draws the (2, total, rank) normals, real then imaginary parts
+    of G, in one call; G is zero-padded to total columns, so one matmul forms every
+    G G^dagger, bitwise the unpadded product.
+    """
+    g = np.zeros((len(seeds), total, total), dtype=complex)
+    for k, (rank, seed) in enumerate(zip(ranks, seeds)):
+        if not 1 <= rank <= total:
+            raise ValueError(f"rank must lie in [1, {total}], got {rank}")
+        z = np.random.default_rng(seed).standard_normal((2, total, rank))
+        g[k, :, :rank] = z[0] + 1j * z[1]
+    m = g @ g.conj().swapaxes(-1, -2)
+    m /= m.trace(axis1=-2, axis2=-1).real[:, None, None]
+    return m

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gqd.core
+import gqd.measurement
 from gqd import ashkin_teller, cli, correlations, states
 from gqd.selftest import SuiteResult, run_selftest
 
@@ -542,6 +543,29 @@ class TestDiscordCommand:
         assert code == 1
 
 
+def _negated_integrand(monkeypatch):
+    class Negated(correlations._GqdContext):
+        def values(self, unitaries):
+            return super().values(unitaries) - 1.0
+
+    monkeypatch.setattr(correlations, "_GqdContext", Negated)
+
+
+def _negated_relative_entropy(monkeypatch):
+    true = gqd.core.relative_entropy
+    monkeypatch.setattr(gqd.core, "relative_entropy", lambda rho, sigma: -true(rho, sigma))
+
+
+def _half_dephasing(monkeypatch):
+    true = gqd.measurement.dephase_matrices
+    monkeypatch.setattr(gqd.measurement, "dephase_matrices", lambda m, u: 0.5 * (true(m, u) + m))
+
+
+def _swapped_kron(monkeypatch):
+    true = gqd.core.kron
+    monkeypatch.setattr(gqd.core, "kron", lambda *mats: true(*mats[::-1]))
+
+
 class TestSelftestCommand:
     def test_passes(self, capsys):
         code, out, _ = run_cli(["selftest", "--count", "20"], capsys)
@@ -562,8 +586,41 @@ class TestSelftestCommand:
         monkeypatch.setattr(gqd.core, "von_neumann_entropy", corrupted)
         code, out, _ = run_cli(["selftest", "--count", "10"], capsys)
         assert code == 4
-        assert "FAIL" in out
-        assert "failing case" in out
+        # the counts and the first failing case pin the draw order and the record order
+        lines = out.splitlines()
+        k = lines.index("  oracle-equality: 35/45 FAIL")
+        assert lines[k + 1].startswith("    failing case: mutual-info state_seed=3050663042 ")
+
+    @pytest.mark.parametrize("suite, patch, seed_field", [
+        ("non-negativity", _negated_integrand, "state_seed="),
+        ("relative-entropy-monotonicity", _negated_relative_entropy, "seeds=("),
+        ("dephasing-idempotence", _half_dephasing, "state_seed="),
+        ("oracle-equality", _swapped_kron, "mutual-info state_seed="),
+    ])
+    def test_each_suite_catches_a_patched_primitive(self, capsys, monkeypatch, suite, patch,
+                                                    seed_field):
+        patch(monkeypatch)
+        code, out, _ = run_cli(["selftest", "--count", "10"], capsys)
+        assert code == 4
+        lines = out.splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith(f"  {suite}: "))
+        assert lines[k].endswith(" FAIL")
+        assert lines[k + 1].startswith(f"    failing case: {seed_field}")
+
+    def test_validation_calls_hold_one_stack_at_most(self, monkeypatch):
+        true = gqd.core.validate_densities
+        largest = {}
+
+        def recording(m):
+            m = np.asarray(m)
+            if m.ndim == 3:
+                largest[m.shape[-1]] = max(largest.get(m.shape[-1], 0), len(m))
+            return true(m)
+
+        monkeypatch.setattr(gqd.core, "validate_densities", recording)
+        assert run_selftest(seed=1, count=5000).ok
+        assert 1 < largest[4] <= correlations._states_per_call(2)
+        assert 1 < largest[8] <= correlations._states_per_call(3)
 
     def test_suite_result_keeps_five_failure_details_and_formats_no_passing_case(self):
         def never():

@@ -88,6 +88,18 @@ class TestKron:
         assert np.array_equal(kron(a), a)
         assert np.allclose(kron(a, b, c), naive_kron(naive_kron(a, b), c), atol=1e-14)
 
+    def test_stacks_are_np_kron_row_by_row(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((5, 2, 3)) + 1j * rng.standard_normal((5, 2, 3))
+        b = rng.standard_normal((5, 3, 2))
+        c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        assert np.array_equal(kron(a[0], b[0]), np.kron(a[0], b[0]))
+        pairs, triples = kron(a, b), kron(a, b, c)  # c broadcasts against the stacks
+        assert pairs.shape == (5, 6, 6) and triples.shape == (5, 12, 12)
+        for k in range(5):
+            assert np.array_equal(pairs[k], np.kron(a[k], b[k]))
+            assert np.array_equal(triples[k], np.kron(np.kron(a[k], b[k]), c))
+
 
 class TestDims:
     def test_total(self):
@@ -351,6 +363,21 @@ class TestRelativeEntropy:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             relative_entropy(np.eye(2) / 2, np.eye(4) / 4)
+
+    def test_stack_matches_pairs_and_isolates_infinite_rows(self):
+        # row 2: sigma pure, rho full rank -> inf; row 4: rho = sigma pure -> 0, finite
+        rhos = [random_density((2, 2), rank=1 + k % 4, seed=700 + k).matrix for k in range(6)]
+        sigmas = [random_density((2, 2), seed=800 + k).matrix for k in range(6)]
+        sigmas[2] = random_density((2, 2), rank=1, seed=3).matrix
+        rhos[2] = random_density((2, 2), seed=4).matrix
+        rhos[4] = sigmas[4] = random_density((2, 2), rank=1, seed=5).matrix
+        values = relative_entropy(np.stack(rhos), np.stack(sigmas))
+        assert values.shape == (6,)
+        assert values[2] == math.inf
+        assert np.isfinite(np.delete(values, 2)).all() and abs(values[4]) <= 1e-9
+        for k in (0, 1, 3, 5):  # sigma of full rank: bitwise the one-pair value
+            assert values[k] == relative_entropy(rhos[k], sigmas[k])
+        assert abs(values[4] - relative_entropy(rhos[4], sigmas[4])) <= 1e-14
 
     def test_matches_einsum_reference(self):
         # Tr rho log2 rho - sum_k <s_k|rho|s_k> log2 w_k over sigma's eigenpairs (w_k, s_k)

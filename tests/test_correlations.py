@@ -645,6 +645,21 @@ class TestContractionKernel:
             expected = relative_entropy_reference(rho, [b.vectors for b in result.basis.locals])
             assert abs(result.value - expected) <= 1e-10
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 2)])
+    def test_states_pair_with_bases_row_by_row(self, dims):
+        # P states at P bases: the p-th value is state p's integrand at basis p
+        total = int(np.prod(dims))
+        rhos = [random_density(dims, rank=1 + k % total, seed=60 + k) for k in range(7)]
+        rng = np.random.default_rng(total)
+        bases = [[haar_unitary(rng, d) for d in dims] for _ in rhos]
+        ctx = correlations._GqdContext(np.stack([r.matrix for r in rhos]),
+                                       np.stack([r.eigenvalues for r in rhos]), dims)
+        values = ctx.values([np.stack([b[j] for b in bases]) for j in range(len(dims))])
+        assert values.shape == (len(rhos),)
+        for value, rho, basis in zip(values, rhos, bases):
+            expected = gqd_at_basis(rho, ProductBasis(tuple(LocalBasis(u) for u in basis)))
+            assert abs(value - expected) <= 1e-12
+
     @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 2), (2, 3, 2), (3, 3)])
     def test_coordinates_rebuild_the_state(self, dims):
         for rank in (1, 2, int(np.prod(dims))):

@@ -11,6 +11,7 @@ from gqd.core import (
     kron,
     partial_trace,
     shannon_entropy,
+    validate_densities,
     von_neumann_entropy,
 )
 from gqd.correlations import gqd_at_basis
@@ -21,6 +22,7 @@ from gqd.states import (
     ghz_dephased_spectrum,
     ghz_surface,
     random_density,
+    random_density_stack,
     werner,
     werner_ghz,
     werner_ghz_dephased_entropy_analytic,
@@ -191,3 +193,22 @@ class TestRandomDensity:
     def test_rank_bounds(self):
         with pytest.raises(ValueError):
             random_density((2,), rank=3, seed=0)
+        with pytest.raises(ValueError, match="rank must lie in"):
+            random_density_stack(4, [2, 0], [1, 2])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_is_bitwise_one_seed_at_a_time(self, n):
+        total = 2**n
+        rng = np.random.default_rng(n)
+        ranks = [1 + k % total for k in range(3 * total)]
+        seeds = rng.integers(0, 2**32, len(ranks)).tolist()
+        stack = random_density_stack(total, ranks, seeds)
+        validated = validate_densities(stack)[0]
+        for k, (rank, seed) in enumerate(zip(ranks, seeds)):
+            # the unpadded G of each seed's two draws, real part first
+            gen = np.random.default_rng(seed)
+            g = gen.standard_normal((total, rank)) + 1j * gen.standard_normal((total, rank))
+            m = g @ g.conj().T
+            m /= m.trace().real
+            assert np.array_equal(stack[k], m)
+            assert np.array_equal(validated[k], random_density((2,) * n, rank, seed).matrix)
