@@ -28,7 +28,6 @@ from .measurement import (
     qubit_basis,
     reduced_eigenbasis,
     sigma_x_basis,
-    sigma_z_basis,
 )
 from .correlations import (
     GqdResult,

@@ -207,7 +207,7 @@ def _orbits(sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return ((i & sigma) >> 1) | ((i & tau) << 1)
 
     labels = np.empty(4**sites, dtype=np.int32)
-    reps, sizes = [], np.zeros(0, dtype=np.intp)
+    reps, count = [], 0
     for lo in range(0, labels.size, ORBIT_BLOCK):
         index = np.arange(lo, min(lo + ORBIT_BLOCK, labels.size))
         smallest = index.copy()
@@ -218,12 +218,10 @@ def _orbits(sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 for mask in (0, sigma, tau, sigma | tau):
                     np.minimum(smallest, image ^ mask, out=smallest)
         reps.append(index[smallest == index])
-        labels[reps[-1]] = np.arange(sizes.size, sizes.size + reps[-1].size)
+        labels[reps[-1]] = np.arange(count, count + reps[-1].size)
         labels[index] = labels[smallest]
-        counts = np.bincount(labels[index], minlength=sizes.size + reps[-1].size)
-        counts[: sizes.size] += sizes
-        sizes = counts
-    return np.concatenate(reps), labels, sizes
+        count += reps[-1].size
+    return np.concatenate(reps), labels, np.bincount(labels)
 
 
 @functools.lru_cache(maxsize=1)

@@ -202,7 +202,9 @@ def _parse_state(spec: str):
             return "bell", states.bell()
         if name == "ghz":
             n = int(rest)
-            if n > 10:  # dense 2^n x 2^n: ghz:10 takes a minute and 0.8 GB on 2 cores
+            # dense 2^n x 2^n, 16 MB at n = 10: `discord ghz:10` takes 59 s and peaks at
+            # 125 MB (whole process, one BLAS thread, 2-core host)
+            if n > 10:
                 raise BudgetError("GHZ states beyond 10 qubits are out of budget")
             return spec, states.ghz(n)
         if name == "werner":

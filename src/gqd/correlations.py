@@ -70,8 +70,8 @@ class GqdResult:
 
 
 def _qubit_unitaries(x: np.ndarray) -> np.ndarray:
-    """Angle rows x[B, 2n] -> per-qubit unitaries u[B, n, 2, 2] (``measurement.qubit_unitary``)."""
-    return measurement.qubit_unitary(x[:, 0::2], x[:, 1::2])
+    """Angle rows x[B, 2n] -> per-qubit unitaries u[n, B, 2, 2] (``measurement.qubit_unitary``)."""
+    return measurement.qubit_unitary(x[:, 0::2].T, x[:, 1::2].T)
 
 
 @functools.lru_cache(maxsize=32)
@@ -411,23 +411,14 @@ def _angles_of_qubit_column(v: np.ndarray) -> tuple[float, float]:
     a, b = complex(v[0]), complex(v[1])
     if abs(a) < 1e-12 or abs(b) < 1e-12:
         return 0.0, 0.0
+    # both moduli are positive here, so atan2 < pi/2 and theta < pi
     theta = 2.0 * math.atan2(abs(b), abs(a))
-    phi = (np.angle(b) - np.angle(a)) % (2.0 * math.pi)
-    if theta >= math.pi:
-        return 0.0, 0.0
-    return theta, phi
+    return theta, (np.angle(b) - np.angle(a)) % (2.0 * math.pi)
 
 
 def _require_qubits(dims: tuple[int, ...], what: str) -> None:
     if any(d != 2 for d in dims):
         raise ValueError(f"{what} requires qubit subsystems, got dims {dims}")
-
-
-def _strategy_basis(rho: DensityOperator, strategy: str) -> ProductBasis:
-    if strategy == "reduced-eigenbasis":
-        n = rho.n_subsystems
-        return ProductBasis(tuple(measurement.reduced_eigenbasis(rho, j) for j in range(n)))
-    return _fixed_basis(rho.dims, strategy)
 
 
 def _fixed_basis(dims: tuple[int, ...], strategy: str) -> ProductBasis:
@@ -467,7 +458,11 @@ def gqd(rho: DensityOperator, strategy: str = "minimize", seed: int = 0) -> GqdR
         raise ValueError("global discord needs at least two subsystems")
 
     if strategy != "minimize":
-        basis = _strategy_basis(rho, strategy)
+        if strategy == "reduced-eigenbasis":
+            n = rho.n_subsystems
+            basis = ProductBasis(tuple(measurement.reduced_eigenbasis(rho, j) for j in range(n)))
+        else:
+            basis = _fixed_basis(rho.dims, strategy)
         value = gqd_at_basis(rho, basis)
         return GqdResult(value=value, basis=basis, strategy=strategy,
                          converged=True, evaluations=1)
@@ -475,10 +470,10 @@ def gqd(rho: DensityOperator, strategy: str = "minimize", seed: int = 0) -> GqdR
     _require_qubits(rho.dims, "minimize strategy")
     ctx = _GqdContext.of(rho)
     value, x, evaluations, converged = _minimize_over_angles(
-        lambda rows: ctx.values(_qubit_unitaries(rows).swapaxes(0, 1)),
+        lambda rows: ctx.values(_qubit_unitaries(rows)),
         rho.n_subsystems, _structured_starts(rho), seed, ctx.grid_values,
     )
-    basis = ProductBasis(tuple(LocalBasis(u) for u in _qubit_unitaries(x[None])[0]))
+    basis = ProductBasis(tuple(LocalBasis(u) for u in _qubit_unitaries(x[None])[:, 0]))
     return GqdResult(value=value, basis=basis, strategy="minimize",
                      converged=converged, evaluations=evaluations)
 
@@ -503,9 +498,12 @@ def _discord_asymmetric(rho_ab: DensityOperator) -> tuple[float, bool]:
     t = rho_ab.matrix.reshape(d_a, d_b, d_a, d_b)
     s_b = von_neumann_entropy(partial_trace(rho_ab, [len(dims) - 1]))
     offset = s_b - von_neumann_entropy(rho_ab)
+    rows = max(1, _ELEMENT_BUDGET // (2 * d_a * d_a))  # a row's blocks hold 2 d_A^2 elements
 
     def objective(x: np.ndarray) -> np.ndarray:
-        return offset + _conditional_entropy_tensor(t, _qubit_unitaries(x)[:, 0])
+        u = _qubit_unitaries(x)[0]
+        calls = [_conditional_entropy_tensor(t, u[k:k + rows]) for k in range(0, len(u), rows)]
+        return offset + np.concatenate(calls)
 
     value, _, _, converged = _minimize_over_angles(objective, 1, _AXIS_ANGLES)
     return value, converged

@@ -72,16 +72,8 @@ class ProductBasis:
         if not self.locals:
             raise ValueError("product basis needs at least one local basis")
 
-    @classmethod
-    def uniform(cls, local: LocalBasis, n: int) -> "ProductBasis":
-        return cls((local,) * n)
-
     def __len__(self) -> int:
         return len(self.locals)
-
-    def unitary(self) -> np.ndarray:
-        """Kronecker product of local basis matrices (columns = product vectors)."""
-        return kron(*(b.vectors for b in self.locals))
 
     def check_dims(self, dims: tuple[int, ...]) -> None:
         if len(self.locals) != len(dims):
@@ -115,10 +107,6 @@ def qubit_basis(angles: QubitBasisAngles) -> LocalBasis:
     return LocalBasis(qubit_unitary(angles.theta, angles.phi))
 
 
-def sigma_z_basis() -> LocalBasis:
-    return LocalBasis(np.eye(2, dtype=complex))
-
-
 def sigma_x_basis() -> LocalBasis:
     return qubit_basis(QubitBasisAngles(theta=0.5 * math.pi, phi=0.0))
 
@@ -128,18 +116,19 @@ def computational_basis(d: int) -> LocalBasis:
 
 
 def all_z(n: int) -> ProductBasis:
-    return ProductBasis.uniform(sigma_z_basis(), n)
+    return ProductBasis((computational_basis(2),) * n)
 
 
 def all_x(n: int) -> ProductBasis:
-    return ProductBasis.uniform(sigma_x_basis(), n)
+    return ProductBasis((sigma_x_basis(),) * n)
 
 
 def dephase(rho: DensityOperator, basis: ProductBasis) -> DensityOperator:
     """Non-selective product measurement: sum_k Pi_k rho Pi_k, the off-diagonals of rho
     in the product basis killed."""
     basis.check_dims(rho.dims)
-    return DensityOperator(dephase_matrices(rho.matrix, basis.unitary()), rho.dims)
+    u = kron(*(b.vectors for b in basis.locals))
+    return DensityOperator(dephase_matrices(rho.matrix, u), rho.dims)
 
 
 def dephase_matrices(m: np.ndarray, u: np.ndarray) -> np.ndarray:

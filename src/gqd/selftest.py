@@ -98,12 +98,6 @@ def _random_states(n: int, ranks: Sequence[int],
     return core.validate_densities(states.random_density_stack(2**n, ranks, seeds))
 
 
-def _unitaries(angles: Sequence[Sequence[tuple[float, float]]]) -> np.ndarray:
-    """(n, P, 2, 2) qubit unitaries of P cases' n (theta, phi) pairs each."""
-    a = np.array(angles)
-    return measurement.qubit_unitary(a[..., 0], a[..., 1]).swapaxes(0, 1)
-
-
 def _mutual_information(m: np.ndarray) -> np.ndarray:
     """S(A) + S(B) - S(AB) of each two-qubit state of a (P, 4, 4) stack."""
     a, b = (core.trace_out(m, (2, 2), [q]) for q in (0, 1))
@@ -119,7 +113,8 @@ def _suite_non_negativity(rng: np.random.Generator, count: int) -> SuiteResult:
     def score(n: int, cases: list[tuple]) -> np.ndarray:
         matrices, spectra = _random_states(n, [c[1] for c in cases], [c[2] for c in cases])
         ctx = correlations._GqdContext(matrices, spectra, (2,) * n)
-        return ctx.values(list(_unitaries([c[3] for c in cases])))
+        x = np.reshape([c[3] for c in cases], (len(cases), -1))
+        return ctx.values(correlations._qubit_unitaries(x))
 
     result = SuiteResult("non-negativity")
     for (n, rank, state_seed, angles), value in _scored(draw, count, score):
@@ -160,7 +155,8 @@ def _suite_idempotence(rng: np.random.Generator, count: int) -> SuiteResult:
 
     def score(n: int, cases: list[tuple]) -> np.ndarray:
         rho = _random_states(n, [2**n] * len(cases), [c[1] for c in cases])[0]
-        u = core.kron(*_unitaries([c[2] for c in cases]))
+        x = np.reshape([c[2] for c in cases], (len(cases), -1))
+        u = core.kron(*correlations._qubit_unitaries(x))
         once = core.validate_densities(measurement.dephase_matrices(rho, u))[0]
         twice = core.validate_densities(measurement.dephase_matrices(once, u))[0]
         return np.abs(twice - once).max(axis=(-2, -1))
@@ -205,7 +201,8 @@ def _suite_oracle_equality(rng: np.random.Generator, count: int) -> SuiteResult:
     angles = ((0.0, 0.0), (0.7, 1.9), (math.pi / 2, math.pi / 2), (2.1, 0.3))
     t2, t3 = np.array(angles).T
     predicted = np.sort(states.ghz_dephased_spectrum(t2, t3).T)
-    u = core.kron(*_unitaries([[(0.0, 0.0), (a, 0.0), (b, 0.0)] for a, b in angles]))
+    rows = [(0.0, 0.0, a, 0.0, b, 0.0) for a, b in angles]
+    u = core.kron(*correlations._qubit_unitaries(np.array(rows)))
     dephased = core.validate_densities(measurement.dephase_matrices(states.ghz(3).matrix, u))[0]
     errors = np.abs(predicted - core.eig_hermitian(dephased).eigenvalues).max(-1)
     for (a, b), err in zip(angles, errors):
@@ -214,8 +211,8 @@ def _suite_oracle_equality(rng: np.random.Generator, count: int) -> SuiteResult:
     # correlation-loss form == relative-entropy form at random bases
     def dual_forms(_: int, cases: list[tuple]) -> np.ndarray:
         rho, spectra = _random_states(2, [4] * len(cases), [c[1] for c in cases])
-        u = _unitaries([c[2] for c in cases])
-        relative_form = correlations._GqdContext(rho, spectra, (2, 2)).values(list(u))
+        u = correlations._qubit_unitaries(np.reshape([c[2] for c in cases], (len(cases), -1)))
+        relative_form = correlations._GqdContext(rho, spectra, (2, 2)).values(u)
         dephased = core.validate_densities(measurement.dephase_matrices(rho, core.kron(*u)))[0]
         loss_form = _mutual_information(rho) - _mutual_information(dephased)
         return np.stack([relative_form, loss_form], axis=-1)

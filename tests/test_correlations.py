@@ -32,10 +32,11 @@ from gqd.measurement import (
     ProductBasis,
     QubitBasisAngles,
     all_z,
+    computational_basis,
     dephase,
     qubit_basis,
+    qubit_unitary,
     sigma_x_basis,
-    sigma_z_basis,
 )
 from gqd.states import bell, ghz, random_density, werner, werner_ghz, werner_ghz_gqd_analytic
 
@@ -127,11 +128,11 @@ class TestMeasuredConditionalEntropy:
         b = random_density((2,), seed=6).matrix
         rho = DensityOperator(kron(a, b), (2, 2))
         s_a = von_neumann_entropy(partial_trace(rho, [0]))
-        for basis in (sigma_z_basis(), sigma_x_basis()):
+        for basis in (computational_basis(2), sigma_x_basis()):
             assert abs(conditional_entropy(rho, basis) - s_a) <= 1e-10
 
     def test_bell_state_z_basis(self):
-        assert abs(conditional_entropy(bell(), sigma_z_basis())) <= 1e-12
+        assert abs(conditional_entropy(bell(), computational_basis(2))) <= 1e-12
 
     def test_dephased_entropy_decomposition(self):
         # S(Phi_B(rho)) = H(p) + sum_j p_j S(rho_{A|j})
@@ -186,6 +187,22 @@ class TestDiscordAsymmetric:
             discord_asymmetric(rho)
         # validating rho_B is the only spectrum; S(AB) is read from rho's validated one
         assert shapes == [(2, 2)]
+
+    def test_objective_rows_are_scored_within_the_element_budget(self, monkeypatch):
+        # d_A = 8: a budget of 2^10 elements allows 1024 // (2 * 8^2) = 8 rows a call, so
+        # the 81-row coarse call splits; every row's value is computed as it was unsplit.
+        rho, budget = ghz(4), 2**10
+        want = discord_asymmetric(rho)
+        tensor, rows = correlations._conditional_entropy_tensor, []
+
+        def counting(t, vectors):
+            rows.append(len(vectors))
+            return tensor(t, vectors)
+
+        monkeypatch.setattr(correlations, "_ELEMENT_BUDGET", budget)
+        monkeypatch.setattr(correlations, "_conditional_entropy_tensor", counting)
+        assert discord_asymmetric(rho) == want
+        assert max(rows) == budget // (2 * 8**2)
 
 
 class TestGqdAtBasis:
@@ -484,9 +501,9 @@ class TestSymmetricDiscord:
         info = mutual_information(rho, [0])
         loss = np.array([
             info - mutual_information(dephase(rho, ProductBasis(tuple(map(LocalBasis, us)))), [0])
-            for us in unitaries
+            for us in unitaries.swapaxes(0, 1)
         ])
-        relative = correlations._GqdContext.of(rho).values(unitaries.swapaxes(0, 1))
+        relative = correlations._GqdContext.of(rho).values(unitaries)
         assert loss.shape == relative.shape == (len(x),)
         assert np.abs(loss - relative).max() <= 1e-9
 
@@ -518,7 +535,7 @@ class TestBatchedObjective:
         ctx = correlations._GqdContext.of(rho)
 
         def objective(batch):
-            return ctx.values(correlations._qubit_unitaries(batch).swapaxes(0, 1))
+            return ctx.values(correlations._qubit_unitaries(batch))
 
         batched = objective(x)
         assert batched.shape == (rows,)
@@ -532,13 +549,39 @@ class TestBatchedObjective:
             assert np.abs(chunked - batched).max() <= 1e-13
 
 
+class TestQubitAngles:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_unitaries_are_qubit_unitary_per_row_and_qubit(self, n):
+        x = np.random.default_rng(n).uniform(0, 2 * math.pi, (9, 2 * n))
+        u = correlations._qubit_unitaries(x)
+        assert u.shape == (n, 9, 2, 2)
+        for q, b in itertools.product(range(n), range(9)):
+            assert np.array_equal(u[q, b], qubit_unitary(x[b, 2 * q], x[b, 2 * q + 1]))
+
+    def test_column_angles_keep_theta_below_pi(self):
+        # |a| from 1e-12, where theta is pi - 2e-12, to 1, at random phases; the columns
+        # with |a| or |b| below 1e-12 take the z basis
+        rng = np.random.default_rng(3)
+        moduli = [(m, math.sqrt(1 - m * m)) for m in np.logspace(-12, 0, 25)]
+        for a, b in [*moduli, (1e-13, 1.0), (1.0, 1e-13)]:
+            for alpha, beta in rng.uniform(-math.pi, math.pi, (4, 2)):
+                v = np.array([a * np.exp(1j * alpha), b * np.exp(1j * beta)])
+                theta, phi = correlations._angles_of_qubit_column(v)
+                assert 0.0 <= theta < math.pi and 0.0 <= phi <= 2 * math.pi
+                if min(abs(v[0]), abs(v[1])) < 1e-12:
+                    assert (theta, phi) == (0.0, 0.0)
+                else:
+                    overlap = abs(qubit_unitary(theta, phi)[:, 0].conj() @ v)
+                    assert abs(overlap - 1.0) <= 1e-12, (a, b)
+
+
 class TestGridTable:
     """The coarse stage scored from the grid table, against scoring each row from its angles."""
 
     @staticmethod
     def row_values(ctx, idx):
         x = correlations._grid_table()[0][idx].reshape(len(idx), -1)
-        return ctx.values(correlations._qubit_unitaries(x).swapaxes(0, 1))
+        return ctx.values(correlations._qubit_unitaries(x))
 
     def test_full_two_qubit_grid_is_bitwise_per_row_scoring(self):
         ctx = correlations._GqdContext.of(random_density((2, 2), seed=41))
@@ -564,7 +607,7 @@ class TestGridTable:
         ctx = correlations._GqdContext.of(rho)
 
         def objective(x):
-            return ctx.values(correlations._qubit_unitaries(x).swapaxes(0, 1))
+            return ctx.values(correlations._qubit_unitaries(x))
 
         starts = correlations._structured_starts(rho)
         table = correlations._minimize_over_angles(objective, n, starts, 7, ctx.grid_values)
@@ -621,9 +664,9 @@ class TestContractionKernel:
         steps = 1e-5 * np.eye(2 * n)[rng.permutation(2 * n)[:2]]
         x = np.concatenate([x, x[1] + steps, x[1] - steps, x[0] + steps, x[0] - steps])
         unitaries = correlations._qubit_unitaries(x)
-        values = correlations._GqdContext.of(rho).values(unitaries.swapaxes(0, 1))
+        values = correlations._GqdContext.of(rho).values(unitaries)
         assert values.shape == (len(x),)
-        for value, row in zip(values, unitaries):
+        for value, row in zip(values, unitaries.swapaxes(0, 1)):
             assert abs(value - relative_entropy_reference(rho, row)) <= 1e-10
 
     @settings(derandomize=True, max_examples=18, deadline=None)
