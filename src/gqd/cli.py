@@ -241,14 +241,15 @@ def _cmd_discord(args) -> int:
         ("discord_asymmetric", asym),
     ]
     result = correlations.gqd(rho, args.strategy, seed=args.seed)
-    if n == 2:  # symmetric discord is gqd's two-qubit minimization: reuse it when it ran
-        symmetric = (result.value if args.strategy == "minimize"
-                     else correlations.symmetric_discord(rho))
-        rows.append(("discord_symmetric", symmetric))
-    rows.append((f"gqd_{args.strategy}", result.value))
-
     summary = {"asymmetric_converged": asym_converged, "gqd_converged": result.converged,
                "gqd_evaluations": result.evaluations}
+    if n == 2:  # symmetric discord is gqd's two-qubit minimization: reuse it when it ran
+        symmetric = (result if args.strategy == "minimize"
+                     else correlations.gqd(rho, "minimize", seed=args.seed))
+        rows.append(("discord_symmetric", symmetric.value))
+        summary["symmetric_converged"] = symmetric.converged
+    rows.append((f"gqd_{args.strategy}", result.value))
+
     meta = {"command": "discord", "state": label, "strategy": args.strategy, "seed": args.seed,
             **summary}
     _emit(args, meta, ("measure", "value"), rows)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -274,22 +274,24 @@ def _minimize_over_angles(
     to the values ``objective`` gives their angles; by default it gathers the
     angles and calls ``objective``.  Grid rows reach it sorted stably by their
     first index, so that each call holds few first bases, and their scores
-    return to drawn order.  Every row
-    stack, the starts and grid included, is scored in calls of at most
-    ``_ELEMENT_BUDGET // 4**n_pairs`` rows.  The ``_MULTISTARTS`` best distinct
-    candidates (``starts``, then the coarse grid) are refined together: each
-    round scores every live start's trial point and its +-_FD_STEP probes
-    along every angle (``1 + 4 * n_pairs`` rows per start, its value and
-    central-difference gradient) in one stack.  Every start keeps its own
-    inverse Hessian and backtracking Armijo line search.  A start converges
-    when max|g| <= _GTOL or an accepted step decreases the value by a
-    relative _FTOL or less; a line search that finds no decrease converges
-    only when max|g| <= _STALL_GTOL.  Every row is counted in the
-    evaluations, and a round that would take them past _MAX_EVALUATIONS
-    stops the run unconverged.  The best row seen anywhere, probe rows
-    included, is returned.  Returns (best value, best angles, evaluations,
-    converged).  Deterministic for a fixed ``seed``: enumeration order is
-    fixed and only the sampled grid draws, with that seed.
+    return to drawn order.  Every row stack, the starts and grid included, is
+    scored in calls of at most ``_ELEMENT_BUDGET // 4**n_pairs`` rows.  The
+    ``_MULTISTARTS`` best distinct candidates (``starts``, then the coarse
+    grid), in the order of a stable sort of their scores (only the rows up to
+    a partition's cut are sorted while they hold enough), are refined together
+    as one (S, m) state under boolean masks of the live, accepted, rejected
+    and curvature-updated starts.  Each round scores every live start's trial
+    point and its +-_FD_STEP probes along every angle (``1 + 4 * n_pairs``
+    rows per start, its value and central-difference gradient) in one
+    stack.  Every start keeps its own inverse Hessian and backtracking Armijo
+    line search.  A start converges when max|g| <= _GTOL or an accepted step
+    decreases the value by a relative _FTOL or less; a line search that finds
+    no decrease converges only when max|g| <= _STALL_GTOL.  Every row is
+    counted in the evaluations, and a round that would take them past
+    _MAX_EVALUATIONS stops the run unconverged.  The best row seen anywhere,
+    probe rows included, is returned.  Returns (best value, best angles,
+    evaluations, converged).  Deterministic for a fixed ``seed``: enumeration
+    order is fixed and only the sampled grid draws, with that seed.
     """
     pairs = _grid_table()[0]
     n_combo = len(pairs)
@@ -301,105 +303,115 @@ def _minimize_over_angles(
     starts = np.reshape(starts, (-1, 2 * n_pairs))[:_MAX_EVALUATIONS]
     exhausted = len(starts) + len(idx) > _MAX_EVALUATIONS
     idx = idx[:_MAX_EVALUATIONS - len(starts)]
-    candidates = np.concatenate([starts, pairs[idx].reshape(len(idx), 2 * n_pairs)])
     if on_grid is None:
         def on_grid(rows: np.ndarray) -> np.ndarray:
             return objective(pairs[rows].reshape(len(rows), -1))
 
+    def candidate(k: int) -> np.ndarray:  # coarse row k: the starts, then the grid rows
+        return starts[k] if k < len(starts) else pairs[idx[k - len(starts)]].reshape(-1)
+
     chunk = max(1, _ELEMENT_BUDGET // 4**n_pairs)
-    evaluations, best_value, best_x = 0, math.inf, candidates[0]
+    evaluations, best_value, best_x = 0, math.inf, candidate(0)
 
     def in_calls(f: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:
         calls = [f(rows[k:k + chunk]) for k in range(0, len(rows), chunk)]
         return np.concatenate([np.empty(0), *calls])
 
-    def score(rows: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
-        """Count and track the best of rows, scored here unless their ``values`` are given."""
+    def score(values: np.ndarray, row: Callable[[int], np.ndarray]) -> np.ndarray:
+        """Count values and track the best of them; ``row(k)`` gives the angles of values[k]."""
         nonlocal evaluations, best_value, best_x
-        if values is None:
-            values = in_calls(objective, rows)
-        evaluations += len(rows)
+        evaluations += len(values)
         k = int(np.argmin(values))
         if values[k] < best_value:
-            best_value, best_x = float(values[k]), rows[k].copy()
+            best_value, best_x = float(values[k]), np.array(row(k))
         return values
 
-    order = np.argsort(idx[:, 0], kind="stable")  # an enumerated grid is sorted already
+    order = np.argsort(idx[:, 0].astype(np.uint8), kind="stable")  # a radix sort: 81 < 256
     grid_values = np.empty(len(idx))
     grid_values[order] = in_calls(on_grid, idx[order])
-    scores = score(candidates, np.concatenate([in_calls(objective, starts), grid_values]))
+    scores = score(np.concatenate([in_calls(objective, starts), grid_values]), candidate)
     if exhausted:
         return best_value, best_x, evaluations, False
+
+    def ranked() -> Iterator[int]:
+        """Coarse rows in stable score order, sorting those up to a partition's cut first."""
+        width = min(4 * _MULTISTARTS, len(scores) - 1)
+        window = np.flatnonzero(scores <= np.partition(scores, width)[width])
+        yield from window[np.argsort(scores[window], kind="stable")]
+        yield from np.argsort(scores, kind="stable")[len(window):]
+
     distinct: dict[tuple[float, ...], np.ndarray] = {}  # best (value, order) first
-    for k in np.argsort(scores, kind="stable"):
-        distinct.setdefault(tuple(np.round(candidates[k], 12)), candidates[k])
+    for k in ranked():
+        distinct.setdefault(tuple(np.round(candidate(k), 12)), candidate(k))
         if len(distinct) == _MULTISTARTS:
             break
 
     m = 2 * n_pairs
-    steps = _FD_STEP * np.eye(m)
-    rows_per_point = 1 + 2 * m
+    eye = np.eye(m)
+    steps, rows_per_point = _FD_STEP * eye, 1 + 2 * m
 
-    def probe(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and central-difference gradients at a (S, m) stack of points."""
-        centre = points[:, None]
-        rows = np.concatenate([centre, centre + steps, centre - steps], axis=1)
-        values = score(rows.reshape(-1, m)).reshape(len(points), rows_per_point)
+    def probe(points: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and central-difference gradients at the masked rows of (S, m) points, else 0."""
+        centre = points[mask, None]
+        rows = np.concatenate([centre, centre + steps, centre - steps], axis=1).reshape(-1, m)
+        values = np.zeros((len(points), rows_per_point))
+        values[mask] = score(in_calls(objective, rows), rows.__getitem__).reshape(len(centre), -1)
         return values[:, 0], (values[:, 1:1 + m] - values[:, 1 + m:]) / (2.0 * _FD_STEP)
 
     x = np.array(list(distinct.values()))
     if _MAX_EVALUATIONS - evaluations < len(x) * rows_per_point:
         return best_value, best_x, evaluations, False
-    f, g = probe(x)
-    h = np.tile(np.eye(m), (len(x), 1, 1))  # inverse Hessian of each start
+    f, g = probe(x, np.ones(len(x), dtype=bool))
+    h = np.tile(eye, (len(x), 1, 1))  # inverse Hessian of each start
     fresh = np.ones(len(x), dtype=bool)  # no curvature pair yet: H is still the identity
-    d, slope, step = np.empty_like(x), np.empty(len(x)), np.empty(len(x))
+    d, slope, step = np.zeros_like(x), np.zeros(len(x)), np.ones(len(x))
     live = np.abs(g).max(axis=1) > _GTOL
     stalled = np.zeros(len(x), dtype=bool)  # line search ended without a decrease
 
     def aim(k: np.ndarray) -> None:
-        """Quasi-Newton direction and first trial step of starts k; a fresh start moves 1 rad."""
-        d[k] = -np.einsum("sij,sj->si", h[k], g[k])
-        reset = k[np.einsum("si,si->s", g[k], d[k]) >= 0.0]  # H lost positive definiteness
-        h[reset], fresh[reset], d[reset] = np.eye(m), True, -g[reset]
-        slope[k] = np.einsum("si,si->s", g[k], d[k])
-        step[k] = np.where(fresh[k], 1.0 / np.linalg.norm(d[k], axis=1), 1.0)
+        """Quasi-Newton direction and first trial step of the starts in mask k (1 rad if fresh)."""
+        np.copyto(d, -np.einsum("sij,sj->si", h, g), where=k[:, None])
+        reset = k & (np.einsum("si,si->s", g, d) >= 0.0)  # H lost positive definiteness
+        if reset.any():
+            h[reset], fresh[reset], d[reset] = eye, True, -g[reset]
+        np.copyto(slope, np.einsum("si,si->s", g, d), where=k)
+        length = np.linalg.norm(np.where(k[:, None], d, 1.0), axis=1)  # ones outside k: never 0
+        np.copyto(step, np.where(fresh, 1.0 / length, 1.0), where=k)
 
-    aim(np.flatnonzero(live))
+    aim(live)
     while live.any():
-        k = np.flatnonzero(live)
-        if _MAX_EVALUATIONS - evaluations < len(k) * rows_per_point:
+        if _MAX_EVALUATIONS - evaluations < np.count_nonzero(live) * rows_per_point:
             exhausted = True
             break
-        trial = x[k] + step[k, None] * d[k]
-        f_t, g_t = probe(trial)
-        ok = f_t <= f[k] + _ARMIJO * step[k] * slope[k]
+        trial = x + step[:, None] * d
+        f_t, g_t = probe(trial, live)
+        ok = live & (f_t <= f + _ARMIJO * step * slope)
 
-        rej, a = k[~ok], step[k[~ok]]
-        # Minimizer of the quadratic through f, slope and the rejected trial, kept in [0.1, 0.5] a.
-        excess = np.maximum(f_t[~ok] - f[rej] - a * slope[rej], 1e-300)
-        step[rej] = a * np.clip(-slope[rej] * a / (2.0 * excess), 0.1, 0.5)
-        gone = rej[step[rej] * np.abs(d[rej]).max(axis=1) < _MIN_STEP]
-        stalled[gone], live[gone] = True, False
-
-        acc = k[ok]
-        s_vec, y_vec = trial[ok] - x[acc], g_t[ok] - g[acc]
-        scale = np.maximum(np.maximum(np.abs(f[acc]), np.abs(f_t[ok])), 1.0)
-        flat = f[acc] - f_t[ok] <= _FTOL * scale
-        x[acc], f[acc], g[acc] = trial[ok], f_t[ok], g_t[ok]
+        rej = live & ~ok
+        if rej.any():
+            # Minimum of the quadratic through f, slope and the rejected trial, in [0.1, 0.5] step.
+            excess = np.maximum(f_t - f - step * slope, 1e-300)
+            np.copyto(step, step * np.clip(-slope * step / (2.0 * excess), 0.1, 0.5), where=rej)
+            gone = rej & (step * np.abs(d).max(axis=1) < _MIN_STEP)
+            stalled, live = stalled | gone, live & ~gone
+        if not ok.any():
+            continue
+        s_vec, y_vec = trial - x, g_t - g
+        flat = f - f_t <= _FTOL * np.maximum(np.maximum(np.abs(f), np.abs(f_t)), 1.0)
+        x, g = np.where(ok[:, None], trial, x), np.where(ok[:, None], g_t, g)
+        f = np.where(ok, f_t, f)
         sy, yy = np.einsum("si,si->s", s_vec, y_vec), np.einsum("si,si->s", y_vec, y_vec)
-        curved = sy > 1e-12 * np.linalg.norm(s_vec, axis=1) * np.sqrt(yy)
-        upd, s_u, y_u, rho = acc[curved], s_vec[curved], y_vec[curved], 1.0 / sy[curved]
-        # BFGS update; a start's first pair also scales its identity by s.y / y.y.
-        first = (sy[curved] / yy[curved])[:, None, None] * np.eye(m)
-        h[upd] = np.where(fresh[upd, None, None], first, h[upd])
-        fresh[upd] = False
-        v = np.eye(m) - rho[:, None, None] * s_u[:, :, None] * y_u[:, None, :]
-        ss = s_u[:, :, None] * s_u[:, None, :]
-        h[upd] = v @ h[upd] @ v.swapaxes(1, 2) + rho[:, None, None] * ss
-        done = flat | (np.abs(g[acc]).max(axis=1) <= _GTOL)
-        live[acc[done]] = False
-        aim(acc[~done])
+        upd = ok & (sy > 1e-12 * np.linalg.norm(s_vec, axis=1) * np.sqrt(yy))
+        if upd.any():  # BFGS update; a start's first pair also scales its identity by s.y / y.y
+            sy, yy = np.where(upd, sy, 1.0), np.where(upd, yy, 1.0)  # rows outside upd divide by 1
+            np.copyto(h, (sy / yy)[:, None, None] * eye, where=(upd & fresh)[:, None, None])
+            fresh &= ~upd
+            rho, ss = (1.0 / sy)[:, None, None], s_vec[:, :, None] * s_vec[:, None, :]
+            v = eye - rho * s_vec[:, :, None] * y_vec[:, None, :]
+            np.copyto(h, v @ h @ v.swapaxes(1, 2) + rho * ss, where=upd[:, None, None])
+        done = ok & (flat | (np.abs(g).max(axis=1) <= _GTOL))
+        live &= ~done
+        aim(ok & ~done)
 
     stalled_ok = np.abs(g).max(axis=1) <= _STALL_GTOL
     converged = not exhausted and bool(np.all(~stalled | stalled_ok))

@@ -384,6 +384,7 @@ class TestDiscordCommand:
         assert code == 0
         body, summary = split_summary(out)
         assert summary["gqd_converged"] is True
+        assert summary["symmetric_converged"] is True
         assert summary["gqd_evaluations"] > 6561
         _, rows = parse_csv(body)
         values = {r[0]: float(r[1]) for r in rows}
@@ -433,6 +434,7 @@ class TestDiscordCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["meta"]["state"] == "ghz:3" and doc["meta"]["gqd_converged"] is True
+        assert "symmetric_converged" not in doc["meta"]  # three qubits have no symmetric row
         rows = {row["measure"]: row["value"] for row in doc["rows"]}
         rho = states.ghz(3)
         info = correlations.mutual_information(rho, [0, 1])
@@ -455,6 +457,16 @@ class TestDiscordCommand:
         assert code == 0
         summary = split_summary(out)[1]
         assert summary["asymmetric_converged"] is False
+        assert summary["gqd_converged"] is True
+
+    def test_reports_whether_the_symmetric_discord_converged(self, capsys, monkeypatch):
+        # at a fixed basis the symmetric row still minimizes: a budget below the 6,561-row
+        # two-qubit grid stops that run, and the fixed-basis GQD stays exact
+        monkeypatch.setattr(correlations, "_MAX_EVALUATIONS", 50)
+        code, out, _ = run_cli(["discord", "werner:0.3", "--strategy", "fixed-z"], capsys)
+        assert code == 0
+        summary = split_summary(out)[1]
+        assert summary["symmetric_converged"] is False
         assert summary["gqd_converged"] is True
 
     def test_file_output_prints_summary(self, tmp_path, capsys):

@@ -404,6 +404,17 @@ class TestGqdMinimize:
         assert first.converged and second.converged
         assert abs(first.value - second.value) <= 1e-12
 
+    @pytest.mark.parametrize("dims, seed, evaluations, value", [
+        ((2, 2), 8, 7780, "0x1.c71f4fd6327d0p-4"),
+        ((2,) * 4, 3, 9591, "0x1.1f59d929d4764p-1"),
+    ])
+    def test_pinned_trajectory(self, dims, seed, evaluations, value):
+        # The full two-qubit grid and a four-qubit sample: exact counts and bits, which
+        # hold whatever the BLAS thread count.
+        result = gqd(random_density(dims, seed=seed), "minimize")
+        assert (result.evaluations, result.converged) == (evaluations, True)
+        assert result.value == float.fromhex(value)
+
     def test_budget_exhaustion_returns_best_so_far(self, monkeypatch):
         monkeypatch.setattr(correlations, "_MAX_EVALUATIONS", 50)
         result = gqd(ghz(3), "minimize")
@@ -801,6 +812,83 @@ class TestLockstepRefinement:
         best = min(min(values) for _, values in calls)
         assert value == best
         assert objective(x[None])[0] == best
+
+    @staticmethod
+    def first_round_centres(calls, coarse_rows, n_pairs):
+        """Centre rows of the first refinement call: the call after ``coarse_rows`` rows."""
+        ends = np.cumsum([len(rows) for rows in calls])
+        return calls[int(np.searchsorted(ends, coarse_rows, side="right"))][::1 + 4 * n_pairs]
+
+    @staticmethod
+    def stable_distinct(candidates, scores):
+        """The first _MULTISTARTS distinct rows in the full stable sort of the scores."""
+        distinct = {}
+        for k in np.argsort(scores, kind="stable"):
+            distinct.setdefault(tuple(np.round(candidates[k], 12)), candidates[k])
+            if len(distinct) == correlations._MULTISTARTS:
+                break
+        return np.array(list(distinct.values()))
+
+    def test_selection_keeps_the_stable_sort_order_when_every_score_ties(self):
+        calls = []
+
+        def objective(x):
+            calls.append(x.copy())
+            return np.zeros(len(x))
+
+        correlations._minimize_over_angles(objective, 3, seed=4)
+        idx = np.random.default_rng(4).integers(0, 81, size=(6561, 3))
+        candidates = correlations._grid_table()[0][idx].reshape(len(idx), -1)
+        want = self.stable_distinct(candidates, np.zeros(len(idx)))
+        assert np.array_equal(self.first_round_centres(calls, 6561, 3), want)
+
+    def test_selection_keeps_the_stable_sort_order_past_duplicate_best_starts(self):
+        # 40 copies of the minimum score lowest of all and fill the first window of ranks;
+        # the scores are rounded, so many rows tie where the widened window is cut.
+        calls = []
+
+        def objective(x):
+            calls.append(x.copy())
+            return np.round((1.0 - np.cos(x - CENTRE)).sum(axis=1), 2)
+
+        starts = [CENTRE] * 40
+        correlations._minimize_over_angles(objective, 2, starts)
+        grid = correlations._grid_table()[0]
+        candidates = np.concatenate([starts, grid[np.indices((81, 81)).reshape(2, -1).T]
+                                     .reshape(-1, 4)])
+        scores = objective(candidates)
+        assert np.count_nonzero(scores <= 0.0) == 40
+        want = self.stable_distinct(candidates, scores)
+        assert np.array_equal(self.first_round_centres(calls, 40 + 6561, 2), want)
+
+    def test_selection_keeps_the_stable_sort_order_of_a_sampled_gqd(self, monkeypatch):
+        calls = []
+        unitaries = correlations._qubit_unitaries
+
+        def spy(x):
+            calls.append(x.copy())
+            return unitaries(x)
+
+        rho = random_density((2, 2, 2), seed=3)
+        monkeypatch.setattr(correlations, "_qubit_unitaries", spy)
+        gqd(rho, "minimize")  # the grid is scored from its table, the 4 starts by angles
+        starts = np.array(correlations._structured_starts(rho))
+        idx = np.random.default_rng(0).integers(0, 81, size=(6561, 3))
+        candidates = np.concatenate([starts, correlations._grid_table()[0][idx].reshape(-1, 6)])
+        ctx = correlations._GqdContext.of(rho)
+        scores = np.concatenate([ctx.values(unitaries(starts)), ctx.grid_values(idx)])
+        want = self.stable_distinct(candidates, scores)
+        assert np.array_equal(self.first_round_centres(calls, 4, 3), want)
+
+    def test_rows_outside_a_mask_never_divide_by_zero(self):
+        # A start exactly at the minimum has a zero central-difference gradient, so it is
+        # done before the first round while the other starts backtrack and update.  Their
+        # steps, curvature scales and directions are computed for every row: a row outside
+        # its mask that divided by zero would fail here, under the suite's warnings as errors.
+        value, x, evaluations, converged = correlations._minimize_over_angles(
+            lambda x: (1.0 - np.cos(x - CENTRE)).sum(axis=1), 2, [CENTRE])
+        assert converged and value == 0.0 and np.array_equal(x, CENTRE)
+        assert evaluations == 6940
 
     def test_every_objective_call_stays_within_the_element_budget(self, monkeypatch):
         rows = []
