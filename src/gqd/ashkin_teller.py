@@ -11,20 +11,23 @@ the sector fixed by the 16M basis permutations of ``_orbits`` (translations, sit
 reversal, the sigma <-> tau swap and the parities).  The global discord of small
 spin groups in the ground state, scanned across the four-spin coupling, locates
 the infinite-order critical point of the beta=1 line as a derivative extremum.
+SciPy (CSR sector matrices, LAPACK) is imported by the solver functions that call it,
+so importing the package loads numpy alone.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.linalg.lapack import dstebz, dstein, dsyevr, dsyevr_lwork
 
 from . import correlations
 from .core import DensityOperator, eig_hermitian, trace_out
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DENSE_MAX_SITES = 6      # 4^6 = 4096: limit of the dense reference views
 SPARSE_MAX_SITES = 10    # ground-state solver budget (N = 20 spins)
@@ -130,6 +133,7 @@ def _with_flips(index: np.ndarray, diagonal: np.ndarray, masks: Sequence[int],
                 labels: np.ndarray) -> sparse.csr_matrix:
     """Rows ``index`` of diag(diagonal) - sum over masks of the bit flip i -> i ^ mask,
     with column j summed into column labels[j]: square of size len(index)."""
+    from scipy import sparse
     cols = labels[np.column_stack([index] + [index ^ m for m in masks])]
     data = np.column_stack([diagonal] + [np.full(index.size, -1.0)] * len(masks))
     indptr = np.arange(0, cols.size + 1, cols.shape[1])
@@ -241,6 +245,7 @@ def _sector_parts(sites: int, beta: float) -> tuple:
     """
     if sites > SPARSE_MAX_SITES:
         raise ValueError(f"chains beyond {SPARSE_MAX_SITES} sites are out of budget")
+    from scipy import sparse
     reps, labels, sizes = _orbits(sites)
     root = np.sqrt(sizes)
     left, right = sparse.diags(root), sparse.diags(1.0 / root)
@@ -259,11 +264,12 @@ def _tridiagonal_lowest(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.nd
     diagonal d and off-diagonal e: the dstebz and dstein calls that
     ``scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))`` makes, and so
     its result bit for bit, without its argument checks."""
+    import scipy.linalg.lapack as lapack
     if d.size == 1:
         return np.array([d[0]]), np.array([[1.0]])
-    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
     if not info:
-        z, info = dstein(d, e, w[:m], iblock, isplit)
+        z, info = lapack.dstein(d, e, w[:m], iblock, isplit)
     if info:
         raise np.linalg.LinAlgError(f"dstebz/dstein failed with info {info}")
     return w[:m], z
@@ -308,9 +314,10 @@ def _sector_lowest(h, start: np.ndarray) -> np.ndarray:
     lowest eigenpair, which needs no start, or a Lanczos solve from ``start``.  dsyevr gets
     the workspace that ``scipy.linalg.eigh`` queries, and so returns eigh's vector bit for bit."""
     if isinstance(h, np.ndarray):
-        work, iwork, _ = dsyevr_lwork(h.shape[0], lower=1)
-        _, z, _, _, info = dsyevr(h, range="I", il=1, iu=1, lower=1, lwork=int(work),
-                                  liwork=iwork)
+        import scipy.linalg.lapack as lapack
+        work, iwork, _ = lapack.dsyevr_lwork(h.shape[0], lower=1)
+        _, z, _, _, info = lapack.dsyevr(h, range="I", il=1, iu=1, lower=1, lwork=int(work),
+                                         liwork=iwork)
         if info:
             raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
         return z[:, 0]
@@ -359,6 +366,7 @@ def _sector_ground(template: ChainSpec, deltas: Sequence[float],
         c = np.array([_sector_lowest(m, start) for m in h])
         hc = np.matmul(h, c[:, :, None])[:, :, 0]
     else:
+        from scipy import sparse
         c, hc = [], []
         for delta in deltas:  # one shared pattern: only the data is summed
             h = sparse.csr_matrix((a.data + delta * b.data, a.indices, a.indptr), shape=a.shape)

@@ -63,18 +63,6 @@ def werner_ghz_gqd_analytic(mu: float) -> float:
     )
 
 
-def werner_ghz_entropy_analytic(mu: float) -> float:
-    """Closed-form S(rho) of the Werner-GHZ state: 3 - 7/8 (1-mu)log2(1-mu) - 1/8 (1+7mu)log2(1+7mu)."""
-    mu = _check_mu(mu)
-    return 3.0 - 0.875 * _xlog2(1.0 - mu) - 0.125 * _xlog2(1.0 + 7.0 * mu)
-
-
-def werner_ghz_dephased_entropy_analytic(mu: float) -> float:
-    """Closed-form S(Phi(rho)) after the all-z measurement: 3 - 3/4 (1-mu)log2(1-mu) - 1/4 (1+3mu)log2(1+3mu)."""
-    mu = _check_mu(mu)
-    return 3.0 - 0.75 * _xlog2(1.0 - mu) - 0.25 * _xlog2(1.0 + 3.0 * mu)
-
-
 def ghz_dephased_spectrum(theta2: float, theta3: float) -> np.ndarray:
     """Eigenvalues of the dephased 3-qubit GHZ state at angles (0, theta2, theta3), phases 0.
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -693,6 +694,39 @@ class TestIoAndUsage:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert out.stdout.startswith("usage: gqd ")
+
+    def test_scipy_loads_at_the_first_chain_solve(self):
+        # the package and every command but the chain's run on numpy alone; the chain's first
+        # solve loads CSR matrices and LAPACK, and never ARPACK or scipy.optimize
+        code = textwrap.dedent("""
+            import contextlib, io, json, sys
+            import gqd, gqd.cli
+
+            def run(argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    return gqd.cli.main(argv.split())
+
+            def loaded():
+                return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+            codes = [run(argv) for argv in (
+                "discord werner:0.5", "discord ghz:3 --strategy fixed-x",
+                "werner-ghz --mode both --points 3", "ghz-surface --resolution 4",
+                "selftest --count 2")]
+            before = loaded()
+            codes.append(run("at-scan --sites 2 --delta-min 0.5 --delta-max 1.5 "
+                             "--grid-step 0.5 --fine-step 0"))
+            print(json.dumps([codes, before, loaded()]))
+        """)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        codes, before, after = json.loads(out.stdout)
+        assert codes == [0] * 6
+        assert before == []
+        assert {"scipy.sparse", "scipy.linalg.lapack"} <= set(after)
+        assert not {"scipy.sparse.linalg", "scipy.optimize"} & set(after)
 
     @pytest.mark.parametrize(
         "argv",

@@ -17,6 +17,7 @@ from gqd.core import (
 from gqd.correlations import gqd_at_basis
 from gqd.measurement import ProductBasis, QubitBasisAngles, all_z, dephase, qubit_basis
 from gqd.states import (
+    _xlog2,
     bell,
     ghz,
     ghz_dephased_spectrum,
@@ -25,10 +26,18 @@ from gqd.states import (
     random_density_stack,
     werner,
     werner_ghz,
-    werner_ghz_dephased_entropy_analytic,
-    werner_ghz_entropy_analytic,
     werner_ghz_gqd_analytic,
 )
+
+
+def werner_ghz_entropy_analytic(mu: float) -> float:
+    """Closed-form S(rho) of the Werner-GHZ state: 3 - 7/8 (1-mu)log2(1-mu) - 1/8 (1+7mu)log2(1+7mu)."""
+    return 3.0 - 0.875 * _xlog2(1.0 - mu) - 0.125 * _xlog2(1.0 + 7.0 * mu)
+
+
+def werner_ghz_dephased_entropy_analytic(mu: float) -> float:
+    """Closed-form S(Phi(rho)) after the all-z measurement: 3 - 3/4 (1-mu)log2(1-mu) - 1/4 (1+3mu)log2(1+3mu)."""
+    return 3.0 - 0.75 * _xlog2(1.0 - mu) - 0.25 * _xlog2(1.0 + 3.0 * mu)
 
 
 class TestGhz:
