@@ -910,6 +910,14 @@ class TestLockstepRefinement:
         assert sum(rows) == result.evaluations
         assert result.evaluations > 6561 + 4  # refinement rounds were scored too
 
+    def test_import_does_not_load_scipy_optimize(self):
+        src = str(Path(correlations.__file__).resolve().parents[1])
+        code = "import sys, gqd, gqd.cli; print('scipy.optimize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_import_builds_no_grid_table(self):
         # the coarse grid's coefficient table is built by the first minimization, not at import
         src = str(Path(correlations.__file__).resolve().parents[1])
@@ -918,6 +926,15 @@ class TestLockstepRefinement:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "0"
+
+    def test_import_does_not_load_scipy_sparse_linalg(self):
+        # the ground states are solved by the package's own Lanczos, not by ARPACK
+        src = str(Path(correlations.__file__).resolve().parents[1])
+        code = "import sys, gqd, gqd.cli; print('scipy.sparse.linalg' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestGqdResult:
